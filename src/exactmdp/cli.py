@@ -2,7 +2,8 @@
 
 Every command reads an MDP document (see docio), runs one analysis, and
 prints a JSON report with deterministic key order to stdout; ``sweep``
-writes CSV.  Exit codes: 0 success, 2 input error, 3 a resource cap was
+writes CSV.  Exit codes: 0 success, 2 input error (a cap environment
+variable that is not a positive integer included), 3 a resource cap was
 exceeded (a partial report is still emitted when one is available).
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import corpus, docio
 from .bellman import count_rules, optimal_set, rules_from_action_sets
 from .conditions import NotIrregularError, boundedness_verdict
-from .limits import CapExceededError
+from .limits import CapExceededError, CapSettingError
 from .mdp import DecisionRule, Mdp, validate
 from .partition import canonical_partition, point_position
 from .smalldiscount import policy_filtration, small_discount_checks
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, CapSettingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except CapExceededError as exc:

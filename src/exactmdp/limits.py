@@ -7,6 +7,8 @@ instances can be pushed through deliberately:
 - ``EXACTMDP_SYMBOLIC_HORIZON_CAP`` horizons of piecewise-symbolic value iteration
 - ``EXACTMDP_PREFIX_CAP``          policy prefixes enumerated per condition check
 - ``EXACTMDP_PIECE_CAP``           pieces per symbolic horizon
+
+A setting that is not a positive integer raises ``CapSettingError``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,22 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
+class CapSettingError(ValueError):
+    """A cap environment variable is not a positive integer."""
+
+
 def _from_env(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    message = f"{name}={raw!r} is not a positive integer"
+    try:
+        value = int(raw)
+    except ValueError:
+        raise CapSettingError(message) from None
+    if value < 1:
+        raise CapSettingError(message)
+    return value
 
 
 def enumeration_cap() -> int:

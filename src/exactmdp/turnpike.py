@@ -1,13 +1,24 @@
 """Turnpike horizons with soundness certificates.
 
 The turnpike integer N(alpha) is the smallest horizon from which value
-iteration emits only infinite-horizon-optimal first-step rules.  It is
-computed here by bounding, through the geometric convergence of value
-iteration, the last horizon at which a suboptimal rule could still attain
-the finite-horizon maximum: once 2 * alpha^(n) * R / (1 - alpha) falls below
-the smallest optimality-equation defect of any suboptimal action, no further
-failures are possible, so checking horizons exactly up to that certificate
-horizon decides N(alpha).
+iteration emits only infinite-horizon-optimal first-step rules.  Two
+horizons bound the work of deciding it:
+
+- The a-priori certificate horizon K is the first k at which
+  2 * alpha^(k+1) * (R1 / (1 - alpha) + R2) falls below the suboptimality
+  gap (the smallest optimality-equation defect of any suboptimal action),
+  from the contraction bound on ||V* - V_n||.  It is known before any
+  iteration and is what ``certificate_horizon`` reports.
+- Value iteration itself stops at the first n <= K at which the exact span
+  test alpha * sp(V_n - V*) < gap holds, sp(w) = max w - min w.  For a
+  suboptimal action k and an optimal k* at state i,
+  Q_(n+1)(i, k) - Q_(n+1)(i, k*) = -delta(i, k) + alpha (P_k - P_k*)(V_n - V*)
+  <= -delta + alpha * sp(V_n - V*) < 0, and sp(T V - T V*) <= alpha *
+  sp(V - V*) keeps the test true at every later horizon, so no horizon
+  after n emits a suboptimal first-step rule.  Since
+  alpha * sp(V_K - V*) <= 2 * alpha^(K+1) * (R1 / (1 - alpha) + R2), the
+  test holds by n = K at the latest, and N is the one the exhaustive check
+  up to K gives.
 """
 
 from __future__ import annotations
@@ -17,9 +28,12 @@ from fractions import Fraction
 
 from .bellman import (
     ActionSets,
+    OptSets,
     _action_values,
+    bellman_step,
     optimal_set,
     product_subset,
+    terminal_value,
     value_iteration,
 )
 from .limits import CapExceededError
@@ -52,7 +66,10 @@ def suboptimality_gap(mdp: Mdp, alpha: Fraction) -> Fraction:
     """
     if not (0 < alpha < 1):
         raise ValueError("gap is defined for discount factors in (0, 1)")
-    opt = optimal_set(mdp, alpha)
+    return _gap(mdp, alpha, optimal_set(mdp, alpha))
+
+
+def _gap(mdp: Mdp, alpha: Fraction, opt: OptSets) -> Fraction:
     q = _action_values(mdp, alpha, opt.v_alpha.values)
     positives = [
         opt.v_alpha[i] - q[i][k]
@@ -73,16 +90,22 @@ class TurnpikeResult:
     gap: Fraction | None
     witness: DecisionRule | None
     d_alpha_sets: ActionSets
+    # horizons value iteration actually ran before the span test stopped it
+    horizons_checked: int = 0
 
 
 def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
-    """N(alpha) together with the certificate horizon that proves it.
+    """N(alpha) together with the a-priori certificate horizon K.
 
     Rewards are balanced internally (this changes neither the first-step sets
-    nor N) so the certificate uses the tighter balanced spreads.  The
-    convergence constant is the contraction bound
-    ||V - V_n|| <= alpha^n (R1/(1-alpha) + R2); the terminal-spread term
-    cannot be dropped when terminal rewards are nonzero.
+    nor N) so K uses the tighter balanced spreads.  The convergence constant
+    is the contraction bound ||V - V_n|| <= alpha^n (R1/(1-alpha) + R2); the
+    terminal-spread term cannot be dropped when terminal rewards are nonzero.
+    Value iteration runs horizon by horizon and stops at the first n <= K
+    with alpha * sp(V_n - V*) < gap, compared exactly: from there on every
+    suboptimal action trails an optimal one by more than
+    alpha * sp(V_n - V*), and the span contracts by alpha per step (see the
+    module docstring).  N is one past the last failing horizon seen.
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
@@ -91,7 +114,7 @@ def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
     if alpha == 0:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
     try:
-        gap = suboptimality_gap(bal, alpha)
+        gap = _gap(bal, alpha, opt)
     except AllRulesOptimalError:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
     k_cert = 0
@@ -99,28 +122,35 @@ def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
     while bound >= gap:
         k_cert += 1
         bound *= alpha
-    failures = []
-    trace = value_iteration(bal, alpha, k_cert)
-    for step in trace[1:]:
-        if not product_subset(step.first_step, opt.d_alpha_sets):
-            failures.append(step.horizon)
-    n_value = failures[-1] + 1 if failures else 1
+    v_star = opt.v_alpha.values
+    v = terminal_value(bal, alpha)
+    n_value, failed_sets = 1, None
+    horizon = 0
+    while horizon < k_cert:
+        diff = [a - b for a, b in zip(v.values, v_star)]
+        if alpha * (max(diff) - min(diff)) < gap:
+            break
+        v, sets = bellman_step(bal, alpha, v)
+        horizon += 1
+        if not product_subset(sets, opt.d_alpha_sets):
+            n_value, failed_sets = horizon + 1, sets
     witness = None
-    if n_value >= 2:
-        sets = trace[n_value - 1].first_step
+    if failed_sets is not None:
         choices = []
         bad_state = next(
             i
             for i in range(mdp.m)
-            if not sets[i] <= opt.d_alpha_sets[i]
+            if not failed_sets[i] <= opt.d_alpha_sets[i]
         )
         for i in range(mdp.m):
             if i == bad_state:
-                choices.append(min(sets[i] - opt.d_alpha_sets[i]))
+                choices.append(min(failed_sets[i] - opt.d_alpha_sets[i]))
             else:
-                choices.append(min(sets[i]))
+                choices.append(min(failed_sets[i]))
         witness = DecisionRule(tuple(choices))
-    return TurnpikeResult(alpha, n_value, k_cert, gap, witness, opt.d_alpha_sets)
+    return TurnpikeResult(
+        alpha, n_value, k_cert, gap, witness, opt.d_alpha_sets, horizon
+    )
 
 
 def certificate_audit(mdp: Mdp, result: TurnpikeResult, extra: int = 5) -> bool:
@@ -171,7 +201,6 @@ class TurnpikeIntervalMap:
 
 
 def _candidate_points(
-    mdp: Mdp,
     part: PartitionReport,
     levels: list[PiecewiseValue],
     lo_pad: Fraction,
@@ -196,7 +225,6 @@ def _candidate_points(
         _push(ip.point)
     for level in levels[1:]:
         for i, cut in enumerate(level.cuts):
-            cls = None
             left, right = level.interval_sets[i], level.interval_sets[i + 1]
             at = level.point_sets[i]
             union = tuple(l | r for l, r in zip(left, right))
@@ -232,7 +260,7 @@ def turnpike_intervals(
         pad = (hi - lo) / 8
     lo_pad = max(Fraction(0), lo - pad)
     hi_pad = min(hi + pad, (hi + 1) / 2)
-    pts = _candidate_points(mdp, part, levels, lo_pad, hi_pad, lo, hi)
+    pts = _candidate_points(part, levels, lo_pad, hi_pad, lo, hi)
 
     bounds: list[PartitionPoint] = [lo_pad, *pts, hi_pad]
     gap_values: list[int | None] = []
