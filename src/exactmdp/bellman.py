@@ -51,9 +51,6 @@ class OptSets:
     d_alpha_sets: ActionSets
     d_n: dict[int, ActionSets] = field(default_factory=dict)
 
-    def d_alpha_rules(self, mdp: Mdp, cap: int | None = None) -> frozenset[DecisionRule]:
-        return rules_from_action_sets(self.d_alpha_sets, cap)
-
 
 def rules_from_action_sets(
     sets: ActionSets, cap: int | None = None

@@ -28,7 +28,7 @@ from itertools import product
 from .bellman import optimal_set, rules_from_action_sets, value_iteration
 from .equivalence import pushforwards_equal
 from .limits import CapExceededError, prefix_cap
-from .mdp import DecisionRule, MarkovPrefix, Mdp, spreads
+from .mdp import DecisionRule, MarkovPrefix, Mdp, mat_vec, spreads
 from .partition import PartitionReport, canonical_partition, one_sided_optimal_sets
 from .smalldiscount import policy_filtration
 from .turnpike import turnpike_integer
@@ -60,12 +60,6 @@ def _mat_mul(a, b, m):
             for j in range(m)
         )
         for i in range(m)
-    )
-
-
-def _mat_vec(a, v, m):
-    return tuple(
-        sum((a[i][j] * v[j] for j in range(m)), Fraction(0)) for i in range(m)
     )
 
 
@@ -104,7 +98,7 @@ def derivative_difference(
         coeffs: list[Vector] = []
         p = _identity(m)
         for rule in head_rules:
-            coeffs.append(_mat_vec(p, mdp.reward_vector(rule), m))
+            coeffs.append(mat_vec(p, mdp.reward_vector(rule)))
             p = _mat_mul(p, mdp.transition_matrix(rule), m)
         tail_v = value_rational_function(mdp, prefix.tail)
         return coeffs, p, tail_v
@@ -143,13 +137,13 @@ def _finite_value_derivative(
     for t in range(n):
         rule = first if t == 0 else prefix.rule_at(t - 1)
         if t >= 1:
-            c_t = _mat_vec(p, mdp.reward_vector(rule), m)
+            c_t = mat_vec(p, mdp.reward_vector(rule))
             w = t * alpha ** (t - 1)
             for x in range(m):
                 deriv[x] += w * c_t[x]
         p = _mat_mul(p, mdp.transition_matrix(rule), m)
     if n >= 1:
-        term = _mat_vec(p, tuple(mdp.terminal), m)
+        term = mat_vec(p, tuple(mdp.terminal))
         w = n * alpha ** (n - 1)
         for x in range(m):
             deriv[x] += w * term[x]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mdp import DecisionRule, Mdp
+from .mdp import DecisionRule, Mdp, mat_vec
 
 Vector = tuple[Fraction, ...]
 
@@ -21,12 +21,6 @@ Vector = tuple[Fraction, ...]
 class GValue:
     value: int
     witness_basis: tuple[Vector, ...]
-
-
-def _mat_vec(p: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
-    return tuple(
-        sum((pij * v[j] for j, pij in enumerate(row)), Fraction(0)) for row in p
-    )
 
 
 class _ExactBasis:
@@ -72,7 +66,7 @@ def compute_G(mdp: Mdp, rule: DecisionRule, v: Sequence[Fraction]) -> GValue:
             break
         family.append(w)
         g += 1
-        w = _mat_vec(p, w)
+        w = mat_vec(p, w)
     return GValue(g, tuple(family))
 
 
@@ -96,8 +90,8 @@ def pushforwards_equal(
     for _ in range(g):
         if a != b:
             return False
-        a = _mat_vec(p1, a)
-        b = _mat_vec(p2, b)
+        a = mat_vec(p1, a)
+        b = mat_vec(p2, b)
     return True
 
 

@@ -5,12 +5,21 @@ variable: dense polynomials, reduced rational functions, fraction-free linear
 solves, Sturm-based real-root isolation on subintervals of (0, 1), and sign
 classification.  No floating point enters at any stage; irrational roots are
 only ever reported as isolating brackets with rational endpoints.
+
+``Polynomial`` keeps ``Fraction`` coefficients at its interface, but the hot
+paths run on integer coefficient lists: gcds and square-free parts come from
+a primitive polynomial remainder sequence (Brown 1971; Collins 1967), Sturm
+chains from the same integer pseudo-remainders, signs at a rational a/b from
+homogenized integer Horner evaluation, and determinants from integer Bareiss
+elimination.  A Sturm chain is built once per square-free polynomial and
+reused across every bisection step on it, including later refinements of an
+``IsolatedRoot``, which carries its chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,7 +48,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -111,15 +120,10 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(out)
+        a, a_den = _scaled_ints(self)
+        b, b_den = _scaled_ints(other)
+        den = a_den * b_den
+        return Polynomial([Fraction(c, den) for c in _mul_ints(a, b)])
 
     __rmul__ = __mul__
 
@@ -174,41 +178,146 @@ class Polynomial:
         positive leading coefficient; c is a positive rational (sign goes to c)."""
         if self.is_zero:
             return Fraction(0), self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        sign = 1 if ints[-1] > 0 else -1
-        prim = Polynomial([Fraction(v * sign // g) for v in ints])
-        return Fraction(sign * g, den_lcm), prim
+        ints, den = _scaled_ints(self)
+        g = _signed_content(ints)
+        return Fraction(g, den), Polynomial([v // g for v in ints])
 
     def primitive(self) -> "Polynomial":
-        return self.content_and_primitive()[1]
-
-    def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        lc = self.leading
-        return Polynomial([c / lc for c in self.coeffs])
+        return Polynomial(_primitive_ints(_scaled_ints(self)[0]))
+
+
+# -- integer coefficient kernel -----------------------------------------------
+#
+# Integer polynomials are lists of int, constant term first, with no trailing
+# zero; the zero polynomial is the empty list.
+
+
+def _scaled_ints(p: Polynomial) -> tuple[list[int], int]:
+    """(ints, den) with p = ints / den and den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+def _signed_content(a: Sequence[int]) -> int:
+    """Content of nonzero a, carrying the sign of its leading coefficient."""
+    g = math.gcd(*a)
+    return g if a[-1] > 0 else -g
+
+
+def _primitive_ints(a: Sequence[int]) -> list[int]:
+    """a divided by its content, leading coefficient positive."""
+    g = _signed_content(a)
+    return [c // g for c in a]
+
+
+def _positive_part(a: Sequence[int]) -> tuple[int, ...]:
+    """a divided by its positive content only, keeping its sign pattern."""
+    g = math.gcd(*a)
+    return tuple(c // g for c in a)
+
+
+def _derivative_ints(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _mul_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _sub_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of c*a by b for a positive integer c (a power of |lc(b)|
+    with common factors cancelled step by step), so the result is a positive
+    multiple of the rational remainder a mod b."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    alb = abs(lb)
+    sb = 1 if lb > 0 else -1
+    while len(r) > db:
+        lr = r[-1]
+        g = math.gcd(lr, lb)
+        m = alb // g
+        f = sb * lr // g  # m * lr == f * lb, so the top term cancels
+        k = len(r) - 1 - db
+        if m != 1:
+            r = [m * c for c in r]
+        for i in range(db):
+            r[k + i] -= f * b[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _exact_div_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Quotient a / b, which must be exact with integer coefficients (true
+    whenever b is primitive and divides a over the rationals, by Gauss's
+    lemma)."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        f, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ArithmeticError("division was not exact")
+        q[k] = f
+        for i in range(db + 1):
+            r[k + i] -= f * b[i]
+    if any(r):
+        raise ArithmeticError("division was not exact")
+    return q
+
+
+def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd of nonzero a and b by a primitive remainder sequence."""
+    a, b = _primitive_ints(a), _primitive_ints(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive_ints(r)
+    return [1]
+
+
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """Sign of a at x = n/d, from the homogenized value sum(a_i n^i d^(k-i))."""
+    n, d = x.numerator, x.denominator
+    acc = 0
+    dk = 1
+    for c in reversed(a):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor, returned in primitive integer form."""
     if a.is_zero:
-        return b.primitive() if not b.is_zero else Polynomial()
+        return b.primitive()
     if b.is_zero:
         return a.primitive()
-    a = a.primitive()
-    b = b.primitive()
-    while not b.is_zero:
-        r = (a % b)
-        if not r.is_zero:
-            r = r.primitive()
-        a, b = b, r
-    return a.primitive()
+    return Polynomial(_gcd_ints(_scaled_ints(a)[0], _scaled_ints(b)[0]))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -216,48 +325,65 @@ def squarefree_part(p: Polynomial) -> Polynomial:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
     if p.degree == 0:
         return Polynomial.constant(1)
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive()
-    return p.exact_div(g).primitive()
+    a = _scaled_ints(p)[0]
+    g = _gcd_ints(a, _derivative_ints(a))
+    if len(g) > 1:
+        a = _exact_div_ints(a, g)
+    return Polynomial(_primitive_ints(a))
 
 
 def root_multiplicity(p: Polynomial, root: Fraction) -> int:
     """Multiplicity of an exact rational root."""
-    linear = Polynomial([-root, 1])
+    a = _scaled_ints(p)[0]
+    linear = [-root.numerator, root.denominator]
     mult = 0
-    while not p.is_zero and p(root) == 0:
-        p = p.exact_div(linear)
+    while a and _sign_at(a, root) == 0:
+        a = _exact_div_ints(a, linear)
         mult += 1
     return mult
 
 
 # -- Sturm machinery ------------------------------------------------------------
 
-
-def _positive_scaled(p: Polynomial) -> Polynomial:
-    """Divide by the positive content only, preserving the sign pattern."""
-    if p.is_zero:
-        return p
-    content, prim = p.content_and_primitive()
-    return prim if content > 0 else -prim
+SturmChain = tuple[tuple[int, ...], ...]
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    # Scaling by positive constants keeps coefficients small and does not
-    # disturb the sign variations; sign-flipping normalizations would.
-    chain = [_positive_scaled(p), _positive_scaled(p.derivative())]
-    while not chain[-1].is_zero:
-        r = chain[-2] % chain[-1]
-        if r.is_zero:
-            break
-        chain.append(_positive_scaled(-r))
-    return [c for c in chain if not c.is_zero]
+def sturm_chain(p: Sequence[int]) -> SturmChain:
+    """Sturm sequence of the integer polynomial p (constant term first): p,
+    p', then each negated remainder of the previous two.
+
+    Every member is divided by its positive content.  Scaling by positive
+    constants keeps coefficients small and does not disturb the sign
+    variations; sign-flipping normalizations would.  The pseudo-remainder is
+    a positive multiple of the rational remainder, so the chain is the one
+    rational division would give after the same scaling.
+    """
+    chain = [_positive_part(p)]
+    r = _derivative_ints(p)
+    while r:
+        chain.append(_positive_part(r))
+        r = [-c for c in _pseudo_rem(chain[-2], chain[-1])]
+    return tuple(chain)
 
 
-def _sign_variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _variations(chain: SturmChain, x: Fraction) -> int | None:
+    """Sign variations of the chain at x; None where its first member
+    vanishes, since the Sturm count needs both interval ends off the roots."""
+    signs = [_sign_at(q, x) for q in chain]
+    if signs[0] == 0:
+        return None
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _squarefree_off_ends(p: Polynomial, lo: Fraction, hi: Fraction) -> list[int]:
+    """Primitive square-free part of nonzero p with any root at lo or hi
+    divided out."""
+    s = _scaled_ints(squarefree_part(p))[0]
+    for endpoint in (lo, hi):
+        while len(s) > 1 and _sign_at(s, endpoint) == 0:
+            s = _exact_div_ints(s, [-endpoint.numerator, endpoint.denominator])
+    return _primitive_ints(s)
 
 
 def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
@@ -266,16 +392,40 @@ def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
         raise ZeroPolynomialError("root counting on the zero polynomial")
     if lo >= hi:
         return 0
-    s = squarefree_part(p)
-    for endpoint in (lo, hi):
-        while not s.is_zero and s(endpoint) == 0:
-            s = s.exact_div(Polynomial([-endpoint, 1]))
-    if s.degree <= 0:
+    s = _squarefree_off_ends(p, lo, hi)
+    if len(s) <= 1:
         return 0
     chain = sturm_chain(s)
-    v_lo = _sign_variations([q(lo) for q in chain])
-    v_hi = _sign_variations([q(hi) for q in chain])
-    return v_lo - v_hi
+    return _variations(chain, lo) - _variations(chain, hi)
+
+
+def _bisect(
+    chain: SturmChain, defining: Polynomial, lo: Fraction, hi: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction, Fraction | None]:
+    """Halve (lo, hi), which holds exactly one root of the square-free
+    ``defining`` whose Sturm chain is ``chain``, until it is no wider than
+    ``width``.  Returns (lo, hi, mid) when a midpoint hits the root and
+    (lo, hi, None) otherwise.
+
+    Each step evaluates the chain at the midpoint only.  Where ``defining``
+    vanishes at lo the chain cannot count, and ``count_roots_open``, which
+    divides that root out, counts instead.
+    """
+    v_lo = _variations(chain, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        if v_mid is None:
+            return lo, hi, mid
+        if v_lo is None:
+            left = count_roots_open(defining, lo, mid)
+        else:
+            left = v_lo - v_mid
+        if left == 1:
+            hi = mid
+        else:
+            lo, v_lo = mid, v_mid
+    return lo, hi, None
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -299,7 +449,9 @@ class IsolatedRoot:
 
     ``defining`` is a primitive square-free integer polynomial vanishing at
     the root; for exact rational roots it is the corresponding linear factor's
-    multiple inside the original polynomial's square-free part.
+    multiple inside the original polynomial's square-free part.  ``chain`` is
+    the Sturm chain of ``defining`` once one has been built, so refinements
+    reuse it; it takes no part in equality.
     """
 
     lo: Fraction
@@ -307,28 +459,18 @@ class IsolatedRoot:
     defining: Polynomial
     exact: Fraction | None = None
     multiplicity: int = 1
-
-    @property
-    def is_rational(self) -> bool:
-        return self.exact is not None
+    chain: SturmChain | None = field(default=None, compare=False, repr=False)
 
     def refined(self, max_width: Fraction) -> "IsolatedRoot":
         if self.exact is not None or self.hi - self.lo <= max_width:
             return self
-        lo, hi = self.lo, self.hi
-        while hi - lo > max_width:
-            mid = (lo + hi) / 2
-            if self.defining(mid) == 0:
-                # The defining polynomial is square-free with exactly one
-                # root here, so mid is that root.
-                return IsolatedRoot(
-                    lo, hi, self.defining, exact=mid, multiplicity=self.multiplicity
-                )
-            if count_roots_open(self.defining, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return IsolatedRoot(lo, hi, self.defining, None, self.multiplicity)
+        chain = self.chain
+        if chain is None:
+            chain = sturm_chain(_scaled_ints(squarefree_part(self.defining))[0])
+        # The defining polynomial is square-free with exactly one root here,
+        # so a midpoint where it vanishes is that root.
+        lo, hi, exact = _bisect(chain, self.defining, self.lo, self.hi, max_width)
+        return IsolatedRoot(lo, hi, self.defining, exact, self.multiplicity, chain)
 
     def excluding(self, point: Fraction) -> "IsolatedRoot":
         """Refine until the bracket no longer contains the given rational."""
@@ -343,26 +485,22 @@ class IsolatedRoot:
         return self.lo, self.hi
 
 
-def _identify_rational(s: Polynomial, lo: Fraction, hi: Fraction) -> IsolatedRoot:
-    """Resolve a width-1 bracket of square-free s into an exact rational root
-    or a certified-irrational bracket."""
+def _identify_rational(
+    s: Polynomial, lo: Fraction, hi: Fraction, chain: SturmChain
+) -> IsolatedRoot:
+    """Resolve a width-1 bracket of square-free s, whose Sturm chain is
+    given, into an exact rational root or a certified-irrational bracket."""
     prim = s.primitive()
     qmax = abs(int(prim.leading))
     # Two distinct rationals with denominator <= qmax differ by >= 1/qmax^2,
     # so a bracket narrower than that holds at most one candidate.
     width_target = Fraction(1, 2 * qmax * qmax)
-    while hi - lo > width_target:
-        mid = (lo + hi) / 2
-        if prim(mid) == 0:
-            return IsolatedRoot(lo, hi, prim, exact=mid)
-        if count_roots_open(prim, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    cand = simplest_fraction_between(lo, hi)
-    if cand.denominator <= qmax and prim(cand) == 0:
-        return IsolatedRoot(lo, hi, prim, exact=cand)
-    return IsolatedRoot(lo, hi, prim, exact=None)
+    lo, hi, exact = _bisect(chain, prim, lo, hi, width_target)
+    if exact is None:
+        cand = simplest_fraction_between(lo, hi)
+        if cand.denominator <= qmax and prim(cand) == 0:
+            exact = cand
+    return IsolatedRoot(lo, hi, prim, exact, chain=chain)
 
 
 def isolate_roots(
@@ -376,47 +514,54 @@ def isolate_roots(
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0 or lo >= hi:
         return []
-    s = squarefree_part(p)
-    for endpoint in (lo, hi):
-        while not s.is_zero and s(endpoint) == 0:
-            s = s.exact_div(Polynomial([-endpoint, 1]))
-    if s.degree <= 0:
+    s_ints = _squarefree_off_ends(p, lo, hi)
+    if len(s_ints) <= 1:
         return []
-    s = s.primitive()
+    s = Polynomial(s_ints)
     found: list[IsolatedRoot] = []
-    stack = [(lo, hi, count_roots_open(s, lo, hi), s)]
+    # One Sturm chain per square-free polynomial on the stack; each entry
+    # carries the chain's variations at its two ends (None where it vanishes).
+    chain = sturm_chain(s_ints)
+    stack = [(lo, hi, s, chain, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, count, q = stack.pop()
+        a, b, q, chain, va, vb = stack.pop()
+        if va is None or vb is None:
+            count = count_roots_open(q, a, b)
+        else:
+            count = va - vb
         if count == 0:
             continue
         if count == 1:
-            found.append(_identify_rational(q, a, b))
+            found.append(_identify_rational(q, a, b, chain))
             continue
         mid = (a + b) / 2
-        if q(mid) == 0:
+        vm = _variations(chain, mid)
+        if vm is None:
             found.append(IsolatedRoot(a, b, q, exact=mid))
             q = q.exact_div(Polynomial([-mid, 1]))
             if q.degree <= 0:
                 continue
-        cl = count_roots_open(q, a, mid)
-        cr = count_roots_open(q, mid, b)
-        stack.append((a, mid, cl, q))
-        stack.append((mid, b, cr, q))
+            chain = sturm_chain(_scaled_ints(q)[0])
+            va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
+        stack.append((a, mid, q, chain, va, vm))
+        stack.append((mid, b, q, chain, vm, vb))
+    p_gcd = None  # gcd(p, p'), shared by every irrational root
     for i, root in enumerate(found):
-        mult = _multiplicity_at(p, root)
+        if root.exact is not None:
+            mult = root_multiplicity(p, root.exact)
+        else:
+            if p_gcd is None:
+                p_gcd = poly_gcd(p, p.derivative())
+            mult = _irrational_multiplicity(p_gcd, root)
         if mult != 1:
-            found[i] = IsolatedRoot(
-                root.lo, root.hi, root.defining, root.exact, mult
-            )
+            found[i] = replace(root, multiplicity=mult)
     found.sort(key=lambda r: (r.exact, r.exact) if r.exact is not None else (r.lo, r.hi))
     return _disjoin(found)
 
 
-def _multiplicity_at(p: Polynomial, root: IsolatedRoot) -> int:
-    if root.exact is not None:
-        return root_multiplicity(p, root.exact)
+def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
+    """Multiplicity in p of an irrational root, given g = gcd(p, p')."""
     mult = 1
-    g = poly_gcd(p, p.derivative())
     while not g.is_zero and g.degree > 0 and polynomial_vanishes_at(g, root):
         mult += 1
         g = poly_gcd(g, g.derivative())
@@ -497,14 +642,19 @@ class RationalFunction:
         if num.is_zero:
             den = Polynomial.constant(1)
         else:
+            # num = n / n_den and den = d / d_den; the gcd is primitive, so
+            # it divides n and d exactly over the integers (Gauss's lemma)
+            n, n_den = _scaled_ints(num)
+            d, d_den = _scaled_ints(den)
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            content, prim = den.content_and_primitive()
-            den = prim
-            num = num * (Fraction(1) / content)
-        if den(Fraction(0)) == 0:
+                g_ints = [c.numerator for c in g.coeffs]
+                n = _exact_div_ints(n, g_ints)
+                d = _exact_div_ints(d, g_ints)
+            c = _signed_content(d)
+            den = Polynomial([v // c for v in d])
+            num = Polynomial([Fraction(v * d_den, n_den * c) for v in n])
+        if den.coeffs[0] == 0:
             raise ZeroDivisionError("denominator vanishes at 0")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -626,24 +776,46 @@ def solve_linear(
 
 
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a polynomial matrix by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
+    """Determinant of a polynomial matrix by fraction-free (Bareiss)
+    elimination on integer coefficients.
+
+    Each row is first scaled by the lcm of its denominators, which scales
+    the determinant by the product of those lcms; it is divided back out.
+    """
+    rows = []
+    scale = 1
+    for row in matrix:
+        den = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        scale *= den
+        rows.append([[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row])
+    return Polynomial([Fraction(c, scale) for c in _bareiss_ints(rows)])
+
+
+def _bareiss_ints(a: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix of integer polynomials; each division
+    by the previous pivot is exact in Z[x] by Sylvester's identity."""
+    n = len(a)
     sign = 1
-    prev = Polynomial.constant(1)
+    prev = [1]
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, n) if not a[r][k].is_zero), None)
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return Polynomial()
+                return []
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        row_k = a[k]
+        akk = row_k[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = Polynomial()
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
+                cross = _sub_ints(_mul_ints(akk, row_i[j]), _mul_ints(aik, row_k[j]))
+                row_i[j] = _exact_div_ints(cross, prev)
+            row_i[k] = []
+        prev = akk
+    det = a[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 def value_rational_function(

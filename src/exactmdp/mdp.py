@@ -24,6 +24,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def mat_vec(p: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Exact product of a square matrix, such as a transition matrix, and a vector."""
+    return tuple(
+        sum((pij * v[j] for j, pij in enumerate(row)), Fraction(0)) for row in p
+    )
+
+
 @dataclass(frozen=True, order=True)
 class DecisionRule:
     """A per-state choice of action, stored as action indices.

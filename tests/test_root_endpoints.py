@@ -1,0 +1,120 @@
+"""Root counting and isolation where a polynomial vanishes at an interval end.
+
+A Sturm count V(lo) - V(hi) is only valid where the polynomial is nonzero at
+both ends, so every path that counts roots on a bracket must handle an end
+that is itself a root: the open-interval count excludes it, and a bracket
+whose defining polynomial vanishes at an end must still refine to the same
+bracket.  Each pinned count follows from the factors, and each pinned
+bracket contains the root its factor names.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from exactmdp.exactarith import (
+    IsolatedRoot,
+    Polynomial,
+    count_roots_open,
+    isolate_roots,
+)
+
+
+def product(*factors):
+    out = Polynomial([1])
+    for f in factors:
+        out = out * Polynomial(f)
+    return out
+
+
+X = [0, 1]  # root 0
+ONE = [-1, 1]  # root 1
+HALF = [-1, 2]  # root 1/2
+QUARTER = [-1, 4]  # root 1/4
+THIRD = [-1, 3]  # root 1/3
+THREE_QUARTERS = [-3, 4]  # root 3/4
+SQRT_HALF = [-1, 0, 2]  # roots +-sqrt(1/2) ~ 0.7071
+SQRT_EIGHTH = [-1, 0, 8]  # roots +-sqrt(1/8) ~ 0.3536
+SQRT_3_8 = [-3, 0, 8]  # roots +-sqrt(3/8) ~ 0.6124
+
+
+@pytest.mark.parametrize(
+    "factors, lo, hi, expected",
+    [
+        ((X, ONE, HALF, THIRD), F(0), F(1), 2),  # roots at both ends
+        ((HALF, HALF, QUARTER), F(1, 4), F(1, 2), 0),  # double root at hi
+        ((HALF, HALF, QUARTER), F(0), F(1, 2), 1),
+        ((HALF, HALF, QUARTER), F(1, 4), F(1), 1),  # simple root at lo
+        ((SQRT_HALF, HALF), F(1, 2), F(1), 1),  # irrational root inside
+        ((SQRT_HALF, HALF), F(0), F(1, 2), 0),
+        ((X, X, X, SQRT_HALF), F(0), F(1), 1),  # triple root at lo
+        ((SQRT_HALF, THREE_QUARTERS), F(1, 2), F(3, 4), 1),
+    ],
+)
+def test_count_roots_open_excludes_endpoint_roots(factors, lo, hi, expected):
+    assert count_roots_open(product(*factors), lo, hi) == expected
+
+
+def test_refined_with_defining_zero_at_lo():
+    root = IsolatedRoot(F(1, 2), F(1), product(HALF, SQRT_HALF))
+    assert root.refined(F(1, 16)) == IsolatedRoot(
+        F(11, 16), F(3, 4), product(HALF, SQRT_HALF)
+    )
+    assert root.refined(F(1, 1000)).position() == (F(181, 256), F(725, 1024))
+    assert root.excluding(F(3, 4)).position() == (F(5, 8), F(3, 4))
+    assert root.excluding(F(7, 10)).position() == (F(45, 64), F(91, 128))
+
+
+def test_refined_with_defining_zero_at_hi():
+    root = IsolatedRoot(F(0), F(1, 2), product(HALF, SQRT_EIGHTH))
+    assert root.refined(F(1, 16)).position() == (F(5, 16), F(3, 8))
+    assert root.refined(F(1, 1000)).position() == (F(181, 512), F(363, 1024))
+    # 3/4 and 7/10 lie outside the bracket, so nothing needs refining
+    assert root.excluding(F(3, 4)) == root
+    assert root.excluding(F(7, 10)) == root
+
+
+def test_refined_stops_at_an_exact_midpoint_root():
+    root = IsolatedRoot(F(1, 2), F(1), Polynomial([-5, 8]))
+    for refined in (root.refined(F(1, 16)), root.excluding(F(7, 10))):
+        assert refined == IsolatedRoot(F(1, 2), F(3, 4), Polynomial([-5, 8]), F(5, 8))
+
+
+def test_refinement_from_an_isolated_root_matches_a_fresh_bracket():
+    # roots from isolate_roots carry what they learned about their defining
+    # polynomial; refining them must agree with refining a bare bracket
+    (root,) = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
+    fresh = IsolatedRoot(root.lo, root.hi, root.defining)
+    for width in (F(1, 300), F(1, 10**6)):
+        assert root.refined(width) == fresh.refined(width)
+    assert root.excluding(F(46, 130)) == fresh.excluding(F(46, 130))
+
+
+def _summary(roots):
+    return [(r.lo, r.hi, r.exact, r.multiplicity, r.defining) for r in roots]
+
+
+def test_isolate_roots_with_roots_at_both_ends_and_the_first_midpoint():
+    p = product(X, ONE, HALF, HALF, QUARTER, SQRT_HALF, SQRT_HALF)
+    assert _summary(isolate_roots(p)) == [
+        (F(0), F(1, 2), F(1, 4), 1, product(QUARTER, SQRT_HALF)),
+        (F(0), F(1), F(1, 2), 2, product(HALF, QUARTER, SQRT_HALF)),
+        (F(45, 64), F(91, 128), None, 2, product(QUARTER, SQRT_HALF)),
+    ]
+
+
+def test_isolate_roots_on_a_subinterval_with_root_ends():
+    p = product(QUARTER, THREE_QUARTERS, HALF, SQRT_3_8, THIRD)
+    defining = product(THIRD, SQRT_3_8)
+    assert _summary(isolate_roots(p, F(1, 4), F(3, 4))) == [
+        (F(341, 1024), F(683, 2048), F(1, 3), 1, defining),
+        (F(1, 4), F(3, 4), F(1, 2), 1, product(HALF, THIRD, SQRT_3_8)),
+        (F(627, 1024), F(1255, 2048), None, 1, defining),
+    ]
+
+
+def test_isolate_roots_with_a_root_at_hi():
+    roots = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
+    assert _summary(roots) == [
+        (F(45, 128), F(23, 64), None, 1, Polynomial(SQRT_EIGHTH)),
+    ]
