@@ -66,14 +66,6 @@ def rules_from_action_sets(
     )
 
 
-def action_sets_of(rules) -> ActionSets:
-    """Per-state action sets spanned by a collection of rules (assumes the
-    collection is a full product set, as optimal sets always are)."""
-    rules = list(rules)
-    m = len(rules[0].choices)
-    return tuple(frozenset(r.choices[i] for r in rules) for i in range(m))
-
-
 def product_subset(a: ActionSets, b: ActionSets) -> bool:
     return all(sa <= sb for sa, sb in zip(a, b))
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import corpus, docio
 from .bellman import count_rules, optimal_set, rules_from_action_sets
 from .conditions import NotIrregularError, boundedness_verdict
+from .docio import format_rational
 from .limits import CapExceededError, CapSettingError
 from .mdp import DecisionRule, Mdp, validate
 from .partition import canonical_partition, point_position
@@ -77,10 +78,6 @@ def load_mdp(path: str) -> Mdp:
     return mdp
 
 
-def frac_str(value: Fraction) -> str:
-    return docio.format_rational(value)
-
-
 def rule_json(mdp: Mdp, rule: DecisionRule) -> list[str]:
     return [mdp.actions[i][a] for i, a in enumerate(rule.choices)]
 
@@ -91,10 +88,10 @@ def rules_json(mdp: Mdp, rules) -> list[list[str]]:
 
 def point_json(pt):
     if isinstance(pt, Fraction):
-        return frac_str(pt)
+        return format_rational(pt)
     return {
-        "bracket": [frac_str(pt.lo), frac_str(pt.hi)],
-        "defining": [frac_str(c) for c in pt.defining.coeffs],
+        "bracket": [format_rational(pt.lo), format_rational(pt.hi)],
+        "defining": [format_rational(c) for c in pt.defining.coeffs],
     }
 
 
@@ -135,9 +132,9 @@ def cmd_solve(args) -> int:
     opt = optimal_set(mdp, alpha)
     emit(
         {
-            "alpha": frac_str(alpha),
+            "alpha": format_rational(alpha),
             "value": {
-                s: frac_str(opt.v_alpha[i]) for i, s in enumerate(mdp.states)
+                s: format_rational(opt.v_alpha[i]) for i, s in enumerate(mdp.states)
             },
             "num_optimal_rules": count_rules(opt.d_alpha_sets),
             "optimal_rules": rules_json(
@@ -157,10 +154,10 @@ def cmd_turnpike(args) -> int:
         res = turnpike_integer(mdp, alpha)
         emit(
             {
-                "alpha": frac_str(alpha),
+                "alpha": format_rational(alpha),
                 "N": res.n_value,
                 "certificate_horizon": res.certificate_horizon,
-                "gap": frac_str(res.gap) if res.gap is not None else None,
+                "gap": format_rational(res.gap) if res.gap is not None else None,
                 "witness": rule_json(mdp, res.witness) if res.witness else None,
             }
         )
@@ -169,7 +166,7 @@ def cmd_turnpike(args) -> int:
     lo, hi = parse_discount(lo_text), parse_discount(hi_text)
     tmap = turnpike_intervals(mdp, lo, hi, n_cap=args.ncap)
     report = {
-        "interval": [frac_str(lo), frac_str(hi)],
+        "interval": [format_rational(lo), format_rational(hi)],
         "spans": [
             {
                 "lo": point_json(s.lo),
@@ -181,10 +178,10 @@ def cmd_turnpike(args) -> int:
             for s in tmap.spans
         ],
         "discontinuities": {
-            "left": [frac_str(p) for p in tmap.d_minus],
-            "right": [frac_str(p) for p in tmap.d_plus],
-            "both": [frac_str(p) for p in tmap.d_hat],
-            "all": [frac_str(p) for p in tmap.d_all],
+            "left": [format_rational(p) for p in tmap.d_minus],
+            "right": [format_rational(p) for p in tmap.d_plus],
+            "both": [format_rational(p) for p in tmap.d_hat],
+            "all": [format_rational(p) for p in tmap.d_all],
         },
         "indeterminate_points": [point_json(p) for p in tmap.indeterminate],
         "partial": tmap.partial,
@@ -232,10 +229,10 @@ def cmd_small_discount(args) -> int:
             "h_value": rep.h_value,
             "jump_indices": list(rep.jump_indices),
             "c_chain": [
-                frac_str(c) if c is not None else None for c in rep.c_chain
+                format_rational(c) if c is not None else None for c in rep.c_chain
             ],
-            "delta": frac_str(rep.delta),
-            "delta_tilde": frac_str(rep.delta_tilde),
+            "delta": format_rational(rep.delta),
+            "delta_tilde": format_rational(rep.delta_tilde),
             "stable_rules": rules_json(mdp, rep.rules_at(rep.l_value)),
             "checks": [
                 {"name": o.name, "passed": o.passed, "detail": o.detail}
@@ -254,13 +251,13 @@ def _verdict_json(mdp: Mdp, v) -> dict:
         "horizon_used": v.horizon_used,
     }
     if v.threshold is not None:
-        out["threshold"] = frac_str(v.threshold)
+        out["threshold"] = format_rational(v.threshold)
     if v.extrema:
         out["extrema"] = [
             {
                 "phi": rule_json(mdp, phi),
                 "psi": rule_json(mdp, psi),
-                "value": frac_str(data["value"]),
+                "value": format_rational(data["value"]),
                 "state": data["state"],
             }
             for (phi, psi), data in sorted(v.extrema.items())
@@ -279,7 +276,7 @@ def cmd_conditions(args) -> int:
         raise InputError(str(exc))
     emit(
         {
-            "point": frac_str(point),
+            "point": format_rational(point),
             "left": report.left,
             "right": report.right,
             "method_left": report.method_left,
@@ -289,10 +286,10 @@ def cmd_conditions(args) -> int:
             "B_minus": _verdict_json(mdp, report.b_left),
             "B_plus": _verdict_json(mdp, report.b_right),
             "samples_left": [
-                [frac_str(a), n] for a, n in report.samples_left
+                [format_rational(a), n] for a, n in report.samples_left
             ],
             "samples_right": [
-                [frac_str(a), n] for a, n in report.samples_right
+                [format_rational(a), n] for a, n in report.samples_right
             ],
         }
     )
@@ -318,7 +315,7 @@ def cmd_sweep(args) -> int:
         res = turnpike_integer(mdp, alpha)
         n_opt = count_rules(res.d_alpha_sets)
         interval_id = sum(1 for (plo, phi) in irregular_positions if phi <= alpha)
-        lines.append(f"{frac_str(alpha)},{res.n_value},{n_opt},{interval_id}")
+        lines.append(f"{format_rational(alpha)},{res.n_value},{n_opt},{interval_id}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,7 +12,10 @@ Two families of conditions are checked at an irregular discount factor:
   continuations drawn from the optimal set.  Verified with terminal
   rewards zeroed by comparing exact finite-horizon derivatives against an
   explicit tail bound; a tangency of value-function derivatives refutes
-  them outright.
+  them outright.  The derivatives of all continuation prefixes are kept in
+  one table that grows a level per horizon: each prefix extends its
+  parent's derivative and transition product by one step instead of
+  rebuilding them from the identity.
 
 A side is declared bounded when its A- and B-conditions are certified, or
 when the point is within the small-discount radius; growth of sampled
@@ -21,9 +24,9 @@ turnpike values is reported as evidence of unboundedness, never as proof.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .bellman import optimal_set, rules_from_action_sets, value_iteration
 from .equivalence import pushforwards_equal
@@ -150,6 +153,39 @@ def _finite_value_derivative(
     return tuple(deriv)
 
 
+def _derivative_levels(
+    mdp0: Mdp, rules: list[DecisionRule], alpha: Fraction
+) -> Iterator[list[Vector]]:
+    """Yield the condition-B derivative table level by level, K = 0, 1, ...
+
+    Level K lists, for every (first, tail) with |tail| = K and rules drawn
+    from `rules`, in the lexicographic order of (first, *tail), the
+    derivative at alpha of the (K+1)-horizon value of playing first and then
+    tail; mdp0's terminal rewards must be zero.  Entry i's children are
+    entries n·i .. n·i + n-1 of the next level (n = len(rules)).  With
+    M = P_first·P_tail[0]···P_tail[K-1], the child (first, tail+(r,)) is the
+    parent plus (K+1)·alpha^K·M·r_r, and its product is M·P_r.  The products
+    of a level are formed only when the next level is requested, and only
+    the current level is held.
+    """
+    m, n = mdp0.m, len(rules)
+    trans = [mdp0.transition_matrix(r) for r in rules]
+    rewards = [mdp0.reward_vector(r) for r in rules]
+    derivs = [(Fraction(0),) * m] * n
+    prods = [_identity(m)]  # products of the parent level: the empty prefix
+    k = 0
+    while True:
+        yield derivs
+        w = (k + 1) * alpha**k
+        prods = [_mat_mul(prods[i // n], trans[i % n], m) for i in range(len(derivs))]
+        derivs = [
+            tuple(d[x] + w * c[x] for x in range(m))
+            for d, prod in zip(derivs, prods)
+            for c in (mat_vec(prod, reward) for reward in rewards)
+        ]
+        k += 1
+
+
 def _require_irregular(
     mdp: Mdp, alpha_star: Fraction, report: PartitionReport | None
 ) -> tuple[PartitionReport, frozenset, frozenset, frozenset]:
@@ -251,7 +287,15 @@ def check_condition_B(
     Terminal rewards are zeroed internally (the conditions do not depend on
     them).  For each horizon K the supremum/infimum of the exact derivative
     over all continuation prefixes drawn from the optimal set is compared
-    with the tail bound; the first conclusive K settles the condition.
+    with the tail bound; the first conclusive K settles the condition.  The
+    derivatives come from a table built level by level (`_derivative_levels`):
+    level K + 1 extends each prefix of level K by one rule, so a new prefix
+    costs one matrix-vector and at most one matrix product, and a level is
+    built only after the prefix cap has admitted its size.
+
+    `report` may be the canonical partition of `mdp` itself: the partition
+    depends only on the infinite-horizon value functions, which terminal
+    rewards do not affect, so it equals the partition of the zeroed model.
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
@@ -280,29 +324,30 @@ def check_condition_B(
                     witnesses={"phi": phi, "psi": psi},
                 )
     rules_sorted = sorted(d_at)
+    levels, depth = None, 0
     for k in k_range:
+        if k < 0:
+            raise ValueError("horizons in k_range must be non-negative")
         count = len(rules_sorted) ** (k + 1)
         if count > prefix_cap():
             raise CapExceededError("prefix", count, prefix_cap())
         threshold = condition_b_threshold(alpha_star, k, r1_star)
-        tails = list(product(rules_sorted, repeat=k))
-        derivs: dict[tuple[DecisionRule, tuple], Vector] = {}
-        for first in rules_sorted:
-            for tail in tails:
-                # the continuation prefix only matters for horizons >= 1
-                continuation = MarkovPrefix(tail if tail else (first,))
-                derivs[(first, tail)] = _finite_value_derivative(
-                    mdp0, first, continuation, alpha_star, k + 1
-                )
+        if levels is None or k < depth:
+            levels, depth = _derivative_levels(mdp0, rules_sorted, alpha_star), -1
+        while depth < k:
+            depth, derivs = depth + 1, next(levels)
+        # the continuations of each first rule, in the same tail order
+        size = len(rules_sorted) ** k
+        by_first = {
+            rule: derivs[i * size : (i + 1) * size]
+            for i, rule in enumerate(rules_sorted)
+        }
         all_ok = True
         extrema = {}
         for phi in sorted(d_side):
             for psi in sorted(others):
                 per_state = [
-                    [
-                        derivs[(phi, tail)][x] - derivs[(psi, tail)][x]
-                        for tail in tails
-                    ]
+                    [a[x] - b[x] for a, b in zip(by_first[phi], by_first[psi])]
                     for x in range(mdp.m)
                 ]
                 if side == "plus":
@@ -385,7 +430,7 @@ def boundedness_verdict(
             mdp, alpha_star, side, k_max=k_max_a, report=report
         )
         verdicts[("B", side)] = check_condition_B(
-            mdp, alpha_star, side, k_range=k_range_b
+            mdp, alpha_star, side, k_range=k_range_b, report=report
         )
     filt = policy_filtration(mdp)
     labels = {}
