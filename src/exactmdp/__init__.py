@@ -12,7 +12,6 @@ from .bellman import (
     OptSets,
     ValueVector,
     VIStep,
-    apply_bellman,
     apply_policy_operator,
     evaluate_deterministic,
     evaluate_markov,

@@ -4,15 +4,27 @@ fixed rational discount factor.
 First-step-optimal sets are handled as per-state argmax action sets because
 the set of optimal decision rules always factorizes into a product across
 states; rule sets are only materialized on demand (and capped).
+
+Policy evaluation, Q-values and value iteration run on integers.  With L
+the lcm of every reward and transition denominator and alpha = p/q, an
+``_IntegerForm`` holds L*r and L*P, and a value vector is held as integer
+numerators over one denominator: for v = nums/den,
+Q(i, k) * L*q*den = L*r(i, k)*q*den + p * sum_j L*P(i, k, j)*nums[j] is an
+integer, so argmaxes and ties are integer comparisons, and the next value is
+the row maxima over L*q*den reduced by one gcd.  A policy's value solves
+(qL*I - p*L*P_pi) x = q*L*r_pi by fraction-free elimination.  Values become
+``Fraction`` only where a public function returns them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
-from .exactarith import solve_linear
+from .exactarith import bareiss_solve
 from .limits import CapExceededError, enumeration_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp
 
@@ -94,16 +106,87 @@ def apply_policy_operator(
     return ValueVector(out, alpha, hor)
 
 
-def _action_values(mdp: Mdp, alpha: Fraction, vals) -> list[list[Fraction]]:
+@dataclass(frozen=True)
+class _IntegerForm:
+    """An MDP at one discount alpha = p/q, scaled to integers.
+
+    ``scale`` is L, the lcm of every reward and transition denominator;
+    ``rewards[i][k]`` is L*r(i, k) and ``rows[i][k]`` lists the nonzero
+    (j, L*P(i, k, j)).
+    """
+
+    p: int
+    q: int
+    scale: int
+    rewards: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+def _integer_form(mdp: Mdp, alpha: Fraction) -> _IntegerForm:
+    scale = math.lcm(
+        *(r.denominator for row in mdp.rewards for r in row),
+        *(x.denominator for acts in mdp.transitions for row in acts for x in row),
+    )
+    rewards = tuple(
+        tuple(r.numerator * (scale // r.denominator) for r in row)
+        for row in mdp.rewards
+    )
+    rows = tuple(
+        tuple(
+            tuple(
+                (j, x.numerator * (scale // x.denominator))
+                for j, x in enumerate(row)
+                if x
+            )
+            for row in acts
+        )
+        for acts in mdp.transitions
+    )
+    return _IntegerForm(alpha.numerator, alpha.denominator, scale, rewards, rows)
+
+
+def _ints_of(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, den) with values = nums / den and den the lcm of the
+    denominators, so gcd(den, *nums) == 1."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduced(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _vector(
+    nums: Sequence[int], den: int, alpha: Fraction, horizon: int | None
+) -> ValueVector:
+    return ValueVector(tuple(Fraction(x, den) for x in nums), alpha, horizon)
+
+
+def _q_nums(form: _IntegerForm, nums: Sequence[int], den: int) -> list[list[int]]:
+    """Q-values at the value vector nums/den, each times L*q*den."""
+    p, qd = form.p, form.q * den
     return [
-        [
-            mdp.rewards[i][k]
-            + alpha
-            * sum((p * vals[j] for j, p in enumerate(mdp.transitions[i][k])), Fraction(0))
-            for k in range(mdp.action_count(i))
-        ]
-        for i in range(mdp.m)
+        [r * qd + p * sum(w * nums[j] for j, w in row) for r, row in zip(rs, acts)]
+        for rs, acts in zip(form.rewards, form.rows)
     ]
+
+
+def _argmax(q: list[list[int]]) -> tuple[list[int], ActionSets]:
+    best = [max(row) for row in q]
+    sets = tuple(
+        frozenset(k for k, x in enumerate(row) if x == b) for row, b in zip(q, best)
+    )
+    return best, sets
+
+
+def _step(
+    form: _IntegerForm, nums: Sequence[int], den: int
+) -> tuple[tuple[list[int], int], ActionSets]:
+    """One optimality-operator step on nums/den: the next (nums, den), reduced,
+    and the per-state argmax sets."""
+    best, sets = _argmax(_q_nums(form, nums, den))
+    return _reduced(best, form.scale * form.q * den), sets
 
 
 def bellman_step(
@@ -111,21 +194,9 @@ def bellman_step(
 ) -> tuple[ValueVector, ActionSets]:
     """One application of the optimality operator plus the per-state argmax
     action sets (whose product is the first-step-optimal rule set)."""
-    q = _action_values(mdp, alpha, v.values)
-    best = tuple(max(row) for row in q)
-    sets = tuple(
-        frozenset(k for k, val in enumerate(row) if val == b)
-        for row, b in zip(q, best)
-    )
+    (nums, den), sets = _step(_integer_form(mdp, alpha), *_ints_of(v.values))
     hor = None if v.horizon is None else v.horizon + 1
-    return ValueVector(best, alpha, hor), sets
-
-
-def apply_bellman(
-    mdp: Mdp, alpha: Fraction, v: ValueVector, cap: int | None = None
-) -> tuple[ValueVector, frozenset[DecisionRule]]:
-    out, sets = bellman_step(mdp, alpha, v)
-    return out, rules_from_action_sets(sets, cap)
+    return _vector(nums, den, alpha, hor), sets
 
 
 def terminal_value(mdp: Mdp, alpha: Fraction) -> ValueVector:
@@ -138,29 +209,45 @@ def value_iteration(mdp: Mdp, alpha: Fraction, n_max: int) -> list[VIStep]:
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
     steps = [VIStep(0, terminal_value(mdp, alpha), None)]
-    v = steps[0].value
+    form = _integer_form(mdp, alpha)
+    nums, den = _ints_of(mdp.terminal)
     for n in range(1, n_max + 1):
-        v, sets = bellman_step(mdp, alpha, v)
-        steps.append(VIStep(n, v, sets))
+        (nums, den), sets = _step(form, nums, den)
+        steps.append(VIStep(n, _vector(nums, den, alpha, n), sets))
     return steps
 
 
-def evaluate_deterministic(mdp: Mdp, rule: DecisionRule, alpha: Fraction) -> ValueVector:
-    """Exact infinite-horizon value of a stationary deterministic policy."""
+def _policy_value(form: _IntegerForm, rule: DecisionRule) -> tuple[list[int], int]:
+    """Reduced (nums, den) of a stationary deterministic policy's value."""
+    m = len(form.rows)
+    ql, p = form.q * form.scale, form.p
+    a = []
+    for i in range(m):
+        row = [0] * m
+        row[i] = ql
+        for j, w in form.rows[i][rule.action(i)]:
+            row[j] -= p * w
+        a.append(row)
+    b = [form.q * form.rewards[i][rule.action(i)] for i in range(m)]
+    x, det = bareiss_solve(a, b)
+    # T_pi v = v for v = x/det, scaled by qL*det
+    if any(sum(c * xj for c, xj in zip(row, x)) != det * bi for row, bi in zip(a, b)):
+        raise AssertionError("policy value failed the fixed-point check")
+    return _reduced(x, det)
+
+
+def evaluate_deterministic(
+    mdp: Mdp, rule: DecisionRule, alpha: Fraction, form: _IntegerForm | None = None
+) -> ValueVector:
+    """Exact infinite-horizon value of a stationary deterministic policy.
+
+    ``form`` is the MDP's integer form at alpha, when the caller has built it.
+    """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    m = mdp.m
-    p = mdp.transition_matrix(rule)
-    r = mdp.reward_vector(rule)
-    a = [
-        [Fraction(1 if i == j else 0) - alpha * p[i][j] for j in range(m)]
-        for i in range(m)
-    ]
-    vals = tuple(solve_linear(a, list(r)))
-    v = ValueVector(vals, alpha, None)
-    if apply_policy_operator(mdp, rule, alpha, v).values != vals:
-        raise AssertionError("policy value failed the fixed-point check")
-    return v
+    if form is None:
+        form = _integer_form(mdp, alpha)
+    return _vector(*_policy_value(form, rule), alpha, None)
 
 
 def evaluate_markov(
@@ -183,30 +270,31 @@ def optimal_set(mdp: Mdp, alpha: Fraction, horizons: int = 0) -> OptSets:
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
+    form = _integer_form(mdp, alpha)
     rule = DecisionRule(tuple(0 for _ in range(mdp.m)))
     while True:
-        v = evaluate_deterministic(mdp, rule, alpha)
-        q = _action_values(mdp, alpha, v.values)
+        v = evaluate_deterministic(mdp, rule, alpha, form)
+        nums, den = _ints_of(v.values)
+        q = _q_nums(form, nums, den)
         improved = list(rule.choices)
         changed = False
-        for i in range(mdp.m):
-            best = max(q[i])
-            if q[i][rule.action(i)] < best:
-                improved[i] = min(
-                    k for k, val in enumerate(q[i]) if val == best
-                )
+        for i, row in enumerate(q):
+            best = max(row)
+            if row[rule.action(i)] < best:
+                improved[i] = row.index(best)
                 changed = True
         if not changed:
             break
         rule = DecisionRule(tuple(improved))
-    v_star, d_sets = bellman_step(mdp, alpha, v)
-    if v_star.values != v.values:
+    best, d_sets = _argmax(q)
+    lq = form.scale * form.q
+    if any(b != x * lq for b, x in zip(best, nums)):
         raise AssertionError("policy iteration ended on a non-fixed point")
     d_n: dict[int, ActionSets] = {}
     if horizons:
         for step in value_iteration(mdp, alpha, horizons)[1:]:
             d_n[step.horizon] = step.first_step
-    return OptSets(ValueVector(v.values, alpha, None), d_sets, d_n)
+    return OptSets(v, d_sets, d_n)
 
 
 def rolling_horizon_policy(mdp: Mdp, alpha: Fraction, n: int) -> MarkovPrefix:

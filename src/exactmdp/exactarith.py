@@ -10,10 +10,10 @@ only ever reported as isolating brackets with rational endpoints.
 paths run on integer coefficient lists: gcds and square-free parts come from
 a primitive polynomial remainder sequence (Brown 1971; Collins 1967), Sturm
 chains from the same integer pseudo-remainders, signs at a rational a/b from
-homogenized integer Horner evaluation, and determinants from integer Bareiss
-elimination.  A Sturm chain is built once per square-free polynomial and
-reused across every bisection step on it, including later refinements of an
-``IsolatedRoot``, which carries its chain.
+homogenized integer Horner evaluation, and determinants and linear solves
+from integer Bareiss elimination.  A Sturm chain is built once per
+square-free polynomial and reused across every bisection step on it,
+including later refinements of an ``IsolatedRoot``, which carries its chain.
 """
 
 from __future__ import annotations
@@ -747,27 +747,24 @@ def sign_on_interval(
 def solve_linear(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> list[Fraction]:
-    """Exact solution of a square rational system via Gaussian elimination.
+    """Exact solution of a square rational system.
 
-    The result is verified by back-substitution before it is returned.
+    Each row is scaled by the lcm of its denominators and the integer system
+    is solved by ``bareiss_solve``.  The result is verified by
+    back-substitution before it is returned.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("matrix/vector shapes do not match")
-    mat = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        for r in range(n):
-            if r == col or mat[r][col] == 0:
-                continue
-            factor = mat[r][col] / pv
-            for c in range(col, n + 1):
-                mat[r][c] -= factor * mat[col][c]
-    x = [mat[i][n] / mat[i][i] for i in range(n)]
+    rows, rhs = [], []
+    for row, bi in zip(a, b):
+        row = [Fraction(x) for x in row] + [Fraction(bi)]
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        rows.append(ints[:n])
+        rhs.append(ints[n])
+    nums, det = bareiss_solve(rows, rhs)
+    x = [Fraction(v, det) for v in nums]
     for i in range(n):
         residual = sum((a[i][j] * x[j] for j in range(n)), Fraction(0)) - b[i]
         if residual != 0:
@@ -816,6 +813,49 @@ def _bareiss_ints(a: list[list[list[int]]]) -> list[int]:
         prev = akk
     det = a[n - 1][n - 1]
     return det if sign > 0 else [-c for c in det]
+
+
+def bareiss_solve(
+    a: Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[list[int], int]:
+    """Solve a square integer system by fraction-free (Bareiss) elimination.
+
+    Returns (x, d) with d > 0 and a.x == d.b, so x / d is the solution; d is
+    |det a|.  Each division by the previous pivot is exact by Sylvester's
+    identity, and back-substitution yields det(a).x, which is integral by
+    Cramer's rule.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("matrix/vector shapes do not match")
+    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                raise SingularMatrixError("matrix is singular")
+            m[k], m[pivot] = m[pivot], m[k]
+        row_k = m[k]
+        akk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            aik = row_i[k]
+            for j in range(k + 1, n + 1):
+                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = akk
+    det = prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        s = det * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i], rem = divmod(s, row[i])
+        if rem:
+            raise ArithmeticError("division was not exact")
+    if det < 0:
+        return [-v for v in x], -det
+    return x, det
 
 
 def value_rational_function(

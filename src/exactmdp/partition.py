@@ -130,8 +130,19 @@ def _sorted_disjoint(points: list[PartitionPoint]) -> list[PartitionPoint]:
     return merged
 
 
+def _clear_of_ends(pt: PartitionPoint) -> PartitionPoint:
+    """Refine a bracket until it lies strictly inside (0, 1), so the gaps it
+    makes with the bounds 0 and 1 are not empty; the root lies in the open
+    interval, so this ends."""
+    while isinstance(pt, IsolatedRoot) and pt.exact is None and (
+        pt.lo <= 0 or pt.hi >= 1
+    ):
+        pt = pt.refined((pt.hi - pt.lo) / 4)
+    return pt
+
+
 def _add_point(points: list[PartitionPoint], new: PartitionPoint) -> bool:
-    new = _canonical(new)
+    new = _canonical(_clear_of_ends(new))
     for p in points:
         if points_equal(p, new):
             return False

@@ -28,16 +28,17 @@ from fractions import Fraction
 
 from .bellman import (
     ActionSets,
-    OptSets,
-    _action_values,
-    bellman_step,
+    _IntegerForm,
+    _integer_form,
+    _ints_of,
+    _q_nums,
+    _step,
     optimal_set,
     product_subset,
-    terminal_value,
     value_iteration,
 )
 from .limits import CapExceededError
-from .mdp import DecisionRule, Mdp, balance
+from .mdp import DecisionRule, Mdp, balance, spreads
 from .partition import (
     PartitionPoint,
     PartitionReport,
@@ -66,20 +67,23 @@ def suboptimality_gap(mdp: Mdp, alpha: Fraction) -> Fraction:
     """
     if not (0 < alpha < 1):
         raise ValueError("gap is defined for discount factors in (0, 1)")
-    return _gap(mdp, alpha, optimal_set(mdp, alpha))
+    opt = optimal_set(mdp, alpha)
+    return _gap(_integer_form(mdp, alpha), *_ints_of(opt.v_alpha.values))
 
 
-def _gap(mdp: Mdp, alpha: Fraction, opt: OptSets) -> Fraction:
-    q = _action_values(mdp, alpha, opt.v_alpha.values)
+def _gap(form: _IntegerForm, v_star: list[int], den: int) -> Fraction:
+    """Smallest positive defect V*(i) - Q(i, k) at V* = v_star / den, read
+    off the integer Q-values (each times L*q*den)."""
+    lq = form.scale * form.q
     positives = [
-        opt.v_alpha[i] - q[i][k]
-        for i in range(mdp.m)
-        for k in range(mdp.action_count(i))
-        if opt.v_alpha[i] > q[i][k]
+        v * lq - x
+        for v, row in zip(v_star, _q_nums(form, v_star, den))
+        for x in row
+        if v * lq > x
     ]
     if not positives:
         raise AllRulesOptimalError("all decision rules are optimal at this discount")
-    return min(positives)
+    return Fraction(min(positives), lq * den)
 
 
 @dataclass(frozen=True)
@@ -97,40 +101,50 @@ class TurnpikeResult:
 def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
     """N(alpha) together with the a-priori certificate horizon K.
 
-    Rewards are balanced internally (this changes neither the first-step sets
-    nor N) so K uses the tighter balanced spreads.  The convergence constant
-    is the contraction bound ||V - V_n|| <= alpha^n (R1/(1-alpha) + R2); the
+    K uses the balanced spreads R1* and R2*, which ``spreads`` gives for the
+    model as it stands.  Nothing else depends on balancing: shifting rewards
+    changes neither the first-step sets, the gap, nor the span of V_n - V*,
+    so the model is iterated unshifted.  The convergence constant is the
+    contraction bound ||V - V_n|| <= alpha^n (R1/(1-alpha) + R2); the
     terminal-spread term cannot be dropped when terminal rewards are nonzero.
-    Value iteration runs horizon by horizon and stops at the first n <= K
-    with alpha * sp(V_n - V*) < gap, compared exactly: from there on every
+    Value iteration runs horizon by horizon on integer numerators over one
+    denominator and stops at the first n <= K with
+    alpha * sp(V_n - V*) < gap, compared exactly: from there on every
     suboptimal action trails an optimal one by more than
     alpha * sp(V_n - V*), and the span contracts by alpha per step (see the
     module docstring).  N is one past the last failing horizon seen.
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    bal, sp = balance(mdp)
-    opt = optimal_set(bal, alpha)
+    opt = optimal_set(mdp, alpha)
     if alpha == 0:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
+    form = _integer_form(mdp, alpha)
+    v_star, e = _ints_of(opt.v_alpha.values)
     try:
-        gap = _gap(bal, alpha, opt)
+        gap = _gap(form, v_star, e)
     except AllRulesOptimalError:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
+    p, q = form.p, form.q
+    g_num, g_den = gap.numerator, gap.denominator
+    sp = spreads(mdp)
+    c = sp.r1_star / (1 - alpha) + sp.r2_star
+    # K is the first k with 2 * alpha^(k+1) * c < gap
+    lhs, rhs = 2 * p * c.numerator * g_den, g_num * c.denominator * q
     k_cert = 0
-    bound = 2 * alpha * (sp.r1_star / (1 - alpha) + sp.r2_star)
-    while bound >= gap:
+    while lhs >= rhs:
         k_cert += 1
-        bound *= alpha
-    v_star = opt.v_alpha.values
-    v = terminal_value(bal, alpha)
+        lhs *= p
+        rhs *= q
+    nums, den = _ints_of(mdp.terminal)
     n_value, failed_sets = 1, None
     horizon = 0
     while horizon < k_cert:
-        diff = [a - b for a, b in zip(v.values, v_star)]
-        if alpha * (max(diff) - min(diff)) < gap:
+        # alpha * sp(V_n - V*) < gap, with V_n - V* = diff / (den * e)
+        diff = [x * e - v * den for x, v in zip(nums, v_star)]
+        if p * (max(diff) - min(diff)) * g_den < g_num * q * den * e:
             break
-        v, sets = bellman_step(bal, alpha, v)
+        (nums, den), sets = _step(form, nums, den)
         horizon += 1
         if not product_subset(sets, opt.d_alpha_sets):
             n_value, failed_sets = horizon + 1, sets

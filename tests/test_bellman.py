@@ -3,8 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 from exactmdp.bellman import (
-    apply_bellman,
     apply_policy_operator,
+    bellman_step,
     evaluate_deterministic,
     evaluate_markov,
     optimal_set,
@@ -57,18 +57,18 @@ class TestOperators:
         rule = enumerate_decision_rules(mdp)[0]
         alpha = F(1, 3)
         v = terminal_value(mdp, alpha)
-        out, argmax = apply_bellman(mdp, alpha, v)
+        out, sets = bellman_step(mdp, alpha, v)
         assert out.values == apply_policy_operator(mdp, rule, alpha, v).values
-        assert argmax == frozenset(enumerate_decision_rules(mdp))
+        assert rules_from_action_sets(sets) == frozenset(enumerate_decision_rules(mdp))
 
     def test_example_argmax_flips_at_half(self):
         fx = build_example("ex1")
         v = terminal_value(fx.mdp, F(1, 4))
-        _, argmax = apply_bellman(fx.mdp, F(1, 4), v)
-        assert argmax == frozenset({phi(0, 1)})
+        _, sets = bellman_step(fx.mdp, F(1, 4), v)
+        assert rules_from_action_sets(sets) == frozenset({phi(0, 1)})
         v = terminal_value(fx.mdp, F(3, 4))
-        _, argmax = apply_bellman(fx.mdp, F(3, 4), v)
-        assert argmax == frozenset({phi(0, 0)})
+        _, sets = bellman_step(fx.mdp, F(3, 4), v)
+        assert rules_from_action_sets(sets) == frozenset({phi(0, 0)})
 
 
 class TestValueIteration:
