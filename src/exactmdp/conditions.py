@@ -15,7 +15,9 @@ Two families of conditions are checked at an irregular discount factor:
   them outright.  The derivatives of all continuation prefixes are kept in
   one table that grows a level per horizon: each prefix extends its
   parent's derivative and transition product by one step instead of
-  rebuilding them from the identity.
+  rebuilding them from the identity.  Both sides draw their prefixes from
+  the same optimal set, so a boundedness verdict reads B- and B+ from one
+  table.
 
 A side is declared bounded when its A- and B-conditions are certified, or
 when the point is within the small-discount radius; growth of sampled
@@ -299,33 +301,61 @@ def check_condition_B(
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
+    return _condition_b_verdicts(mdp, alpha_star, (side,), k_range, report)[side]
+
+
+def _condition_b_verdicts(
+    mdp: Mdp,
+    alpha_star: Fraction,
+    sides: tuple[str, ...],
+    k_range,
+    report: PartitionReport | None,
+) -> dict[str, ConditionVerdict]:
+    """`check_condition_B` for each of `sides`, all reading one derivative
+    table: the prefixes are drawn from D(alpha_star) on either side.  Each
+    side settles at its own first conclusive K; the table grows, and the
+    prefix cap is checked, while some side is still open."""
     mdp0 = mdp.with_terminal([Fraction(0)] * mdp.m)
     report0 = canonical_partition(mdp0) if report is None else report
     _, d_minus, d_at, d_plus = _require_irregular(mdp0, alpha_star, report0)
-    name = "B-" if side == "minus" else "B+"
-    d_side = d_minus if side == "minus" else d_plus
-    others = d_at - d_side
-    if not others:
-        return ConditionVerdict(name, alpha_star, True, "vacuous")
-    r1_star = spreads(mdp0).r1_star
     vf = report0.value_functions
-    for phi in sorted(d_side):
-        for psi in sorted(others):
-            dv = tuple(
-                (vf[phi][x] - vf[psi][x]).derivative()(alpha_star)
-                for x in range(mdp.m)
-            )
-            if all(v == 0 for v in dv):
-                return ConditionVerdict(
-                    name,
-                    alpha_star,
-                    False,
-                    "tangency",
-                    witnesses={"phi": phi, "psi": psi},
+    names = {"minus": "B-", "plus": "B+"}
+    d_sides = {"minus": d_minus, "plus": d_plus}
+    verdicts: dict[str, ConditionVerdict] = {}
+    pending = []  # sides still to settle
+    for side in sides:
+        d_side, others = d_sides[side], d_at - d_sides[side]
+        if not others:
+            verdicts[side] = ConditionVerdict(names[side], alpha_star, True, "vacuous")
+            continue
+        tangent = next(
+            (
+                (phi, psi)
+                for phi in sorted(d_side)
+                for psi in sorted(others)
+                if all(
+                    (vf[phi][x] - vf[psi][x]).derivative()(alpha_star) == 0
+                    for x in range(mdp.m)
                 )
+            ),
+            None,
+        )
+        if tangent is not None:
+            verdicts[side] = ConditionVerdict(
+                names[side],
+                alpha_star,
+                False,
+                "tangency",
+                witnesses={"phi": tangent[0], "psi": tangent[1]},
+            )
+            continue
+        pending.append(side)
+    r1_star = spreads(mdp0).r1_star
     rules_sorted = sorted(d_at)
     levels, depth = None, 0
     for k in k_range:
+        if not pending:
+            break
         if k < 0:
             raise ValueError("horizons in k_range must be non-negative")
         count = len(rules_sorted) ** (k + 1)
@@ -342,45 +372,65 @@ def check_condition_B(
             rule: derivs[i * size : (i + 1) * size]
             for i, rule in enumerate(rules_sorted)
         }
-        all_ok = True
-        extrema = {}
-        for phi in sorted(d_side):
-            for psi in sorted(others):
-                per_state = [
-                    [a[x] - b[x] for a, b in zip(by_first[phi], by_first[psi])]
-                    for x in range(mdp.m)
-                ]
-                if side == "plus":
-                    best = [(min(vals), x) for x, vals in enumerate(per_state)]
-                    ok = any(v > threshold for v, _ in best)
-                    extreme = max(best, key=lambda t: t[0])
-                else:
-                    best = [(max(vals), x) for x, vals in enumerate(per_state)]
-                    ok = any(v < -threshold for v, _ in best)
-                    extreme = min(best, key=lambda t: t[0])
-                extrema[(phi, psi)] = {
-                    "value": extreme[0],
-                    "state": mdp.states[extreme[1]],
-                }
-                if not ok:
-                    all_ok = False
-        if all_ok:
-            return ConditionVerdict(
-                name,
-                alpha_star,
-                True,
-                "finite-horizon-threshold",
-                horizon_used=k,
-                threshold=threshold,
-                extrema=extrema,
+        for side in list(pending):
+            extrema = _dominance_extrema(
+                mdp, side, d_sides[side], d_at - d_sides[side], by_first, threshold
             )
-    return ConditionVerdict(
-        name,
-        alpha_star,
-        None,
-        "finite-horizon-threshold",
-        horizon_used=max(k_range),
-    )
+            if extrema is not None:
+                pending.remove(side)
+                verdicts[side] = ConditionVerdict(
+                    names[side],
+                    alpha_star,
+                    True,
+                    "finite-horizon-threshold",
+                    horizon_used=k,
+                    threshold=threshold,
+                    extrema=extrema,
+                )
+    for side in pending:
+        verdicts[side] = ConditionVerdict(
+            names[side],
+            alpha_star,
+            None,
+            "finite-horizon-threshold",
+            horizon_used=max(k_range),
+        )
+    return verdicts
+
+
+def _dominance_extrema(
+    mdp: Mdp,
+    side: str,
+    d_side: frozenset,
+    others: frozenset,
+    by_first: dict[DecisionRule, list[Vector]],
+    threshold: Fraction,
+) -> dict | None:
+    """The extreme derivative difference of each (phi, psi) over the
+    continuations in `by_first`, when every pair clears the threshold on
+    `side`; None as soon as one pair does not."""
+    extrema = {}
+    for phi in sorted(d_side):
+        for psi in sorted(others):
+            per_state = [
+                [a[x] - b[x] for a, b in zip(by_first[phi], by_first[psi])]
+                for x in range(mdp.m)
+            ]
+            if side == "plus":
+                best = [(min(vals), x) for x, vals in enumerate(per_state)]
+                ok = any(v > threshold for v, _ in best)
+                extreme = max(best, key=lambda t: t[0])
+            else:
+                best = [(max(vals), x) for x, vals in enumerate(per_state)]
+                ok = any(v < -threshold for v, _ in best)
+                extreme = min(best, key=lambda t: t[0])
+            if not ok:
+                return None
+            extrema[(phi, psi)] = {
+                "value": extreme[0],
+                "state": mdp.states[extreme[1]],
+            }
+    return extrema
 
 
 @dataclass(frozen=True)
@@ -429,9 +479,11 @@ def boundedness_verdict(
         verdicts[("A", side)] = check_condition_A(
             mdp, alpha_star, side, k_max=k_max_a, report=report
         )
-        verdicts[("B", side)] = check_condition_B(
-            mdp, alpha_star, side, k_range=k_range_b, report=report
-        )
+    b_verdicts = _condition_b_verdicts(
+        mdp, alpha_star, ("minus", "plus"), k_range_b, report
+    )
+    for side, verdict in b_verdicts.items():
+        verdicts[("B", side)] = verdict
     filt = policy_filtration(mdp)
     labels = {}
     methods = {}

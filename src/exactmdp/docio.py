@@ -2,7 +2,9 @@
 
 All numeric payloads are exact rational strings ("p/q" or an integer
 string); JSON float literals are rejected at parse time so no rounding can
-sneak into an analysis.
+sneak into an analysis.  Every field must also have its JSON type: a
+boolean is not a rational, and a string is never read as a list of names or
+values.  Each violation raises ``DocumentError``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ def _reject_float(text: str):
 
 
 def parse_rational_string(raw, where: str = "") -> Fraction:
-    """Parse "p/q" or integer payloads; floats and decimals are rejected."""
-    if isinstance(raw, int):
+    """Parse "p/q" or integer payloads; floats, decimals and booleans are
+    rejected."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
         text = raw.strip()
@@ -57,31 +60,55 @@ def loads_document(text: str) -> dict:
         return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: line {exc.lineno}, column {exc.colno}")
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise DocumentError(f"not valid JSON: {exc}")
+
+
+def _typed(value, kind: type, where: str):
+    """value itself when it is a JSON value of the given kind (list, dict or
+    str), so that a string is never iterated where a list is expected."""
+    if not isinstance(value, kind):
+        names = {list: "a list", dict: "an object", str: "a string"}
+        raise DocumentError(f"{where} must be {names[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _names(value, where: str) -> list[str]:
+    return [
+        _typed(v, str, f"{where}[{i}]")
+        for i, v in enumerate(_typed(value, list, where))
+    ]
 
 
 def mdp_from_document(doc: dict) -> Mdp:
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}")
     for key in ("states", "actions", "transitions", "rewards", "terminal"):
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
-    states = list(doc["states"])
-    actions = doc["actions"]
+    states = _names(doc["states"], "states")
+    if not states:
+        raise DocumentError("states must not be empty")
+    actions = _typed(doc["actions"], dict, "actions")
+    doc_transitions = _typed(doc["transitions"], dict, "transitions")
+    doc_rewards = _typed(doc["rewards"], dict, "rewards")
     transitions = {}
     rewards = {}
+    state_actions = {}
     for s in states:
         if s not in actions:
             raise DocumentError(f"state {s!r} missing from actions")
-        for a in actions[s]:
+        state_actions[s] = _names(actions[s], f"actions[{s!r}]")
+        for a in state_actions[s]:
             key = f"{s}/{a}"
-            if key not in doc["transitions"]:
+            if key not in doc_transitions:
                 raise DocumentError(f"missing transitions[{key!r}]")
-            if key not in doc["rewards"]:
+            if key not in doc_rewards:
                 raise DocumentError(f"missing rewards[{key!r}]")
-            row = doc["transitions"][key]
+            row = _typed(doc_transitions[key], list, f"transitions[{key!r}]")
             if len(row) != len(states):
                 raise DocumentError(
                     f"transitions[{key!r}] has {len(row)} entries, expected {len(states)}"
@@ -91,15 +118,15 @@ def mdp_from_document(doc: dict) -> Mdp:
                 for j, p in enumerate(row)
             ]
             rewards[(s, a)] = parse_rational_string(
-                doc["rewards"][key], f"rewards[{key}]"
+                doc_rewards[key], f"rewards[{key}]"
             )
-    if len(doc["terminal"]) != len(states):
+    terminal = _typed(doc["terminal"], list, "terminal")
+    if len(terminal) != len(states):
         raise DocumentError("terminal vector length mismatch")
     terminal = [
-        parse_rational_string(t, f"terminal[{i}]")
-        for i, t in enumerate(doc["terminal"])
+        parse_rational_string(t, f"terminal[{i}]") for i, t in enumerate(terminal)
     ]
-    return Mdp.from_tables(states, actions, transitions, rewards, terminal)
+    return Mdp.from_tables(states, state_actions, transitions, rewards, terminal)
 
 
 def document_from_mdp(mdp: Mdp) -> dict:

@@ -14,6 +14,14 @@ homogenized integer Horner evaluation, and determinants and linear solves
 from integer Bareiss elimination.  A Sturm chain is built once per
 square-free polynomial and reused across every bisection step on it,
 including later refinements of an ``IsolatedRoot``, which carries its chain.
+
+Most intervals handed to root isolation hold no root.  ``descartes_bound``
+maps (lo, hi) onto (0, oo) by t -> (lo + hi·t)/(1 + t) and counts the sign
+variations of the transformed integer polynomial (Descartes' rule of signs;
+Collins & Akritas 1976, Rouillier & Zimmermann 2004).  A count of 0
+certifies the interval root-free at O(d²) integer cost, so ``isolate_roots``
+returns at once, before any gcd or Sturm chain; any other count falls
+through to the exact path unchanged.
 """
 
 from __future__ import annotations
@@ -162,9 +170,6 @@ class Polynomial:
             rem.pop()
         return Polynomial(q), Polynomial(rem)
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
         if not r.is_zero:
@@ -172,15 +177,6 @@ class Polynomial:
         return q
 
     # -- normal forms -------------------------------------------------------------
-
-    def content_and_primitive(self) -> tuple[Fraction, "Polynomial"]:
-        """Write self = c * p with p having coprime integer coefficients and
-        positive leading coefficient; c is a positive rational (sign goes to c)."""
-        if self.is_zero:
-            return Fraction(0), self
-        ints, den = _scaled_ints(self)
-        g = _signed_content(ints)
-        return Fraction(g, den), Polynomial([v // g for v in ints])
 
     def primitive(self) -> "Polynomial":
         if self.is_zero:
@@ -309,6 +305,32 @@ def _sign_at(a: Sequence[int], x: Fraction) -> int:
         acc = acc * n + c * dk
         dk *= d
     return (acc > 0) - (acc < 0)
+
+
+def descartes_bound(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1+t)^d·a((lo + hi·t)/(1+t)), d = deg a.
+
+    The Möbius map t -> (lo + hi·t)/(1+t) takes (0, oo) onto the open
+    interval (lo, hi), so by Descartes' rule of signs this is an upper bound
+    on the number of roots of a in (lo, hi), counted with multiplicity, and
+    differs from it by an even number.  0 certifies (lo, hi) root-free at
+    O(d²) integer cost.  Needs lo < hi and a nonzero.
+    """
+    n0, d0 = lo.numerator, lo.denominator
+    n1, d1 = hi.numerator, hi.denominator
+    # with lo = n0/d0 and hi = n1/d1 the map is (n0·d1 + n1·d0·t)/(d0·d1·(1+t));
+    # homogenized Horner builds sum(a_i·num^i·den^(d-i)), a positive multiple
+    num0, num1 = n0 * d1, n1 * d0
+    den = d0 * d1
+    acc = [a[-1]]
+    den_pow = [1]  # den^(d-k)·(1+t)^(d-k) at step k
+    for c in reversed(a[:-1]):
+        den_pow = [den * (x + y) for x, y in zip(den_pow + [0], [0] + den_pow)]
+        acc = [num0 * x + num1 * y for x, y in zip(acc + [0], [0] + acc)]
+        if c:
+            acc = [x + c * y for x, y in zip(acc, den_pow)]
+    signs = [c > 0 for c in acc if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -514,6 +536,8 @@ def isolate_roots(
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0 or lo >= hi:
         return []
+    if descartes_bound(_scaled_ints(p)[0], lo, hi) == 0:
+        return []
     s_ints = _squarefree_off_ends(p, lo, hi)
     if len(s_ints) <= 1:
         return []
@@ -714,6 +738,17 @@ class RationalFunction:
 
     def key(self) -> tuple:
         return (self.num.coeffs, self.den.coeffs)
+
+
+def unreduced_difference(f: RationalFunction, g: RationalFunction) -> list[int]:
+    """Integer coefficients of a positive multiple of f.num·g.den − g.num·f.den,
+    the numerator of f − g before any gcd reduction."""
+    fn, fs = _scaled_ints(f.num)
+    gn, gs = _scaled_ints(g.num)
+    # f − g = (fn·gs·g.den − gn·fs·f.den) / (fs·gs·f.den·g.den)
+    gd = [gs * c.numerator for c in g.den.coeffs]
+    fd = [fs * c.numerator for c in f.den.coeffs]
+    return _sub_ints(_mul_ints(fn, gd), _mul_ints(gn, fd))
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,12 @@ from .exactarith import (
     Polynomial,
     RationalFunction,
     count_roots_open,
+    descartes_bound,
     isolate_roots,
     poly_gcd,
     polynomial_vanishes_at,
     same_root,
+    unreduced_difference,
     value_rational_function,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
@@ -151,6 +153,27 @@ def _add_point(points: list[PartitionPoint], new: PartitionPoint) -> bool:
     return True
 
 
+def _root_free_on(
+    f: Sequence[RationalFunction],
+    g: Sequence[RationalFunction],
+    lo: Fraction,
+    hi: Fraction,
+) -> bool:
+    """True when Descartes' rule certifies that no f[x] - g[x] has a root in
+    the open interval (lo, hi), a subinterval of (0, 1).
+
+    The rule runs on each unreduced numerator.  Every value function's
+    denominator divides det(I - aP), which has no root in [0, 1), so the
+    unreduced and the reduced numerators have the same roots there, and any
+    common factor of the reduced ones has none of its own.
+    """
+    for fx, gx in zip(f, g):
+        num = unreduced_difference(fx, gx)
+        if num and descartes_bound(num, lo, hi):
+            return False
+    return True
+
+
 def _d_rules_at(mdp: Mdp, alpha: Fraction) -> frozenset[DecisionRule]:
     return rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
 
@@ -186,6 +209,8 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             hull_lo = point_position(lo_pt)[0]
             hull_hi = point_position(hi_pt)[1]
             for _, vec in class_reps:
+                if _root_free_on(vstar, vec, hull_lo, hull_hi):
+                    continue  # no difference has a root on the gap
                 diffs = [vstar[x] - vec[x] for x in range(mdp.m)]
                 nonzero = [d for d in diffs if not d.is_zero]
                 if not nonzero:

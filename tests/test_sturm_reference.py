@@ -9,6 +9,7 @@ polynomials, including for leading coefficients of either sign and for
 sparse polynomials whose remainder sequence skips degrees.
 """
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -17,15 +18,28 @@ from hypothesis import strategies as st
 from exactmdp.exactarith import Polynomial, sturm_chain
 
 
+def content_and_primitive(q: Polynomial) -> tuple[F, Polynomial]:
+    """q = c * p with p having coprime integer coefficients and positive
+    leading coefficient; the sign goes to the rational c."""
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in q.coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return F(g, den), Polynomial([v // g for v in ints])
+
+
+def remainder(a: Polynomial, b: Polynomial) -> Polynomial:
+    return a.divmod(b)[1]
+
+
 def positive_scaled(q: Polynomial) -> Polynomial:
-    content, prim = q.content_and_primitive()
+    content, prim = content_and_primitive(q)
     return prim if content > 0 else -prim
 
 
 def reference_chain(p: Polynomial) -> list[Polynomial]:
     chain = [positive_scaled(p), positive_scaled(p.derivative())]
     while not chain[-1].is_zero:
-        r = chain[-2] % chain[-1]
+        r = remainder(chain[-2], chain[-1])
         if r.is_zero:
             break
         chain.append(positive_scaled(-r))
