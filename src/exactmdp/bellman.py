@@ -1,9 +1,12 @@
 """Exact Bellman operators, value iteration, and optimal-policy sets at a
 fixed rational discount factor.
 
-First-step-optimal sets are handled as per-state argmax action sets because
-the set of optimal decision rules always factorizes into a product across
-states; rule sets are only materialized on demand (and capped).
+Optimal and first-step-optimal sets are held as per-state action sets
+(``ActionSets``): a deterministic rule is optimal exactly when each of its
+actions is conserving, so each such set of rules is the product of its
+per-state sets.  Every layer compares, counts and intersects them state by
+state; ``rules_from_action_sets`` is the one place that lists a product's
+rules, under the enumeration cap, for reports that print them.
 
 Policy evaluation, Q-values and value iteration run on integers.  With L
 the lcm of every reward and transition denominator and alpha = p/q, an
@@ -26,7 +29,7 @@ from typing import Sequence
 
 from .exactarith import bareiss_solve
 from .limits import CapExceededError, enumeration_cap
-from .mdp import DecisionRule, MarkovPrefix, Mdp
+from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules
 
 ActionSets = tuple[frozenset[int], ...]
 
@@ -64,13 +67,10 @@ class OptSets:
     d_n: dict[int, ActionSets] = field(default_factory=dict)
 
 
-def rules_from_action_sets(
-    sets: ActionSets, cap: int | None = None
-) -> frozenset[DecisionRule]:
-    cap = enumeration_cap() if cap is None else cap
-    count = 1
-    for s in sets:
-        count *= len(s)
+def rules_from_action_sets(sets: ActionSets) -> frozenset[DecisionRule]:
+    """The decision rules of the product; raises ``CapExceededError`` past
+    the enumeration cap."""
+    count, cap = count_rules(sets), enumeration_cap()
     if count > cap:
         raise CapExceededError("enumeration", count, cap)
     return frozenset(
@@ -78,15 +78,13 @@ def rules_from_action_sets(
     )
 
 
+def smallest_rule(sets: ActionSets) -> DecisionRule:
+    """The lexicographically smallest rule of a nonempty product."""
+    return DecisionRule(tuple(min(s) for s in sets))
+
+
 def product_subset(a: ActionSets, b: ActionSets) -> bool:
     return all(sa <= sb for sa, sb in zip(a, b))
-
-
-def count_rules(sets: ActionSets) -> int:
-    n = 1
-    for s in sets:
-        n *= len(s)
-    return n
 
 
 def apply_policy_operator(
@@ -303,11 +301,9 @@ def rolling_horizon_policy(mdp: Mdp, alpha: Fraction, n: int) -> MarkovPrefix:
     if n < 1:
         raise ValueError("horizon must be positive")
     steps = value_iteration(mdp, alpha, n)
-    rules = []
-    for i in range(n):
-        sets = steps[n - i].first_step
-        rules.append(DecisionRule(tuple(min(s) for s in sets)))
-    prefix = MarkovPrefix(tuple(rules))
+    prefix = MarkovPrefix(
+        tuple(smallest_rule(steps[n - i].first_step) for i in range(n))
+    )
     if evaluate_markov(mdp, prefix, alpha, n).values != steps[n].value.values:
         raise AssertionError("rolling-horizon policy is not n-horizon optimal")
     return prefix

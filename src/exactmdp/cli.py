@@ -15,12 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import corpus, docio
-from .bellman import count_rules, optimal_set, rules_from_action_sets
+from .bellman import ActionSets, optimal_set, rules_from_action_sets
 from .conditions import NotIrregularError, boundedness_verdict
 from .docio import format_rational
 from .limits import CapExceededError, CapSettingError
-from .mdp import DecisionRule, Mdp, validate
-from .partition import canonical_partition, point_position
+from .mdp import DecisionRule, Mdp, count_rules, validate
+from .partition import canonical_partition, point_sign
 from .smalldiscount import policy_filtration, small_discount_checks
 from .turnpike import turnpike_integer, turnpike_intervals
 
@@ -82,8 +82,9 @@ def rule_json(mdp: Mdp, rule: DecisionRule) -> list[str]:
     return [mdp.actions[i][a] for i, a in enumerate(rule.choices)]
 
 
-def rules_json(mdp: Mdp, rules) -> list[list[str]]:
-    return [rule_json(mdp, r) for r in sorted(rules)]
+def rules_json(mdp: Mdp, sets: ActionSets) -> list[list[str]]:
+    """The product's rules, sorted; raises CapExceededError past the cap."""
+    return [rule_json(mdp, r) for r in sorted(rules_from_action_sets(sets))]
 
 
 def point_json(pt):
@@ -137,9 +138,7 @@ def cmd_solve(args) -> int:
                 s: format_rational(opt.v_alpha[i]) for i, s in enumerate(mdp.states)
             },
             "num_optimal_rules": count_rules(opt.d_alpha_sets),
-            "optimal_rules": rules_json(
-                mdp, rules_from_action_sets(opt.d_alpha_sets)
-            ),
+            "optimal_rules": rules_json(mdp, opt.d_alpha_sets),
         }
     )
     return EXIT_OK
@@ -306,15 +305,15 @@ def cmd_sweep(args) -> int:
     if steps < 1:
         raise InputError("sweep needs at least one step")
     part = canonical_partition(mdp)
-    irregular_positions = [
-        point_position(ip.point) for ip in part.irregular_points
-    ]
     lines = ["alpha,N,num_optimal_rules,in_interval_id"]
     for i in range(1, steps + 1):
         alpha = lo + (hi - lo) * Fraction(i, steps + 1)
         res = turnpike_integer(mdp, alpha)
         n_opt = count_rules(res.d_alpha_sets)
-        interval_id = sum(1 for (plo, phi) in irregular_positions if phi <= alpha)
+        # irregular points at or left of alpha, each side decided exactly
+        interval_id = sum(
+            1 for ip in part.irregular_points if point_sign(ip.point, alpha) <= 0
+        )
         lines.append(f"{format_rational(alpha)},{res.n_value},{n_opt},{interval_id}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -30,11 +30,22 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bellman import optimal_set, rules_from_action_sets, value_iteration
+from .bellman import (
+    ActionSets,
+    optimal_set,
+    rules_from_action_sets,
+    smallest_rule,
+    value_iteration,
+)
 from .equivalence import pushforwards_equal
 from .limits import CapExceededError, prefix_cap
-from .mdp import DecisionRule, MarkovPrefix, Mdp, mat_vec, spreads
-from .partition import PartitionReport, canonical_partition, one_sided_optimal_sets
+from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec, spreads
+from .partition import (
+    PartitionReport,
+    canonical_partition,
+    classify,
+    one_sided_optimal_sets,
+)
 from .smalldiscount import policy_filtration
 from .turnpike import turnpike_integer
 
@@ -190,14 +201,16 @@ def _derivative_levels(
 
 def _require_irregular(
     mdp: Mdp, alpha_star: Fraction, report: PartitionReport | None
-) -> tuple[PartitionReport, frozenset, frozenset, frozenset]:
+) -> tuple[str, ActionSets, ActionSets, ActionSets]:
+    """The point's kind, and D(alpha-), D(alpha), D(alpha+)."""
     if not (0 < alpha_star < 1):
         raise NotIrregularError("conditions are defined on irregular points in (0, 1)")
     report = canonical_partition(mdp) if report is None else report
     d_minus, d_at, d_plus = one_sided_optimal_sets(mdp, alpha_star, report)
-    if d_minus == d_plus and d_at == d_minus | d_plus:
+    kind = classify(d_minus, d_at, d_plus)
+    if kind == "regular":
         raise NotIrregularError(f"{alpha_star} is a regular point")
-    return report, d_minus, d_at, d_plus
+    return kind, d_minus, d_at, d_plus
 
 
 def check_condition_A(
@@ -219,16 +232,16 @@ def check_condition_A(
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
-    report, d_minus, d_at, d_plus = _require_irregular(mdp, alpha_star, report)
+    kind, d_minus, _, d_plus = _require_irregular(mdp, alpha_star, report)
     name = "A-" if side == "minus" else "A+"
     d_side = d_minus if side == "minus" else d_plus
-    singletons = len(d_minus) == 1 and len(d_plus) == 1
-    non_touching = d_at == (d_minus | d_plus)
+    singletons = count_rules(d_minus) == 1 and count_rules(d_plus) == 1
+    non_touching = "touching" not in kind
     certificate_k = None
     trace = value_iteration(mdp, alpha_star, k_max)
     if singletons:
-        phi = next(iter(d_minus))
-        psi = next(iter(d_plus))
+        phi = smallest_rule(d_minus)
+        psi = smallest_rule(d_plus)
         n_val = turnpike_integer(mdp, alpha_star).n_value
         v_inf = optimal_set(mdp, alpha_star).v_alpha
         for k in range(max(0, n_val - 1), k_max + 1):
@@ -251,8 +264,8 @@ def check_condition_A(
     for step in trace[1:]:
         if step.horizon < k_min:
             continue
-        dn = rules_from_action_sets(step.first_step)
-        window[step.horizon] = bool(dn & d_side)
+        # the products meet exactly when every state's sets do
+        window[step.horizon] = all(a & b for a, b in zip(step.first_step, d_side))
     return ConditionVerdict(
         name,
         alpha_star,
@@ -320,19 +333,25 @@ def _condition_b_verdicts(
     _, d_minus, d_at, d_plus = _require_irregular(mdp0, alpha_star, report0)
     vf = report0.value_functions
     names = {"minus": "B-", "plus": "B+"}
-    d_sides = {"minus": d_minus, "plus": d_plus}
+    rules_sorted = sorted(rules_from_action_sets(d_at))  # the prefixes' rules
+    split = {}  # each side's rules and the other rules of D(alpha_star)
     verdicts: dict[str, ConditionVerdict] = {}
     pending = []  # sides still to settle
     for side in sides:
-        d_side, others = d_sides[side], d_at - d_sides[side]
+        sets = d_minus if side == "minus" else d_plus
+        d_side = [
+            r for r in rules_sorted if all(a in s for a, s in zip(r.choices, sets))
+        ]
+        others = [r for r in rules_sorted if r not in d_side]
+        split[side] = d_side, others
         if not others:
             verdicts[side] = ConditionVerdict(names[side], alpha_star, True, "vacuous")
             continue
         tangent = next(
             (
                 (phi, psi)
-                for phi in sorted(d_side)
-                for psi in sorted(others)
+                for phi in d_side
+                for psi in others
                 if all(
                     (vf[phi][x] - vf[psi][x]).derivative()(alpha_star) == 0
                     for x in range(mdp.m)
@@ -351,7 +370,6 @@ def _condition_b_verdicts(
             continue
         pending.append(side)
     r1_star = spreads(mdp0).r1_star
-    rules_sorted = sorted(d_at)
     levels, depth = None, 0
     for k in k_range:
         if not pending:
@@ -373,9 +391,7 @@ def _condition_b_verdicts(
             for i, rule in enumerate(rules_sorted)
         }
         for side in list(pending):
-            extrema = _dominance_extrema(
-                mdp, side, d_sides[side], d_at - d_sides[side], by_first, threshold
-            )
+            extrema = _dominance_extrema(mdp, side, *split[side], by_first, threshold)
             if extrema is not None:
                 pending.remove(side)
                 verdicts[side] = ConditionVerdict(
@@ -401,17 +417,17 @@ def _condition_b_verdicts(
 def _dominance_extrema(
     mdp: Mdp,
     side: str,
-    d_side: frozenset,
-    others: frozenset,
+    d_side: list[DecisionRule],
+    others: list[DecisionRule],
     by_first: dict[DecisionRule, list[Vector]],
     threshold: Fraction,
 ) -> dict | None:
     """The extreme derivative difference of each (phi, psi) over the
     continuations in `by_first`, when every pair clears the threshold on
-    `side`; None as soon as one pair does not."""
+    `side`; None as soon as one pair does not.  Both rule lists are sorted."""
     extrema = {}
-    for phi in sorted(d_side):
-        for psi in sorted(others):
+    for phi in d_side:
+        for psi in others:
             per_state = [
                 [a[x] - b[x] for a, b in zip(by_first[phi], by_first[psi])]
                 for x in range(mdp.m)

@@ -8,10 +8,11 @@ anywhere, since break-point detection relies on exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Sized
 
 from .limits import CapExceededError, enumeration_cap
 
@@ -143,12 +144,6 @@ class Mdp:
     def action_count(self, i: int) -> int:
         return len(self.actions[i])
 
-    def rule_count(self) -> int:
-        n = 1
-        for i in range(self.m):
-            n *= self.action_count(i)
-        return n
-
     def transition_matrix(self, rule: DecisionRule) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(self.transitions[i][rule.action(i)] for i in range(self.m))
 
@@ -226,13 +221,17 @@ def validate(mdp: Mdp) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def enumerate_decision_rules(mdp: Mdp, cap: int | None = None) -> list[DecisionRule]:
+def count_rules(per_state: Sequence[Sized]) -> int:
+    """Number of decision rules in the product of per-state action choices."""
+    return math.prod(len(s) for s in per_state)
+
+
+def enumerate_decision_rules(mdp: Mdp) -> list[DecisionRule]:
     """All decision rules in lexicographic order of per-state action indices."""
-    cap = enumeration_cap() if cap is None else cap
-    total = mdp.rule_count()
+    ranges = [range(mdp.action_count(i)) for i in range(mdp.m)]
+    total, cap = count_rules(ranges), enumeration_cap()
     if total > cap:
         raise CapExceededError("enumeration", total, cap)
-    ranges = [range(mdp.action_count(i)) for i in range(mdp.m)]
     return [DecisionRule(choices) for choices in product(*ranges)]
 
 

@@ -6,8 +6,11 @@ which the set of optimal stationary policies is constant, separated by
 irregular points (break points, where the one-sided optimal sets differ, and
 touching points, where a policy is optimal only at the point itself).  The
 same structure exists at every finite horizon for the first-step-optimal
-sets; both are computed here with exact arithmetic.  Irrational separation
-points are carried as isolating brackets, never as floats.
+sets; both are computed here with exact arithmetic and told apart by one
+``classify``.  Each such set -- D(alpha), D(alpha-), D(alpha+) or a first-step
+set D_n(alpha) -- is held as per-state action sets (``ActionSets``).
+Irrational separation points are carried as isolating brackets, never as
+floats.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence, Union
 
-from .bellman import ActionSets, optimal_set, rules_from_action_sets
+from .bellman import ActionSets, optimal_set, product_subset, smallest_rule
 from .exactarith import (
     IsolatedRoot,
     Polynomial,
@@ -32,7 +35,7 @@ from .exactarith import (
     value_rational_function,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
-from .mdp import DecisionRule, Mdp, enumerate_decision_rules
+from .mdp import DecisionRule, Mdp, count_rules, enumerate_decision_rules
 
 PartitionPoint = Union[Fraction, IsolatedRoot]
 
@@ -43,13 +46,22 @@ def point_position(pt: PartitionPoint) -> tuple[Fraction, Fraction]:
     return pt.position()
 
 
+def point_sign(pt: PartitionPoint, alpha: Fraction) -> int:
+    """Sign of pt - alpha, decided exactly when alpha lies in pt's bracket."""
+    lo, hi = point_position(pt)
+    if hi < alpha:
+        return -1
+    if alpha < lo:
+        return 1
+    if lo == hi:
+        return 0
+    return -1 if count_roots_open(pt.defining, pt.lo, alpha) == 1 else 1
+
+
 def points_equal(a: PartitionPoint, b: PartitionPoint) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(a, Fraction):
-        return b.exact == a if b.exact is not None else False
-    if isinstance(b, Fraction):
-        return a.exact == b if a.exact is not None else False
+    a, b = _canonical(a), _canonical(b)
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return a == b  # a bracket left in canonical form is irrational
     return same_root(a, b)
 
 
@@ -63,16 +75,16 @@ def _canonical(pt: PartitionPoint) -> PartitionPoint:
 class IrregularPoint:
     point: PartitionPoint
     kind: str  # 'break', 'touching', 'break+touching'
-    d_at: frozenset[DecisionRule]
-    d_left: frozenset[DecisionRule]
-    d_right: frozenset[DecisionRule]
+    d_at: ActionSets
+    d_left: ActionSets
+    d_right: ActionSets
 
 
 @dataclass(frozen=True)
 class PartitionInterval:
     lo: PartitionPoint
     hi: PartitionPoint
-    d_set: frozenset[DecisionRule]
+    d_set: ActionSets
 
 
 @dataclass(frozen=True)
@@ -84,17 +96,8 @@ class PartitionReport:
 
     def interval_containing(self, alpha: Fraction) -> PartitionInterval:
         for iv in self.intervals:
-            lo = point_position(iv.lo)[1]
-            hi = point_position(iv.hi)[0]
-            if lo < alpha < hi:
+            if point_sign(iv.lo, alpha) < 0 < point_sign(iv.hi, alpha):
                 return iv
-            # alpha may sit inside a bracket endpoint; decide the side exactly
-            if isinstance(iv.lo, IsolatedRoot) and iv.lo.lo < alpha < iv.lo.hi:
-                if count_roots_open(iv.lo.defining, iv.lo.lo, alpha) == 1:
-                    return iv  # the irrational endpoint lies left of alpha
-            if isinstance(iv.hi, IsolatedRoot) and iv.hi.lo < alpha < iv.hi.hi:
-                if count_roots_open(iv.hi.defining, alpha, iv.hi.hi) == 1:
-                    return iv
         raise ValueError(f"no partition interval contains {alpha}")
 
 
@@ -144,12 +147,22 @@ def _clear_of_ends(pt: PartitionPoint) -> PartitionPoint:
 
 
 def _add_point(points: list[PartitionPoint], new: PartitionPoint) -> bool:
+    """Insert a new point, keeping every bracket's closed hull clear of the
+    rational points, so no gap between neighbours is empty."""
     new = _canonical(_clear_of_ends(new))
     for p in points:
         if points_equal(p, new):
             return False
     points.append(new)
     points[:] = _sorted_disjoint(points)
+    rationals = [p for p in points if isinstance(p, Fraction)]
+    for i, pt in enumerate(points):
+        # the root is irrational, so bisection leaves each rational behind
+        while isinstance(pt, IsolatedRoot) and any(
+            pt.lo <= q <= pt.hi for q in rationals
+        ):
+            pt = pt.refined((pt.hi - pt.lo) / 4)
+        points[i] = pt
     return True
 
 
@@ -174,8 +187,39 @@ def _root_free_on(
     return True
 
 
-def _d_rules_at(mdp: Mdp, alpha: Fraction) -> frozenset[DecisionRule]:
-    return rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
+def classify(left: ActionSets, at: ActionSets, right: ActionSets) -> str:
+    """'regular', 'break', 'touching' or 'break+touching' for a point whose
+    optimal sets are ``left`` just left of it, ``at`` at it, ``right`` just
+    right.  A break has left != right; a touching point has a rule optimal
+    only at the point itself.  The union of the one-sided sets lies in
+    ``at``, so that is |at| != |left| + |right| - |left & right|."""
+    is_break = left != right
+    both = tuple(a & b for a, b in zip(left, right))
+    union = count_rules(left) + count_rules(right) - count_rules(both)
+    is_touch = count_rules(at) != union
+    if is_break and is_touch:
+        return "break+touching"
+    if is_break:
+        return "break"
+    return "touching" if is_touch else "regular"
+
+
+def _optimal_at_root(
+    mdp: Mdp, vfun: dict, rule: DecisionRule, pt: IsolatedRoot
+) -> ActionSets:
+    """D at an irrational point, given a rule optimal there: action a is
+    conserving at state s exactly when the rule switched to a at s keeps the
+    optimal value at pt, so sum |A(s)| value comparisons decide the sets."""
+
+    def conserving(s: int, a: int) -> bool:
+        switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
+        diffs = (v - w for v, w in zip(vfun[rule], vfun[switched]))
+        return all(d.is_zero or polynomial_vanishes_at(d.num, pt) for d in diffs)
+
+    return tuple(
+        frozenset(a for a in range(mdp.action_count(s)) if conserving(s, a))
+        for s in range(mdp.m)
+    )
 
 
 def canonical_partition(mdp: Mdp) -> PartitionReport:
@@ -203,9 +247,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         for i in range(len(bounds) - 1):
             lo_pt, hi_pt = bounds[i], bounds[i + 1]
             mid = _rational_inside(lo_pt, hi_pt)
-            d_mid = _d_rules_at(mdp, mid)
-            rep = min(d_mid)
-            vstar = vfun[rep]
+            vstar = vfun[smallest_rule(optimal_set(mdp, mid).d_alpha_sets)]
             hull_lo = point_position(lo_pt)[0]
             hull_hi = point_position(hi_pt)[1]
             for _, vec in class_reps:
@@ -234,66 +276,41 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
 
     # Evaluate D on each gap and at each point, then classify.
     bounds = [Fraction(0)] + points + [Fraction(1)]
-    gap_sets: list[frozenset[DecisionRule]] = []
-    gap_reps: list[DecisionRule] = []
-    for i in range(len(bounds) - 1):
-        mid = _rational_inside(bounds[i], bounds[i + 1])
-        d = _d_rules_at(mdp, mid)
-        gap_sets.append(d)
-        gap_reps.append(min(d))
+    gap_sets = [
+        optimal_set(mdp, _rational_inside(bounds[i], bounds[i + 1])).d_alpha_sets
+        for i in range(len(bounds) - 1)
+    ]
 
     irregular: list[IrregularPoint] = []
-    keep: list[tuple[PartitionPoint, frozenset, frozenset, frozenset]] = []
+    kept: list[int] = []
     for i, pt in enumerate(points):
         d_left, d_right = gap_sets[i], gap_sets[i + 1]
         if isinstance(pt, Fraction):
-            d_at = _d_rules_at(mdp, pt)
+            d_at = optimal_set(mdp, pt).d_alpha_sets
         else:
-            rep = gap_reps[i]
-            vstar = vfun[rep]
-            members = []
-            for rule in rules:
-                diffs = [vstar[x] - vfun[rule][x] for x in range(mdp.m)]
-                if all(
-                    d.is_zero or polynomial_vanishes_at(d.num, pt) for d in diffs
-                ):
-                    members.append(rule)
-            d_at = frozenset(members)
-        if not (d_left | d_right) <= d_at:
+            d_at = _optimal_at_root(mdp, vfun, smallest_rule(d_left), pt)
+        if not (product_subset(d_left, d_at) and product_subset(d_right, d_at)):
             raise AssertionError("upper hemicontinuity violated; kernel bug")
-        is_break = d_left != d_right
-        is_touch = d_at != (d_left | d_right)
-        if is_break or is_touch:
-            kind = (
-                "break+touching"
-                if is_break and is_touch
-                else ("break" if is_break else "touching")
-            )
+        kind = classify(d_left, d_at, d_right)
+        if kind != "regular":
             irregular.append(IrregularPoint(pt, kind, d_at, d_left, d_right))
-            keep.append((pt, d_at, d_left, d_right))
+            kept.append(i)
 
-    # Irregularity of the left endpoint 0 (touching only; 0 has no left side).
-    d0 = _d_rules_at(mdp, Fraction(0))
-    d0_plus = gap_sets[0]
-    zero_irregular = d0 != d0_plus
-    if zero_irregular:
-        irregular.insert(
-            0,
-            IrregularPoint(Fraction(0), "touching", d0, frozenset(), d0_plus),
-        )
+    # Irregularity of the left endpoint 0: touching only, as 0 has no left
+    # side, so it is classified with its right side on both.
+    d0, d0_plus = optimal_set(mdp, Fraction(0)).d_alpha_sets, gap_sets[0]
+    kind = classify(d0_plus, d0, d0_plus)
+    if kind != "regular":
+        no_rules = (frozenset(),) * mdp.m
+        irregular.insert(0, IrregularPoint(Fraction(0), kind, d0, no_rules, d0_plus))
 
     # Merge gaps across dropped (regular) candidate points.
     intervals: list[PartitionInterval] = []
-    kept_points = [p for (p, *_rest) in keep]
     cursor: PartitionPoint = Fraction(0)
-    idx = 0
-    for i, pt in enumerate(points + [Fraction(1)]):
-        last = i == len(points)
-        if last or any(points_equal(pt, kp) for kp in kept_points):
-            hi = Fraction(1) if last else pt
-            intervals.append(PartitionInterval(cursor, hi, gap_sets[i]))
-            cursor = hi
-        # dropped points simply extend the current interval
+    for i in kept + [len(points)]:
+        hi = points[i] if i < len(points) else Fraction(1)
+        intervals.append(PartitionInterval(cursor, hi, gap_sets[i]))
+        cursor = hi
     blackwell: PartitionPoint = Fraction(0)
     if irregular:
         blackwell = irregular[-1].point
@@ -307,19 +324,19 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
 
 def one_sided_optimal_sets(
     mdp: Mdp, alpha: Fraction, report: PartitionReport | None = None
-) -> tuple[frozenset[DecisionRule], frozenset[DecisionRule], frozenset[DecisionRule]]:
-    """(D(alpha-), D(alpha), D(alpha+)); D(0-) is empty by convention."""
+) -> tuple[ActionSets, ActionSets, ActionSets]:
+    """(D(alpha-), D(alpha), D(alpha+)); D(0-) has no rules by convention."""
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
     report = canonical_partition(mdp) if report is None else report
     if alpha == 0:
-        d0 = _d_rules_at(mdp, Fraction(0))
-        return frozenset(), d0, report.intervals[0].d_set
+        no_rules = (frozenset(),) * mdp.m
+        return no_rules, optimal_set(mdp, alpha).d_alpha_sets, report.intervals[0].d_set
     for ip in report.irregular_points:
         if points_equal(ip.point, alpha):
             return ip.d_left, ip.d_at, ip.d_right
     iv = report.interval_containing(alpha)
-    return iv.d_set, _d_rules_at(mdp, alpha), iv.d_set
+    return iv.d_set, optimal_set(mdp, alpha).d_alpha_sets, iv.d_set
 
 
 # -- piecewise-symbolic value iteration -------------------------------------------
@@ -346,19 +363,11 @@ class PiecewiseValue:
     def piece_index_at(self, alpha: Fraction) -> int | None:
         """Index of the open piece containing alpha, or None if alpha is a cut."""
         for i, cut in enumerate(self.cuts):
-            lo, hi = point_position(cut)
-            if isinstance(cut, Fraction):
-                if alpha == cut:
-                    return None
-                if alpha < cut:
-                    return i
-            else:
-                if alpha <= lo:
-                    return i
-                if lo < alpha < hi:
-                    # decide which side of the irrational cut alpha lies on
-                    if count_roots_open(cut.defining, cut.lo, alpha) == 0:
-                        return i
+            sign = point_sign(cut, alpha)
+            if sign == 0:
+                return None
+            if sign > 0:
+                return i
         return len(self.cuts)
 
     def sets_around(self, alpha: Fraction) -> tuple[ActionSets, ActionSets, ActionSets]:
@@ -594,24 +603,9 @@ class FirstStepClassification:
     right: ActionSets
 
 
-def classify_first_step(pw: PiecewiseValue, alpha: Fraction) -> FirstStepClassification:
-    left, at, right = pw.sets_around(alpha)
-    is_break = left != right
-    union = tuple(l | r for l, r in zip(left, right))
-    is_touch = at != union
-    kind = "regular"
-    if is_break and is_touch:
-        kind = "break+touching"
-    elif is_break:
-        kind = "break"
-    elif is_touch:
-        kind = "touching"
-    return FirstStepClassification(kind, left, at, right)
-
-
 def first_step_classify(mdp: Mdp, alpha: Fraction, n: int) -> FirstStepClassification:
     """Classify alpha for the horizon-n first-step-optimal map."""
     if n < 1:
         raise ValueError("horizon must be positive")
-    levels = symbolic_value_iteration(mdp, n)
-    return classify_first_step(levels[n], alpha)
+    left, at, right = symbolic_value_iteration(mdp, n)[n].sets_around(alpha)
+    return FirstStepClassification(classify(left, at, right), left, at, right)

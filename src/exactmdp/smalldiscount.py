@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bellman import ActionSets, optimal_set, rules_from_action_sets
-from .mdp import DecisionRule, Mdp, balance
+from .bellman import ActionSets, optimal_set
+from .mdp import Mdp, balance, count_rules
 from .turnpike import turnpike_integer
 
 INFINITE = None  # C_n before any separation has occurred
@@ -41,9 +41,9 @@ class FiltrationReport:
     r1_star: Fraction
     r_star: Fraction
 
-    def rules_at(self, n: int) -> frozenset[DecisionRule]:
-        """F_n as an explicit rule set; n = -1 is allowed."""
-        return rules_from_action_sets(self.action_chain[n + 1])
+    def rules_at(self, n: int) -> ActionSets:
+        """F_n as per-state action sets; n = -1 is allowed."""
+        return self.action_chain[n + 1]
 
     def c_at(self, n: int) -> Fraction | None:
         return self.c_chain[min(n, self.l_value)]
@@ -178,21 +178,20 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     part = canonical_partition(mdp)
     outcomes: list[CheckOutcome] = []
 
-    d0 = rules_from_action_sets(optimal_set(mdp, Fraction(0)).d_alpha_sets)
+    d0 = optimal_set(mdp, Fraction(0)).d_alpha_sets
     f0 = rep.rules_at(0)
     outcomes.append(
         CheckOutcome(
             "level0-matches-alpha0-optimal",
             d0 == f0,
-            f"|F0|={len(f0)}, |D(0)|={len(d0)}",
+            f"|F0|={count_rules(f0)}, |D(0)|={count_rules(d0)}",
         )
     )
 
     fl = rep.rules_at(rep.l_value)
     bad = []
     for alpha in _grid(rep.delta_tilde, grid):
-        d = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
-        if d != fl:
+        if optimal_set(mdp, alpha).d_alpha_sets != fl:
             bad.append(alpha)
     outcomes.append(
         CheckOutcome(

@@ -35,6 +35,7 @@ from .bellman import (
     _step,
     optimal_set,
     product_subset,
+    smallest_rule,
     value_iteration,
 )
 from .limits import CapExceededError
@@ -44,6 +45,7 @@ from .partition import (
     PartitionReport,
     PiecewiseValue,
     canonical_partition,
+    classify,
     point_position,
     points_equal,
     symbolic_value_iteration,
@@ -150,18 +152,12 @@ def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
             n_value, failed_sets = horizon + 1, sets
     witness = None
     if failed_sets is not None:
-        choices = []
-        bad_state = next(
-            i
-            for i in range(mdp.m)
-            if not failed_sets[i] <= opt.d_alpha_sets[i]
+        # smallest failing rule with a non-optimal action at the first such state
+        bad = next(
+            i for i, (f, d) in enumerate(zip(failed_sets, opt.d_alpha_sets)) if f - d
         )
-        for i in range(mdp.m):
-            if i == bad_state:
-                choices.append(min(failed_sets[i] - opt.d_alpha_sets[i]))
-            else:
-                choices.append(min(failed_sets[i]))
-        witness = DecisionRule(tuple(choices))
+        leaving = failed_sets[bad] - opt.d_alpha_sets[bad]
+        witness = smallest_rule(failed_sets[:bad] + (leaving,) + failed_sets[bad + 1 :])
     return TurnpikeResult(
         alpha, n_value, k_cert, gap, witness, opt.d_alpha_sets, horizon
     )
@@ -240,9 +236,7 @@ def _candidate_points(
     for level in levels[1:]:
         for i, cut in enumerate(level.cuts):
             left, right = level.interval_sets[i], level.interval_sets[i + 1]
-            at = level.point_sets[i]
-            union = tuple(l | r for l, r in zip(left, right))
-            if left != right or at != union:
+            if classify(left, level.point_sets[i], right) != "regular":
                 _push(cut)
     return _sorted_disjoint(pts)
 

@@ -74,7 +74,8 @@ def test_criterion_2_tangency_break_regression():
         ip = part.irregular_points[0]
         assert ip.point == F(1, 2)
         assert ip.kind == "break"
-        assert ip.d_at == ip.d_left | ip.d_right  # non-touching
+        rules = rules_from_action_sets
+        assert rules(ip.d_at) == rules(ip.d_left) | rules(ip.d_right)  # non-touching
         for side in ("minus", "plus"):
             a = check_condition_A(fx.mdp, F(1, 2), side)
             assert a.holds is True and a.method == "certificate"
@@ -315,7 +316,8 @@ def test_criterion_9_structural_properties():
                     == turnpike_integer(balanced, alpha).n_value
                 )
             for ip in part.irregular_points:
-                assert (ip.d_left | ip.d_right) <= ip.d_at
+                rules = rules_from_action_sets
+                assert (rules(ip.d_left) | rules(ip.d_right)) <= rules(ip.d_at)
         # discontinuity laws on instances with computable interval maps
         for mdp in corpus + randoms[:10]:
             part = canonical_partition(mdp)

@@ -1,11 +1,15 @@
 import json
 import pathlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from exactmdp import cli, docio
 from exactmdp.corpus import build_example
+from exactmdp.partition import canonical_partition
+
+from conftest import random_mdp
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "exactmdp" / "data"
 
@@ -173,6 +177,23 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "alpha,N,num_optimal_rules,in_interval_id"
         assert all(line.endswith(",1,1,0") for line in lines[1:])
+
+    def test_sweep_interval_id_inside_a_bracket(self, capsys, tmp_path):
+        # one break, at an irrational root bracketed by (1705/4096, 853/2048);
+        # the sample 152/365 lies in that bracket, right of the root
+        mdp = random_mdp(random.Random(35), max_states=3, max_actions=2)
+        part = canonical_partition(mdp)
+        (ip,) = part.irregular_points
+        assert (ip.point.lo, ip.point.hi) == (F(1705, 4096), F(853, 2048))
+        alpha = F(152, 365)
+        assert part.intervals.index(part.interval_containing(alpha)) == 1
+        path = tmp_path / "model.json"
+        path.write_text(docio.dumps_document(docio.document_from_mdp(mdp)))
+        code, out, _ = run(
+            capsys, "sweep", str(path), "--interval", "0,304/365", "--steps", "1"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "152/365,6,1,1"
 
     def test_corpus_emission_round_trip(self, capsys):
         code, out, _ = run(capsys, "corpus", "--id", "ex3", "--m", "5")

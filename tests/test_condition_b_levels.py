@@ -21,6 +21,7 @@ from exactmdp.conditions import (
     check_condition_B,
     condition_b_threshold,
 )
+from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.limits import CapExceededError, prefix_cap
 from exactmdp.mdp import MarkovPrefix, enumerate_decision_rules, spreads
@@ -39,7 +40,8 @@ def reference_check_condition_B(
     """Condition B with every prefix's derivative rebuilt from the identity."""
     mdp0 = mdp.with_terminal([F(0)] * mdp.m)
     report0 = canonical_partition(mdp0) if report is None else report
-    _, d_minus, d_at, d_plus = _require_irregular(mdp0, alpha_star, report0)
+    _, *sides = _require_irregular(mdp0, alpha_star, report0)
+    d_minus, d_at, d_plus = map(rules_from_action_sets, sides)
     name = "B-" if side == "minus" else "B+"
     d_side = d_minus if side == "minus" else d_plus
     others = d_at - d_side

@@ -20,6 +20,7 @@ from exactmdp.conditions import (
     boundedness_verdict,
     check_condition_B,
 )
+from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.limits import CapExceededError
 from exactmdp.partition import canonical_partition, one_sided_optimal_sets
@@ -71,7 +72,7 @@ def test_verdict_builds_one_table(monkeypatch):
 def test_cap_stops_the_side_still_open(monkeypatch):
     mdp = touching_mdp()
     _, d_at, _ = one_sided_optimal_sets(mdp, F(2, 5))
-    n = len(d_at)
+    n = len(rules_from_action_sets(d_at))
     # level 3 (n^4 prefixes) settles B-; level 4 is needed by B+ only
     monkeypatch.setenv("EXACTMDP_PREFIX_CAP", str(n**4))
     assert check_condition_B(mdp, F(2, 5), "minus", k_range=K_RANGE).horizon_used == 3

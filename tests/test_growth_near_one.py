@@ -64,7 +64,9 @@ class TestClimbingTurnpike:
         mdp = climbing_mdp()
         part = canonical_partition(mdp)
         assert part.irregular_points == ()
-        assert part.intervals[0].d_set == frozenset({phi(1, 0, 0, 0)})
+        assert rules_from_action_sets(part.intervals[0].d_set) == frozenset(
+            {phi(1, 0, 0, 0)}
+        )
         for k in (1, 5, 9, 13):
             alpha = F(k, 14)
             d = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)

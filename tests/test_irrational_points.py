@@ -4,6 +4,7 @@ isolating bracket, never as a float or a rounded rational."""
 
 from fractions import Fraction as F
 
+from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import build_example
 from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.mdp import DecisionRule, Mdp
@@ -44,18 +45,22 @@ class TestIrrationalBreakPoint:
         assert polynomial_vanishes_at(Polynomial([-1, 0, 3]), ip.point)
         assert F(5, 10) < ip.point.lo < ip.point.hi < F(7, 10)
         assert ip.kind == "break"
-        assert ip.d_left == frozenset({phi(0, 0, 0)})
-        assert ip.d_right == frozenset({phi(1, 0, 0)})
-        assert ip.d_at == ip.d_left | ip.d_right
+        assert rules_from_action_sets(ip.d_left) == frozenset({phi(0, 0, 0)})
+        assert rules_from_action_sets(ip.d_right) == frozenset({phi(1, 0, 0)})
+        assert rules_from_action_sets(ip.d_at) == rules_from_action_sets(
+            ip.d_left
+        ) | rules_from_action_sets(ip.d_right)
 
     def test_interval_lookup_around_the_bracket(self):
         mdp = irrational_break_mdp()
         part = canonical_partition(mdp)
         # 1/sqrt(3) = 0.5773...; both probes are inside the default bracket
         # width, so side resolution must refine exactly
-        dm, da, dp = one_sided_optimal_sets(mdp, F(577, 1000), part)
+        sides = one_sided_optimal_sets(mdp, F(577, 1000), part)
+        dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == da == dp == frozenset({phi(0, 0, 0)})
-        dm, da, dp = one_sided_optimal_sets(mdp, F(578, 1000), part)
+        sides = one_sided_optimal_sets(mdp, F(578, 1000), part)
+        dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == da == dp == frozenset({phi(1, 0, 0)})
 
     def test_blackwell_point_is_the_bracket(self):

@@ -71,10 +71,11 @@ class TestEnumeration:
         assert [r.choices for r in rules] == oracle
         assert len(rules) == 6
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         mdp = tiny_mdp([[0, 1], [0, 1], [0, 1]], [0, 0, 0])
+        monkeypatch.setenv("EXACTMDP_ENUMERATION_CAP", "7")
         with pytest.raises(CapExceededError) as err:
-            enumerate_decision_rules(mdp, cap=7)
+            enumerate_decision_rules(mdp)
         assert err.value.needed == 8
 
 

@@ -43,14 +43,18 @@ class TestCanonicalPartition:
         ip = part.irregular_points[0]
         assert ip.point == F(1, 2)
         assert ip.kind == "break"  # non-touching
-        assert ip.d_left == frozenset({phi(0, 0, 0, 0, 0)})
-        assert ip.d_right == frozenset({phi(1, 0, 0, 0, 0)})
-        assert ip.d_at == ip.d_left | ip.d_right
+        assert rules_from_action_sets(ip.d_left) == frozenset({phi(0, 0, 0, 0, 0)})
+        assert rules_from_action_sets(ip.d_right) == frozenset({phi(1, 0, 0, 0, 0)})
+        assert rules_from_action_sets(ip.d_at) == rules_from_action_sets(
+            ip.d_left
+        ) | rules_from_action_sets(ip.d_right)
 
     def test_example_no_irregular_points(self):
         part = canonical_partition(build_example("ex2").mdp)
         assert part.irregular_points == ()
-        assert part.intervals[0].d_set == frozenset({phi(0, 0, 0, 0, 0)})
+        assert rules_from_action_sets(part.intervals[0].d_set) == frozenset(
+            {phi(0, 0, 0, 0, 0)}
+        )
 
     def test_example_touching_at_zero(self):
         part = canonical_partition(build_example("ex1").mdp)
@@ -70,7 +74,7 @@ class TestCanonicalPartition:
                 alpha = F(k, 26)
                 d_direct = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
                 _, d_at, _ = one_sided_optimal_sets(mdp, alpha, part)
-                assert d_direct == d_at
+                assert d_direct == rules_from_action_sets(d_at)
 
     def test_upper_hemicontinuity_at_irregular_points(self, rng):
         mdps = [build_example(ex).mdp for ex in ("ex1", "ex4", "ex5", "ex6")]
@@ -78,7 +82,9 @@ class TestCanonicalPartition:
         for mdp in mdps:
             part = canonical_partition(mdp)
             for ip in part.irregular_points:
-                assert (ip.d_left | ip.d_right) <= ip.d_at
+                assert (
+                    rules_from_action_sets(ip.d_left) | rules_from_action_sets(ip.d_right)
+                ) <= rules_from_action_sets(ip.d_at)
 
     def test_terminal_rewards_do_not_matter(self, rng):
         for _ in range(3):
@@ -132,19 +138,19 @@ def _partition_signature(part):
 class TestOneSided:
     def test_regular_interior_point(self):
         mdp = build_example("ex4").mdp
-        dm, da, dp = one_sided_optimal_sets(mdp, F(1, 4))
+        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(1, 4)))
         assert dm == da == dp == frozenset({phi(0, 0, 0, 0, 0)})
 
     def test_example_break_point(self):
         mdp = build_example("ex4").mdp
-        dm, da, dp = one_sided_optimal_sets(mdp, F(1, 2))
+        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(1, 2)))
         assert dm == frozenset({phi(0, 0, 0, 0, 0)})
         assert dp == frozenset({phi(1, 0, 0, 0, 0)})
         assert da == dm | dp
 
     def test_zero_left_side_is_empty(self):
         mdp = build_example("ex6").mdp
-        dm, da, dp = one_sided_optimal_sets(mdp, F(0))
+        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(0)))
         assert dm == frozenset()
         assert da == dp == frozenset({phi(1, 0, 0)})
 
@@ -227,7 +233,32 @@ class TestSymbolicValueIteration:
                     assert at == exact
 
 
+def side_by_side(mdp: Mdp) -> Mdp:
+    """Two disjoint copies of a model: states x1.. and then y1.."""
+    m, zeros = mdp.m, (F(0),) * mdp.m
+    names = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m))
+    return Mdp(
+        names,
+        mdp.actions * 2,
+        tuple(tuple(row + zeros for row in acts) for acts in mdp.transitions)
+        + tuple(tuple(zeros + row for row in acts) for acts in mdp.transitions),
+        mdp.rewards * 2,
+        mdp.terminal * 2,
+    )
+
+
 class TestFirstStepClassification:
+    def test_twin_model_uses_the_partition_definition(self):
+        # one rule per side, but four rules optimal at 2/3: mixing the two
+        # copies' choices gives rules optimal only at the point itself
+        mdp = side_by_side(build_example("ex5").mdp)
+        (ip,) = [p for p in canonical_partition(mdp).irregular_points if p.point]
+        assert (ip.point, ip.kind) == (F(2, 3), "break+touching")
+        sizes = [len(rules_from_action_sets(s)) for s in (ip.d_left, ip.d_at, ip.d_right)]
+        assert sizes == [1, 4, 1]
+        for n in (1, 2, 3):
+            assert first_step_classify(mdp, F(2, 3), n).kind == "break+touching"
+
     def test_regular_point(self):
         mdp = build_example("ex2").mdp
         assert first_step_classify(mdp, F(1, 10), 2).kind == "regular"

@@ -3,7 +3,9 @@
 An irrational point whose isolating bracket reached the bound 0 or 1 left
 an empty gap next to that bound, and the partition stopped with
 "empty gap between partition points".  Brackets are now refined until they
-lie strictly inside (0, 1).  The property test checks, over a seeded family
+lie strictly inside (0, 1).  A bracket could also end exactly on a rational
+partition point, with the same result; brackets are now refined until their
+closed hulls hold no rational partition point.  The property test checks, over a seeded family
 of 2-4-state MDPs, that the partition returns and that its sets agree with
 pointwise policy iteration.
 """
@@ -16,7 +18,7 @@ import pytest
 from conftest import random_mdp
 from exactmdp.bellman import optimal_set, rules_from_action_sets
 from exactmdp.exactarith import IsolatedRoot, Polynomial
-from exactmdp.mdp import Mdp
+from exactmdp.mdp import Mdp, count_rules
 from exactmdp.partition import (
     _rational_inside,
     canonical_partition,
@@ -33,12 +35,14 @@ def d_rules(mdp: Mdp, alpha: F):
 def assert_partition_agrees(mdp: Mdp):
     part = canonical_partition(mdp)
     for iv in part.intervals:
-        assert iv.d_set == d_rules(mdp, _rational_inside(iv.lo, iv.hi))
+        assert rules_from_action_sets(iv.d_set) == d_rules(
+            mdp, _rational_inside(iv.lo, iv.hi)
+        )
     for ip in part.irregular_points:
         lo, hi = point_position(ip.point)
         assert 0 <= lo <= hi < 1
         if isinstance(ip.point, F):
-            assert ip.d_at == d_rules(mdp, ip.point)
+            assert rules_from_action_sets(ip.d_at) == d_rules(mdp, ip.point)
         else:
             assert 0 < lo
     return part
@@ -50,6 +54,17 @@ def seed_6():
 
 def seed_35():
     return random_mdp(random.Random(35), max_states=3, max_actions=2, max_den=4)
+
+
+def seed_1460():
+    return random_mdp(
+        random.Random(1460),
+        max_states=3,
+        max_actions=2,
+        max_den=2,
+        reward_lo=0,
+        reward_hi=2,
+    )
 
 
 class TestNamedSeeds:
@@ -65,7 +80,16 @@ class TestNamedSeeds:
     def test_seed_35(self):
         assert_partition_agrees(seed_35())
 
-    @pytest.mark.parametrize("build", [seed_6, seed_35])
+    def test_seed_1460_bracket_clear_of_rational_point(self):
+        # the bracket (7/32, 1/4) of a root once ended on the candidate 1/4
+        part = assert_partition_agrees(seed_1460())
+        assert [ip.kind for ip in part.irregular_points] == ["touching", "break"]
+        assert part.irregular_points[0].point == 0
+        root = part.irregular_points[1].point
+        assert isinstance(root, IsolatedRoot)
+        assert root.defining == Polynomial([F(-4), F(10), F(3)])
+
+    @pytest.mark.parametrize("build", [seed_6, seed_35, seed_1460])
     def test_symbolic_levels_and_turnpike_map_near_the_ends(self, build):
         mdp = build()
         for level in symbolic_value_iteration(mdp, 5)[1:]:
@@ -81,7 +105,7 @@ def seeded_family(count: int, max_den: int, seed: int):
     out = []
     while len(out) < count:
         mdp = random_mdp(rng, max_states=4, max_actions=3, max_den=max_den)
-        if mdp.m >= 2 and mdp.rule_count() <= 27:
+        if mdp.m >= 2 and count_rules(mdp.actions) <= 27:
             out.append(mdp)
     return out
 

@@ -1,12 +1,17 @@
 """Cross-validation of the canonical partition against dense exhaustive
 sampling: the set map read off the partition must agree with per-rule
 exhaustive evaluation at many rationals, and the reported points must be
-exactly the places where the set map changes."""
+exactly the places where the set map changes.  At irrational points, where
+no rational can be sampled, D is checked against a test of every rule."""
 
 import random
 from fractions import Fraction as F
 
-from exactmdp.bellman import evaluate_deterministic
+import pytest
+
+from exactmdp.bellman import evaluate_deterministic, rules_from_action_sets
+from exactmdp.corpus import EXAMPLE_IDS, build_example
+from exactmdp.exactarith import IsolatedRoot, polynomial_vanishes_at
 from exactmdp.mdp import enumerate_decision_rules
 from exactmdp.partition import (
     canonical_partition,
@@ -32,7 +37,7 @@ def dense_check(mdp, denominator=97):
     for k in range(0, denominator):
         alpha = F(k, denominator)
         _, d_at, _ = one_sided_optimal_sets(mdp, alpha, part)
-        assert d_at == exhaustive_d(mdp, alpha), (alpha, mdp)
+        assert rules_from_action_sets(d_at) == exhaustive_d(mdp, alpha), (alpha, mdp)
     return part
 
 
@@ -62,14 +67,15 @@ class TestPartitionAgainstDenseSampling:
             for ip in part.irregular_points:
                 if not isinstance(ip.point, F):
                     continue
-                d_at = exhaustive_d(mdp, ip.point)
-                assert d_at == ip.d_at
-                if ip.point > 0:
-                    assert exhaustive_d(mdp, ip.point - eps) == ip.d_left
-                assert exhaustive_d(mdp, ip.point + eps) == ip.d_right
-                assert (ip.d_left != ip.d_right) or (
-                    ip.d_at != ip.d_left | ip.d_right
+                at, left, right = map(
+                    rules_from_action_sets, (ip.d_at, ip.d_left, ip.d_right)
                 )
+                d_at = exhaustive_d(mdp, ip.point)
+                assert d_at == at
+                if ip.point > 0:
+                    assert exhaustive_d(mdp, ip.point - eps) == left
+                assert exhaustive_d(mdp, ip.point + eps) == right
+                assert (left != right) or (at != left | right)
 
     def test_interval_interiors_are_constant(self, rng):
         for _ in range(6):
@@ -82,4 +88,46 @@ class TestPartitionAgainstDenseSampling:
                     alpha = lo + (hi - lo) * F(j, 6)
                     if not lo < alpha < hi:
                         continue
-                    assert exhaustive_d(mdp, alpha) == iv.d_set
+                    assert exhaustive_d(mdp, alpha) == rules_from_action_sets(iv.d_set)
+
+
+def all_rules_d_at(mdp, part, ip):
+    """D at an irrational irregular point by testing every rule: a rule is
+    optimal there when its whole value vector meets that of the smallest
+    rule optimal just left of the point."""
+    vfun = part.value_functions
+    vstar = vfun[min(rules_from_action_sets(ip.d_left))]
+    return frozenset(
+        rule
+        for rule in enumerate_decision_rules(mdp)
+        if all(
+            d.is_zero or polynomial_vanishes_at(d.num, ip.point)
+            for d in (vstar[x] - vfun[rule][x] for x in range(mdp.m))
+        )
+    )
+
+
+def irrational_points_checked(mdp):
+    part = canonical_partition(mdp)
+    checked = 0
+    for ip in part.irregular_points:
+        if isinstance(ip.point, IsolatedRoot):
+            assert rules_from_action_sets(ip.d_at) == all_rules_d_at(mdp, part, ip)
+            checked += 1
+    return checked
+
+
+class TestIrrationalPointSets:
+    """D at an irrational point, read off single-state switches of one
+    optimal rule, equals the all-rules test."""
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_corpus(self, example_id):
+        irrational_points_checked(build_example(example_id).mdp)
+
+    def test_seeded_random_family(self):
+        checked = sum(
+            irrational_points_checked(random_mdp(random.Random(seed), 4, 3))
+            for seed in range(200)
+        )
+        assert checked == 32
