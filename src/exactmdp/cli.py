@@ -10,6 +10,7 @@ exceeded (a partial report is still emitted when one is available).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -148,6 +149,8 @@ def cmd_turnpike(args) -> int:
     mdp = load_mdp(args.file)
     if args.alpha is None and args.interval is None:
         raise InputError("turnpike needs --alpha or --interval")
+    if args.ncap < 1:
+        raise InputError("--ncap must be a positive integer")
     if args.alpha is not None:
         alpha = parse_discount(args.alpha)
         res = turnpike_integer(mdp, alpha)
@@ -163,6 +166,8 @@ def cmd_turnpike(args) -> int:
         return EXIT_OK
     lo_text, _, hi_text = args.interval.partition(",")
     lo, hi = parse_discount(lo_text), parse_discount(hi_text)
+    if not lo < hi:
+        raise InputError("turnpike interval must have lo < hi")
     tmap = turnpike_intervals(mdp, lo, hi, n_cap=args.ncap)
     report = {
         "interval": [format_rational(lo), format_rational(hi)],
@@ -334,6 +339,7 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser unchanged, so main calls share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactmdp",

@@ -6,13 +6,16 @@ solves, Sturm-based real-root isolation on subintervals of (0, 1), and sign
 classification.  No floating point enters at any stage; irrational roots are
 only ever reported as isolating brackets with rational endpoints.
 
-``Polynomial`` keeps ``Fraction`` coefficients at its interface, but the hot
-paths run on integer coefficient lists: gcds and square-free parts come from
-a primitive polynomial remainder sequence (Brown 1971; Collins 1967), Sturm
-chains from the same integer pseudo-remainders, signs at a rational a/b from
-homogenized integer Horner evaluation, and determinants and linear solves
-from integer Bareiss elimination.  A Sturm chain is built once per
-square-free polynomial and reused across every bisection step on it,
+``Polynomial`` holds integer coefficients over one denominator and makes a
+``Fraction`` only at its edges (the constructor, ``.coeffs``, ``leading``
+and a value); every operation runs on the integers.  gcds and square-free
+parts come from a primitive polynomial remainder sequence (Brown 1971;
+Collins 1967), Sturm chains from the same integer pseudo-remainders, values
+and signs at a rational a/b from homogenized integer Horner evaluation, and
+determinants and value functions from one polynomial Bareiss elimination
+(Bareiss 1968) whose divisions are exact in Z[a]; ``bareiss_solve`` is its
+scalar form for solves at a rational point.  A Sturm chain is built once
+per square-free polynomial and reused across every bisection step on it,
 including later refinements of an ``IsolatedRoot``, which carries its chain.
 
 Most intervals handed to root isolation hold no root.  ``descartes_bound``
@@ -47,19 +50,20 @@ class PoleInIntervalError(ValueError):
 
 
 class Polynomial:
-    """Dense polynomial with Fraction coefficients, constant term first.
+    """Dense polynomial with rational coefficients, held as integer numerators
+    ``ints`` (constant term first) over one positive denominator ``den``.
 
-    Canonical form: no trailing (highest-degree) zero coefficients; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Canonical form: no trailing (highest-degree) zero in ``ints``, and
+    gcd(den, content) = 1; the zero polynomial is ((), 1) and has degree -1.
+    Equal polynomials therefore have equal (ints, den).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        _set_canonical(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- construction helpers -------------------------------------------------
 
@@ -67,31 +71,35 @@ class Polynomial:
     def constant(c) -> "Polynomial":
         return Polynomial([Fraction(c)])
 
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial([0, 1])
-
     # -- basic structure -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self.ints == other.ints
+            and self.den == other.den
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -111,27 +119,29 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.ints, other.ints, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _poly(out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        a, a_den = _scaled_ints(self)
-        b, b_den = _scaled_ints(other)
-        den = a_den * b_den
-        return Polynomial([Fraction(c, den) for c in _mul_ints(a, b)])
+            n = other.numerator
+            return _poly([c * n for c in self.ints], self.den * other.denominator)
+        return _poly(_mul_ints(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -139,61 +149,73 @@ class Polynomial:
         """Multiply by the variable to the k-th power."""
         if self.is_zero:
             return self
-        return Polynomial([Fraction(0)] * k + list(self.coeffs))
+        return _poly([0] * k + list(self.ints), self.den)
 
     def __call__(self, point: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        # homogenized Horner, as in _sign_at: acc = d^deg·ints(n/d)
+        n, d = point.numerator, point.denominator
+        acc, dk = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dk
+            dk *= d
+        return Fraction(acc * d, dk * self.den)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly(_derivative_ints(self.ints), self.den)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("division was not exact")
-        return q
+        b = other.ints
+        db, lb = len(b) - 1, b[-1]
+        k = max(0, len(self.ints) - db)
+        # pseudo-division lb^k·a = q·b + r, exact in Z[x]; then
+        # self = (q·other.den)/(self.den·lb^k) · other + r/(self.den·lb^k)
+        rem = [c * lb**k for c in self.ints]
+        q = [0] * k
+        for i in range(k - 1, -1, -1):
+            q[i] = f = rem[i + db] // lb
+            for j, c in enumerate(b):
+                rem[i + j] -= f * c
+        den = self.den * lb**k
+        return _poly([c * other.den for c in q], den), _poly(rem[:db], den)
 
     # -- normal forms -------------------------------------------------------------
 
     def primitive(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return Polynomial(_primitive_ints(_scaled_ints(self)[0]))
+        return _poly(_primitive_ints(self.ints))
+
+
+def _set_canonical(p: Polynomial, ints: list[int], den: int) -> None:
+    """Store ints / den in p in canonical form; den is a nonzero int."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    p.ints = tuple(ints)
+    p.den = den
+
+
+def _poly(ints: list[int], den: int = 1) -> Polynomial:
+    """The polynomial ints / den, built without the Fraction constructor."""
+    p = object.__new__(Polynomial)
+    _set_canonical(p, ints, den)
+    return p
 
 
 # -- integer coefficient kernel -----------------------------------------------
 #
 # Integer polynomials are lists of int, constant term first, with no trailing
 # zero; the zero polynomial is the empty list.
-
-
-def _scaled_ints(p: Polynomial) -> tuple[list[int], int]:
-    """(ints, den) with p = ints / den and den the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _signed_content(a: Sequence[int]) -> int:
@@ -339,7 +361,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.primitive()
     if b.is_zero:
         return a.primitive()
-    return Polynomial(_gcd_ints(_scaled_ints(a)[0], _scaled_ints(b)[0]))
+    return _poly(_gcd_ints(a.ints, b.ints))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -347,16 +369,16 @@ def squarefree_part(p: Polynomial) -> Polynomial:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
     if p.degree == 0:
         return Polynomial.constant(1)
-    a = _scaled_ints(p)[0]
+    a = p.ints
     g = _gcd_ints(a, _derivative_ints(a))
     if len(g) > 1:
         a = _exact_div_ints(a, g)
-    return Polynomial(_primitive_ints(a))
+    return _poly(_primitive_ints(a))
 
 
 def root_multiplicity(p: Polynomial, root: Fraction) -> int:
     """Multiplicity of an exact rational root."""
-    a = _scaled_ints(p)[0]
+    a = p.ints
     linear = [-root.numerator, root.denominator]
     mult = 0
     while a and _sign_at(a, root) == 0:
@@ -401,7 +423,7 @@ def _variations(chain: SturmChain, x: Fraction) -> int | None:
 def _squarefree_off_ends(p: Polynomial, lo: Fraction, hi: Fraction) -> list[int]:
     """Primitive square-free part of nonzero p with any root at lo or hi
     divided out."""
-    s = _scaled_ints(squarefree_part(p))[0]
+    s = squarefree_part(p).ints
     for endpoint in (lo, hi):
         while len(s) > 1 and _sign_at(s, endpoint) == 0:
             s = _exact_div_ints(s, [-endpoint.numerator, endpoint.denominator])
@@ -488,7 +510,7 @@ class IsolatedRoot:
             return self
         chain = self.chain
         if chain is None:
-            chain = sturm_chain(_scaled_ints(squarefree_part(self.defining))[0])
+            chain = sturm_chain(squarefree_part(self.defining).ints)
         # The defining polynomial is square-free with exactly one root here,
         # so a midpoint where it vanishes is that root.
         lo, hi, exact = _bisect(chain, self.defining, self.lo, self.hi, max_width)
@@ -513,14 +535,14 @@ def _identify_rational(
     """Resolve a width-1 bracket of square-free s, whose Sturm chain is
     given, into an exact rational root or a certified-irrational bracket."""
     prim = s.primitive()
-    qmax = abs(int(prim.leading))
+    qmax = abs(prim.ints[-1])
     # Two distinct rationals with denominator <= qmax differ by >= 1/qmax^2,
     # so a bracket narrower than that holds at most one candidate.
     width_target = Fraction(1, 2 * qmax * qmax)
     lo, hi, exact = _bisect(chain, prim, lo, hi, width_target)
     if exact is None:
         cand = simplest_fraction_between(lo, hi)
-        if cand.denominator <= qmax and prim(cand) == 0:
+        if cand.denominator <= qmax and _sign_at(prim.ints, cand) == 0:
             exact = cand
     return IsolatedRoot(lo, hi, prim, exact, chain=chain)
 
@@ -536,12 +558,12 @@ def isolate_roots(
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0 or lo >= hi:
         return []
-    if descartes_bound(_scaled_ints(p)[0], lo, hi) == 0:
+    if descartes_bound(p.ints, lo, hi) == 0:
         return []
     s_ints = _squarefree_off_ends(p, lo, hi)
     if len(s_ints) <= 1:
         return []
-    s = Polynomial(s_ints)
+    s = _poly(s_ints)
     found: list[IsolatedRoot] = []
     # One Sturm chain per square-free polynomial on the stack; each entry
     # carries the chain's variations at its two ends (None where it vanishes).
@@ -562,10 +584,10 @@ def isolate_roots(
         vm = _variations(chain, mid)
         if vm is None:
             found.append(IsolatedRoot(a, b, q, exact=mid))
-            q = q.exact_div(Polynomial([-mid, 1]))
+            q = q.divmod(Polynomial([-mid, 1]))[0]  # mid is a root of q
             if q.degree <= 0:
                 continue
-            chain = sturm_chain(_scaled_ints(q)[0])
+            chain = sturm_chain(q.ints)
             va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
         stack.append((a, mid, q, chain, va, vm))
         stack.append((mid, b, q, chain, vm, vb))
@@ -613,7 +635,7 @@ def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
     if p.is_zero:
         return True
     if root.exact is not None:
-        return p(root.exact) == 0
+        return _sign_at(p.ints, root.exact) == 0
     g = poly_gcd(p, root.defining)
     if g.degree <= 0:
         return False
@@ -664,32 +686,22 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            den = Polynomial.constant(1)
+            den = _poly([1])
         else:
-            # num = n / n_den and den = d / d_den; the gcd is primitive, so
-            # it divides n and d exactly over the integers (Gauss's lemma)
-            n, n_den = _scaled_ints(num)
-            d, d_den = _scaled_ints(den)
+            # the gcd is primitive, so it divides the integer numerators of
+            # num and den exactly over the integers (Gauss's lemma)
+            n, d = num.ints, den.ints
             g = poly_gcd(num, den)
             if g.degree > 0:
-                g_ints = [c.numerator for c in g.coeffs]
-                n = _exact_div_ints(n, g_ints)
-                d = _exact_div_ints(d, g_ints)
+                n = _exact_div_ints(n, g.ints)
+                d = _exact_div_ints(d, g.ints)
             c = _signed_content(d)
-            den = Polynomial([v // c for v in d])
-            num = Polynomial([Fraction(v * d_den, n_den * c) for v in n])
-        if den.coeffs[0] == 0:
+            num = _poly([v * den.den for v in n], num.den * c)
+            den = _poly([v // c for v in d])
+        if den.ints[0] == 0:
             raise ZeroDivisionError("denominator vanishes at 0")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p, Polynomial.constant(1))
-
-    @staticmethod
-    def constant(c) -> "RationalFunction":
-        return RationalFunction.from_polynomial(Polynomial.constant(c))
 
     @property
     def is_zero(self) -> bool:
@@ -736,18 +748,16 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def key(self) -> tuple:
-        return (self.num.coeffs, self.den.coeffs)
-
 
 def unreduced_difference(f: RationalFunction, g: RationalFunction) -> list[int]:
     """Integer coefficients of a positive multiple of f.num·g.den − g.num·f.den,
     the numerator of f − g before any gcd reduction."""
-    fn, fs = _scaled_ints(f.num)
-    gn, gs = _scaled_ints(g.num)
+    fn, fs = f.num.ints, f.num.den
+    gn, gs = g.num.ints, g.num.den
+    # denominators are integer polynomials, so with num = ints / den,
     # f − g = (fn·gs·g.den − gn·fs·f.den) / (fs·gs·f.den·g.den)
-    gd = [gs * c.numerator for c in g.den.coeffs]
-    fd = [fs * c.numerator for c in f.den.coeffs]
+    gd = [gs * c for c in g.den.ints]
+    fd = [fs * c for c in f.den.ints]
     return _sub_ints(_mul_ints(fn, gd), _mul_ints(gn, fd))
 
 
@@ -817,15 +827,20 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     rows = []
     scale = 1
     for row in matrix:
-        den = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        den = math.lcm(*(e.den for e in row))
         scale *= den
-        rows.append([[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row])
-    return Polynomial([Fraction(c, scale) for c in _bareiss_ints(rows)])
+        rows.append([[c * (den // e.den) for c in e.ints] for e in row])
+    sign = _bareiss_eliminate(rows)
+    return _poly([sign * c for c in rows[-1][-1]] if sign else [], scale)
 
 
-def _bareiss_ints(a: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix of integer polynomials; each division
-    by the previous pivot is exact in Z[x] by Sylvester's identity."""
+def _bareiss_eliminate(a: list[list[list[int]]]) -> int:
+    """Fraction-free forward elimination, in place, of an n-row matrix of
+    integer polynomials with n or more columns; columns past the n-th ride
+    along.  Each division by the previous pivot is exact in Z[x] by
+    Sylvester's identity, and afterwards a[k][k] is the leading principal
+    minor of order k+1 of the row-permuted matrix.  Returns the sign of the
+    permutation, or 0 when the leading n columns are singular."""
     n = len(a)
     sign = 1
     prev = [1]
@@ -833,7 +848,7 @@ def _bareiss_ints(a: list[list[list[int]]]) -> list[int]:
         if not a[k][k]:
             pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return []
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         row_k = a[k]
@@ -841,13 +856,12 @@ def _bareiss_ints(a: list[list[list[int]]]) -> list[int]:
         for i in range(k + 1, n):
             row_i = a[i]
             aik = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row_i)):
                 cross = _sub_ints(_mul_ints(akk, row_i[j]), _mul_ints(aik, row_k[j]))
                 row_i[j] = _exact_div_ints(cross, prev)
             row_i[k] = []
         prev = akk
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else [-c for c in det]
+    return sign if a[n - 1][n - 1] else 0
 
 
 def bareiss_solve(
@@ -899,31 +913,38 @@ def value_rational_function(
     """Per-state stationary value of a decision rule as a function of the
     discount factor, in reduced form.
 
-    Solves (I - a*P) v = r by Cramer's rule with fraction-free determinants;
-    numerator and denominator degrees are bounded by the state count.
+    One fraction-free solve of (I - a*P) v = r over Z[a]: each row of the
+    augmented system is scaled by the lcm of its denominators, Bareiss
+    elimination brings it to triangular form with det(I - a*P) up to a
+    constant as the last pivot, and back-substitution gives det·v, whose
+    divisions are exact in Z[a] by Cramer's rule.  Numerator and denominator
+    degrees are bounded by the state count.
     """
     m = mdp.m
     p = mdp.transition_matrix(rule)
     r = mdp.reward_vector(rule)
-    a_mat = [
-        [
-            Polynomial([Fraction(1 if i == j else 0), -p[i][j]])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    det = poly_det(a_mat)
+    rows = []
+    for i in range(m):
+        den = math.lcm(r[i].denominator, *(x.denominator for x in p[i]))
+        ints = [x.numerator * (den // x.denominator) for x in (*p[i], r[i])]
+        row = [[0, -v] if v else [] for v in ints[:m]]
+        row[i] = _sub_ints([den], [0, ints[i]])
+        row.append([ints[m]] if ints[m] else [])
+        rows.append(row)
+    if not _bareiss_eliminate(rows):
+        raise SingularMatrixError("I - a*P is singular")
+    det = rows[-1][m - 1]
+    x: list[list[int]] = [[]] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        s = _mul_ints(det, row[m])
+        for j in range(i + 1, m):
+            s = _sub_ints(s, _mul_ints(row[j], x[j]))
+        x[i] = _exact_div_ints(s, row[i])
+    det_poly = _poly(det)
     out = []
-    for x in range(m):
-        col_replaced = [
-            [
-                Polynomial.constant(r[i]) if j == x else a_mat[i][j]
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        num = poly_det(col_replaced)
-        rf = RationalFunction(num, det)
+    for xi in x:
+        rf = RationalFunction(_poly(xi), det_poly)
         if rf.num.degree > m or rf.den.degree > m:
             raise AssertionError(
                 "value function degree exceeded the state count; kernel bug"

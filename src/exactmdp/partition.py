@@ -236,8 +236,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
     vfun = {rule: value_rational_function(mdp, rule) for rule in rules}
     classes: dict[tuple, list[DecisionRule]] = {}
     for rule in rules:
-        key = tuple(rf.key() for rf in vfun[rule])
-        classes.setdefault(key, []).append(rule)
+        classes.setdefault(vfun[rule], []).append(rule)
     class_reps = [(members[0], vfun[members[0]]) for members in classes.values()]
 
     points: list[PartitionPoint] = []

@@ -170,6 +170,40 @@ class TestCommands:
         assert report["partial"] is True
         assert report["spans"]
 
+    @pytest.mark.parametrize("interval", ["9/10,1/100", "1/2,1/2"])
+    def test_turnpike_interval_needs_lo_below_hi(self, capsys, tmp_path, interval):
+        path = write_mdp(tmp_path, "ex5")
+        code, out, err = run(capsys, "turnpike", path, "--interval", interval)
+        assert code == 2
+        assert out == ""
+        assert "lo < hi" in err
+
+    @pytest.mark.parametrize("ncap", ["0", "-3"])
+    def test_turnpike_ncap_below_one_is_input_error(self, capsys, tmp_path, ncap):
+        path = write_mdp(tmp_path, "ex5")
+        code, out, err = run(
+            capsys, "turnpike", path, "--interval", "1/100,9/10", "--ncap", ncap
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --ncap must be a positive integer\n"
+
+    def test_turnpike_ncap_one_is_a_partial_map(self, capsys, tmp_path):
+        path = write_mdp(tmp_path, "ex5")
+        code, out, _ = run(
+            capsys, "turnpike", path, "--interval", "1/100,9/10", "--ncap", "1"
+        )
+        assert code == 3
+        report = json.loads(out)
+        assert report["partial"] is True
+        assert [s["N"] for s in report["spans"]] == [1]
+
+    def test_parser_is_built_once(self, capsys, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        path = write_mdp(tmp_path, "ex1")
+        first = run(capsys, "turnpike", path, "--alpha", "1/4")
+        assert run(capsys, "turnpike", path, "--alpha", "1/4") == first
+
     def test_sweep_to_stdout(self, capsys, tmp_path):
         path = write_mdp(tmp_path, "ex5")
         code, out, _ = run(capsys, "sweep", path, "--interval", "0,1/2", "--steps", "3")
