@@ -2,8 +2,14 @@
 discount factor: the point must travel through the whole pipeline as an
 isolating bracket, never as a float or a rounded rational."""
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction as F
 
+import pytest
+
+from exactmdp import cli, docio
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import build_example
 from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
@@ -106,3 +112,24 @@ class TestIrrationalBreakPoint:
 
             assert same_root(a, b)
             assert other.irregular_points[0].d_at == part.irregular_points[0].d_at
+
+
+# Exit code and sha256 of stdout of the CLI on irrational_break_mdp(), whose
+# partition prints the bracket (9/16, 19/32) with defining [-1, 0, 3]; the
+# turnpike map stops at its horizon cap (exit 3) with brackets of growing
+# degree right of 1/sqrt(3).
+IRRATIONAL_PINS = (
+    ("partition", 0, "108d3506765f4dec6bf699573494a56e6a44e8ed085bfde6797c442a1953fdda"),
+    ("turnpike --interval 1/100,9/10", 3, "3115d5796c5b8f7c2eb95b19c694f2468fe6b5e8f1a04a5dbd965ffa69558ca3"),
+)
+
+
+@pytest.mark.parametrize("command,code,sha", IRRATIONAL_PINS, ids=[p[0] for p in IRRATIONAL_PINS])
+def test_cli_bytes_at_an_irrational_point(tmp_path, command, code, sha):
+    path = tmp_path / "irrational.json"
+    path.write_text(docio.dumps_document(docio.document_from_mdp(irrational_break_mdp())))
+    name, *options = command.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main([name, str(path), *options])
+    assert (got, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()) == (code, sha)
