@@ -21,7 +21,8 @@ from .conditions import NotIrregularError, boundedness_verdict
 from .docio import format_rational
 from .limits import CapExceededError, CapSettingError
 from .mdp import DecisionRule, Mdp, count_rules, validate
-from .partition import canonical_partition, point_sign
+from .exactarith import point_sign
+from .partition import canonical_partition
 from .smalldiscount import policy_filtration, small_discount_checks
 from .turnpike import turnpike_integer, turnpike_intervals
 

@@ -3,8 +3,15 @@
 Everything here is arbitrary-precision rational arithmetic over the discount
 variable: dense polynomials, reduced rational functions, fraction-free linear
 solves, Sturm-based real-root isolation on subintervals of (0, 1), and sign
-classification.  No floating point enters at any stage; irrational roots are
-only ever reported as isolating brackets with rational endpoints.
+classification.  No floating point enters at any stage.
+
+A point of the discount interval (``Point``) has one representation: a
+rational is a ``Fraction`` and an irrational root is an ``IsolatedRoot``, a
+rational bracket holding exactly that one root of its defining polynomial.
+``isolate_roots`` decides which a root is (Collins & Akritas 1976 style
+isolation, then a search for the one rational a narrow bracket can hold),
+and ``point_position``, ``point_sign`` and ``points_equal`` are the only
+helpers the rest of the package needs to order and compare points.
 
 ``Polynomial`` holds integer coefficients over one denominator and makes a
 ``Fraction`` only at its edges (the constructor, ``.coeffs``, ``leading``
@@ -30,9 +37,9 @@ through to the exact path unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .mdp import DecisionRule, Mdp
 
@@ -63,7 +70,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        _set_canonical(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        _store(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- construction helpers -------------------------------------------------
 
@@ -188,7 +195,7 @@ class Polynomial:
         return _poly(_primitive_ints(self.ints))
 
 
-def _set_canonical(p: Polynomial, ints: list[int], den: int) -> None:
+def _store(p: Polynomial, ints: list[int], den: int) -> None:
     """Store ints / den in p in canonical form; den is a nonzero int."""
     while ints and ints[-1] == 0:
         ints.pop()
@@ -208,7 +215,7 @@ def _set_canonical(p: Polynomial, ints: list[int], den: int) -> None:
 def _poly(ints: list[int], den: int = 1) -> Polynomial:
     """The polynomial ints / den, built without the Fraction constructor."""
     p = object.__new__(Polynomial)
-    _set_canonical(p, ints, den)
+    _store(p, ints, den)
     return p
 
 
@@ -489,49 +496,78 @@ def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """One real root, either exact or isolated by a rational bracket.
+    """One irrational real root, isolated by a rational bracket (lo, hi).
 
-    ``defining`` is a primitive square-free integer polynomial vanishing at
-    the root; for exact rational roots it is the corresponding linear factor's
-    multiple inside the original polynomial's square-free part.  ``chain`` is
-    the Sturm chain of ``defining`` once one has been built, so refinements
-    reuse it; it takes no part in equality.
+    ``defining`` is a primitive square-free integer polynomial with exactly
+    one root in the open bracket, and that root is certified irrational:
+    ``isolate_roots`` returns every rational root as a ``Fraction``, and
+    every ``IsolatedRoot`` it builds comes out of ``_identify_rational``.
+    ``chain`` is the Sturm chain of ``defining`` once one has been built, so
+    refinements reuse it; it takes no part in equality.
     """
 
     lo: Fraction
     hi: Fraction
     defining: Polynomial
-    exact: Fraction | None = None
-    multiplicity: int = 1
     chain: SturmChain | None = field(default=None, compare=False, repr=False)
 
     def refined(self, max_width: Fraction) -> "IsolatedRoot":
-        if self.exact is not None or self.hi - self.lo <= max_width:
+        if self.hi - self.lo <= max_width:
             return self
         chain = self.chain
         if chain is None:
             chain = sturm_chain(squarefree_part(self.defining).ints)
-        # The defining polynomial is square-free with exactly one root here,
-        # so a midpoint where it vanishes is that root.
-        lo, hi, exact = _bisect(chain, self.defining, self.lo, self.hi, max_width)
-        return IsolatedRoot(lo, hi, self.defining, exact, self.multiplicity, chain)
+        lo, hi, hit = _bisect(chain, self.defining, self.lo, self.hi, max_width)
+        if hit is not None:
+            raise ValueError(f"bracket ({self.lo}, {self.hi}) holds the rational root {hit}")
+        return IsolatedRoot(lo, hi, self.defining, chain)
 
     def excluding(self, point: Fraction) -> "IsolatedRoot":
         """Refine until the bracket no longer contains the given rational."""
+        if self.lo < point < self.hi and _sign_at(self.defining.ints, point) == 0:
+            raise ValueError(f"bracket ({self.lo}, {self.hi}) holds the rational root {point}")
         root = self
-        while root.exact is None and root.lo < point < root.hi:
+        while root.lo < point < root.hi:
             root = root.refined((root.hi - root.lo) / 4)
         return root
 
     def position(self) -> tuple[Fraction, Fraction]:
-        if self.exact is not None:
-            return self.exact, self.exact
         return self.lo, self.hi
+
+
+# A point of the discount interval: a rational as itself, an irrational root
+# as its bracket.  A rational root is never an ``IsolatedRoot``, so two
+# points of different types are different points.
+Point = Union[Fraction, IsolatedRoot]
+
+
+def point_position(pt: Point) -> tuple[Fraction, Fraction]:
+    if isinstance(pt, Fraction):
+        return pt, pt
+    return pt.lo, pt.hi
+
+
+def point_sign(pt: Point, alpha: Fraction) -> int:
+    """Sign of pt - alpha, decided exactly when alpha lies in pt's bracket."""
+    lo, hi = point_position(pt)
+    if hi < alpha:
+        return -1
+    if alpha < lo:
+        return 1
+    if lo == hi:
+        return 0
+    return -1 if count_roots_open(pt.defining, pt.lo, alpha) == 1 else 1
+
+
+def points_equal(a: Point, b: Point) -> bool:
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return a == b
+    return same_root(a, b)
 
 
 def _identify_rational(
     s: Polynomial, lo: Fraction, hi: Fraction, chain: SturmChain
-) -> IsolatedRoot:
+) -> Point:
     """Resolve a width-1 bracket of square-free s, whose Sturm chain is
     given, into an exact rational root or a certified-irrational bracket."""
     prim = s.primitive()
@@ -539,20 +575,23 @@ def _identify_rational(
     # Two distinct rationals with denominator <= qmax differ by >= 1/qmax^2,
     # so a bracket narrower than that holds at most one candidate.
     width_target = Fraction(1, 2 * qmax * qmax)
-    lo, hi, exact = _bisect(chain, prim, lo, hi, width_target)
-    if exact is None:
-        cand = simplest_fraction_between(lo, hi)
-        if cand.denominator <= qmax and _sign_at(prim.ints, cand) == 0:
-            exact = cand
-    return IsolatedRoot(lo, hi, prim, exact, chain=chain)
+    lo, hi, hit = _bisect(chain, prim, lo, hi, width_target)
+    if hit is not None:
+        return hit
+    cand = simplest_fraction_between(lo, hi)
+    if cand.denominator <= qmax and _sign_at(prim.ints, cand) == 0:
+        return cand
+    return IsolatedRoot(lo, hi, prim, chain)
 
 
 def isolate_roots(
     p: Polynomial, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)
-) -> list[IsolatedRoot]:
-    """Disjoint isolating brackets, one per distinct real root in (lo, hi).
+) -> list[tuple[Point, int]]:
+    """(root, multiplicity in p) for each distinct real root in (lo, hi), in
+    increasing order.
 
-    Rational roots come back exact; every root carries its multiplicity in p.
+    A rational root is a ``Fraction``; an irrational one is an
+    ``IsolatedRoot`` whose bracket is disjoint from its neighbours'.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -564,7 +603,7 @@ def isolate_roots(
     if len(s_ints) <= 1:
         return []
     s = _poly(s_ints)
-    found: list[IsolatedRoot] = []
+    found: list[Point] = []
     # One Sturm chain per square-free polynomial on the stack; each entry
     # carries the chain's variations at its two ends (None where it vanishes).
     chain = sturm_chain(s_ints)
@@ -583,7 +622,7 @@ def isolate_roots(
         mid = (a + b) / 2
         vm = _variations(chain, mid)
         if vm is None:
-            found.append(IsolatedRoot(a, b, q, exact=mid))
+            found.append(mid)
             q = q.divmod(Polynomial([-mid, 1]))[0]  # mid is a root of q
             if q.degree <= 0:
                 continue
@@ -592,17 +631,16 @@ def isolate_roots(
         stack.append((a, mid, q, chain, va, vm))
         stack.append((mid, b, q, chain, vm, vb))
     p_gcd = None  # gcd(p, p'), shared by every irrational root
-    for i, root in enumerate(found):
-        if root.exact is not None:
-            mult = root_multiplicity(p, root.exact)
+    mults = []
+    for root in found:
+        if isinstance(root, Fraction):
+            mults.append(root_multiplicity(p, root))
         else:
             if p_gcd is None:
                 p_gcd = poly_gcd(p, p.derivative())
-            mult = _irrational_multiplicity(p_gcd, root)
-        if mult != 1:
-            found[i] = replace(root, multiplicity=mult)
-    found.sort(key=lambda r: (r.exact, r.exact) if r.exact is not None else (r.lo, r.hi))
-    return _disjoin(found)
+            mults.append(_irrational_multiplicity(p_gcd, root))
+    pairs = sorted(zip(found, mults), key=lambda rm: point_position(rm[0]))
+    return list(zip(_disjoin([r for r, _ in pairs]), (m for _, m in pairs)))
 
 
 def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
@@ -614,28 +652,24 @@ def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
     return mult
 
 
-def _disjoin(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
-    """Refine brackets so that consecutive isolating intervals do not overlap."""
+def _disjoin(roots: list[Point]) -> list[Point]:
+    """Refine brackets so that consecutive points do not overlap."""
     out = list(roots)
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
-        while True:
-            a_lo, a_hi = a.position()
-            b_lo, b_hi = b.position()
-            if a_hi < b_lo or (a.exact is not None and b.exact is not None):
-                break
-            a = a.refined((a.hi - a.lo) / 4) if a.exact is None else a
-            b = b.refined((b.hi - b.lo) / 4) if b.exact is None else b
+        while point_position(a)[1] >= point_position(b)[0]:
+            if isinstance(a, IsolatedRoot):
+                a = a.refined((a.hi - a.lo) / 4)
+            if isinstance(b, IsolatedRoot):
+                b = b.refined((b.hi - b.lo) / 4)
         out[i], out[i + 1] = a, b
     return out
 
 
 def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
-    """Does p vanish at the (possibly irrational) isolated root?"""
+    """Does p vanish at the irrational isolated root?"""
     if p.is_zero:
         return True
-    if root.exact is not None:
-        return _sign_at(p.ints, root.exact) == 0
     g = poly_gcd(p, root.defining)
     if g.degree <= 0:
         return False
@@ -643,30 +677,21 @@ def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
 
 
 def same_root(a: IsolatedRoot, b: IsolatedRoot) -> bool:
-    if a.exact is not None and b.exact is not None:
-        return a.exact == b.exact
-    if a.exact is not None:
-        return polynomial_vanishes_at(Polynomial([-a.exact, 1]), b)
-    if b.exact is not None:
-        return polynomial_vanishes_at(Polynomial([-b.exact, 1]), a)
     g = poly_gcd(a.defining, b.defining)
     if g.degree <= 0:
         return False
-    a2, b2 = a, b
     while True:
-        lo = max(a2.lo, b2.lo)
-        hi = min(a2.hi, b2.hi)
+        lo = max(a.lo, b.lo)
+        hi = min(a.hi, b.hi)
         if lo >= hi:
             return False
         if count_roots_open(g, lo, hi) > 0 and (
-            count_roots_open(a2.defining, lo, hi) == 1
-            and count_roots_open(b2.defining, lo, hi) == 1
+            count_roots_open(a.defining, lo, hi) == 1
+            and count_roots_open(b.defining, lo, hi) == 1
         ):
             return True
-        a2 = a2.refined((a2.hi - a2.lo) / 4)
-        b2 = b2.refined((b2.hi - b2.lo) / 4)
-        if a2.exact is not None or b2.exact is not None:
-            return same_root(a2, b2)
+        a = a.refined((a.hi - a.lo) / 4)
+        b = b.refined((b.hi - b.lo) / 4)
 
 
 # -- rational functions -----------------------------------------------------------
@@ -764,7 +789,7 @@ def unreduced_difference(f: RationalFunction, g: RationalFunction) -> list[int]:
 @dataclass(frozen=True)
 class SignResult:
     sign: str  # '+', '-', '0', 'mixed'
-    roots: tuple[IsolatedRoot, ...] = ()
+    roots: tuple[Point, ...] = ()
 
 
 def sign_on_interval(
@@ -781,7 +806,7 @@ def sign_on_interval(
         raise PoleInIntervalError(f"denominator vanishes inside ({lo}, {hi})")
     roots = isolate_roots(f.num, lo, hi)
     if roots:
-        return SignResult("mixed", tuple(roots))
+        return SignResult("mixed", tuple(r for r, _ in roots))
     mid = (lo + hi) / 2
     return SignResult("+" if f(mid) > 0 else "-")
 

@@ -18,62 +18,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
+from typing import Sequence
 
 from .bellman import ActionSets, optimal_set, product_subset, smallest_rule
 from .exactarith import (
     IsolatedRoot,
+    Point,
     Polynomial,
     RationalFunction,
-    count_roots_open,
     descartes_bound,
     isolate_roots,
+    point_position,
+    point_sign,
+    points_equal,
     poly_gcd,
     polynomial_vanishes_at,
-    same_root,
     unreduced_difference,
     value_rational_function,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
 from .mdp import DecisionRule, Mdp, count_rules, enumerate_decision_rules
 
-PartitionPoint = Union[Fraction, IsolatedRoot]
-
-
-def point_position(pt: PartitionPoint) -> tuple[Fraction, Fraction]:
-    if isinstance(pt, Fraction):
-        return pt, pt
-    return pt.position()
-
-
-def point_sign(pt: PartitionPoint, alpha: Fraction) -> int:
-    """Sign of pt - alpha, decided exactly when alpha lies in pt's bracket."""
-    lo, hi = point_position(pt)
-    if hi < alpha:
-        return -1
-    if alpha < lo:
-        return 1
-    if lo == hi:
-        return 0
-    return -1 if count_roots_open(pt.defining, pt.lo, alpha) == 1 else 1
-
-
-def points_equal(a: PartitionPoint, b: PartitionPoint) -> bool:
-    a, b = _canonical(a), _canonical(b)
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return a == b  # a bracket left in canonical form is irrational
-    return same_root(a, b)
-
-
-def _canonical(pt: PartitionPoint) -> PartitionPoint:
-    if isinstance(pt, IsolatedRoot) and pt.exact is not None:
-        return pt.exact
-    return pt
-
-
 @dataclass(frozen=True)
 class IrregularPoint:
-    point: PartitionPoint
+    point: Point
     kind: str  # 'break', 'touching', 'break+touching'
     d_at: ActionSets
     d_left: ActionSets
@@ -82,8 +50,8 @@ class IrregularPoint:
 
 @dataclass(frozen=True)
 class PartitionInterval:
-    lo: PartitionPoint
-    hi: PartitionPoint
+    lo: Point
+    hi: Point
     d_set: ActionSets
 
 
@@ -91,7 +59,7 @@ class PartitionInterval:
 class PartitionReport:
     irregular_points: tuple[IrregularPoint, ...]
     intervals: tuple[PartitionInterval, ...]
-    blackwell_point: PartitionPoint
+    blackwell_point: Point
     value_functions: dict[DecisionRule, tuple[RationalFunction, ...]]
 
     def interval_containing(self, alpha: Fraction) -> PartitionInterval:
@@ -101,7 +69,7 @@ class PartitionReport:
         raise ValueError(f"no partition interval contains {alpha}")
 
 
-def _rational_inside(lo_pt: PartitionPoint, hi_pt: PartitionPoint) -> Fraction:
+def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
     lo = point_position(lo_pt)[1]
     hi = point_position(hi_pt)[0]
     if not lo < hi:
@@ -109,10 +77,9 @@ def _rational_inside(lo_pt: PartitionPoint, hi_pt: PartitionPoint) -> Fraction:
     return (lo + hi) / 2
 
 
-def _sorted_disjoint(points: list[PartitionPoint]) -> list[PartitionPoint]:
-    pts = [_canonical(p) for p in points]
-    rationals = sorted({p for p in pts if isinstance(p, Fraction)})
-    brackets = [p for p in pts if isinstance(p, IsolatedRoot)]
+def _sorted_disjoint(points: list[Point]) -> list[Point]:
+    rationals = sorted({p for p in points if isinstance(p, Fraction)})
+    brackets = [p for p in points if isinstance(p, IsolatedRoot)]
     # brackets must exclude every rational point and each other
     refined: list[IsolatedRoot] = []
     for br in brackets:
@@ -130,26 +97,24 @@ def _sorted_disjoint(points: list[PartitionPoint]) -> list[PartitionPoint]:
                 a = a.refined((a.hi - a.lo) / 4)
                 b = b.refined((b.hi - b.lo) / 4)
             refined[i], refined[j] = a, b
-    merged: list[PartitionPoint] = list(rationals) + list(refined)
+    merged: list[Point] = list(rationals) + list(refined)
     merged.sort(key=lambda p: point_position(p))
     return merged
 
 
-def _clear_of_ends(pt: PartitionPoint) -> PartitionPoint:
+def _clear_of_ends(pt: Point) -> Point:
     """Refine a bracket until it lies strictly inside (0, 1), so the gaps it
     makes with the bounds 0 and 1 are not empty; the root lies in the open
     interval, so this ends."""
-    while isinstance(pt, IsolatedRoot) and pt.exact is None and (
-        pt.lo <= 0 or pt.hi >= 1
-    ):
+    while isinstance(pt, IsolatedRoot) and (pt.lo <= 0 or pt.hi >= 1):
         pt = pt.refined((pt.hi - pt.lo) / 4)
     return pt
 
 
-def _add_point(points: list[PartitionPoint], new: PartitionPoint) -> bool:
+def _add_point(points: list[Point], new: Point) -> bool:
     """Insert a new point, keeping every bracket's closed hull clear of the
     rational points, so no gap between neighbours is empty."""
-    new = _canonical(_clear_of_ends(new))
+    new = _clear_of_ends(new)
     for p in points:
         if points_equal(p, new):
             return False
@@ -239,9 +204,9 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         classes.setdefault(vfun[rule], []).append(rule)
     class_reps = [(members[0], vfun[members[0]]) for members in classes.values()]
 
-    points: list[PartitionPoint] = []
+    points: list[Point] = []
     while True:
-        bounds: list[PartitionPoint] = [Fraction(0)] + points + [Fraction(1)]
+        bounds: list[Point] = [Fraction(0)] + points + [Fraction(1)]
         added = False
         for i in range(len(bounds) - 1):
             lo_pt, hi_pt = bounds[i], bounds[i + 1]
@@ -256,16 +221,17 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
                 nonzero = [d for d in diffs if not d.is_zero]
                 if not nonzero:
                     continue  # same value function; optimal together
-                candidates: list[IsolatedRoot] = []
+                candidates: list[Point] = []
                 for d in nonzero:
-                    for root in isolate_roots(d.num, hull_lo, hull_hi):
-                        if root.multiplicity % 2 == 1:
+                    for root, mult in isolate_roots(d.num, hull_lo, hull_hi):
+                        if mult % 2 == 1:
                             candidates.append(root)
                 common = reduce(poly_gcd, (d.num for d in nonzero))
                 if common.degree > 0:
-                    candidates.extend(isolate_roots(common, hull_lo, hull_hi))
-                for root in candidates:
-                    pt = _canonical(root)
+                    candidates.extend(
+                        root for root, _ in isolate_roots(common, hull_lo, hull_hi)
+                    )
+                for pt in candidates:
                     if points_equal(pt, lo_pt) or points_equal(pt, hi_pt):
                         continue
                     if _add_point(points, pt):
@@ -305,12 +271,12 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
 
     # Merge gaps across dropped (regular) candidate points.
     intervals: list[PartitionInterval] = []
-    cursor: PartitionPoint = Fraction(0)
+    cursor: Point = Fraction(0)
     for i in kept + [len(points)]:
         hi = points[i] if i < len(points) else Fraction(1)
         intervals.append(PartitionInterval(cursor, hi, gap_sets[i]))
         cursor = hi
-    blackwell: PartitionPoint = Fraction(0)
+    blackwell: Point = Fraction(0)
     if irregular:
         blackwell = irregular[-1].point
     return PartitionReport(
@@ -351,12 +317,12 @@ class PiecewiseValue:
     """
 
     horizon: int
-    cuts: tuple[PartitionPoint, ...]
+    cuts: tuple[Point, ...]
     pieces: tuple[tuple[Polynomial, ...], ...]
     interval_sets: tuple[ActionSets, ...] | None
     point_sets: tuple[ActionSets, ...] | None
 
-    def bounds(self) -> list[PartitionPoint]:
+    def bounds(self) -> list[Point]:
         return [Fraction(0), *self.cuts, Fraction(1)]
 
     def piece_index_at(self, alpha: Fraction) -> int | None:
@@ -386,8 +352,8 @@ class PiecewiseValue:
 
 
 def _settle_inside(
-    pt: PartitionPoint, bounds: list[PartitionPoint], idx: int
-) -> PartitionPoint | None:
+    pt: Point, bounds: list[Point], idx: int
+) -> Point | None:
     """Refine pt (and, in place, the enclosing bound brackets) until pt lies
     strictly between bounds[idx] and bounds[idx + 1]; None when pt's root is
     actually outside that open gap."""
@@ -401,21 +367,13 @@ def _settle_inside(
         if p_hi <= point_position(lo_b)[0] or p_lo >= point_position(hi_b)[1]:
             return None
         progress = False
-        if isinstance(pt, IsolatedRoot) and pt.exact is None:
+        if isinstance(pt, IsolatedRoot):
             pt = pt.refined((pt.hi - pt.lo) / 4)
             progress = True
-        if (
-            isinstance(lo_b, IsolatedRoot)
-            and lo_b.exact is None
-            and not point_position(lo_b)[1] < point_position(pt)[0]
-        ):
+        if isinstance(lo_b, IsolatedRoot) and not lo_b.hi < point_position(pt)[0]:
             bounds[idx] = lo_b.refined((lo_b.hi - lo_b.lo) / 4)
             progress = True
-        if (
-            isinstance(hi_b, IsolatedRoot)
-            and hi_b.exact is None
-            and not point_position(pt)[1] < point_position(hi_b)[0]
-        ):
+        if isinstance(hi_b, IsolatedRoot) and not point_position(pt)[1] < hi_b.lo:
             bounds[idx + 1] = hi_b.refined((hi_b.hi - hi_b.lo) / 4)
             progress = True
         if not progress:
@@ -440,7 +398,7 @@ def _argmax_at_bracket(
 
 
 def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
-    bounds: list[PartitionPoint] = pw.bounds()
+    bounds: list[Point] = pw.bounds()
     cut_records: list[tuple[str, object]] = []  # ('bound', idx) | ('local', point)
     pieces: list[tuple[Polynomial, ...]] = []
     isets: list[ActionSets] = []
@@ -464,22 +422,21 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         ]
         hull_lo = point_position(bounds[idx])[0]
         hull_hi = point_position(bounds[idx + 1])[1]
-        raw: list[PartitionPoint] = []
+        raw: list[Point] = []
         for i in range(mdp.m):
             for a in range(mdp.action_count(i)):
                 for b in range(a + 1, mdp.action_count(i)):
                     d = qs[i][a] - qs[i][b]
                     if d.is_zero:
                         continue
-                    for root in isolate_roots(d, hull_lo, hull_hi):
-                        pt = _canonical(root)
+                    for pt, _ in isolate_roots(d, hull_lo, hull_hi):
                         if points_equal(pt, bounds[idx]) or points_equal(
                             pt, bounds[idx + 1]
                         ):
                             continue
                         if not any(points_equal(pt, seen) for seen in raw):
                             raw.append(pt)
-        local: list[PartitionPoint] = []
+        local: list[Point] = []
         for pt in _sorted_disjoint(raw):
             settled = _settle_inside(pt, bounds, idx)
             if settled is not None:
@@ -538,14 +495,14 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
             pieces.append(tuple(piece_polys))
             isets.append(tuple(piece_sets))
 
-    cuts: list[PartitionPoint] = [
+    cuts: list[Point] = [
         bounds[payload] if kind == "bound" else payload
         for kind, payload in cut_records
     ]
 
     # Merge pieces across cuts that change neither the polynomials, the
     # interval sets, nor the value of the set at the point itself.
-    merged_cuts: list[PartitionPoint] = []
+    merged_cuts: list[Point] = []
     merged_pieces = [pieces[0]]
     merged_isets = [isets[0]]
     merged_psets: list[ActionSets] = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bellman import ActionSets, optimal_set
+from .exactarith import point_position
 from .mdp import Mdp, balance, count_rules
 from .turnpike import turnpike_integer
 
@@ -172,7 +173,7 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     Failures would indicate an implementation fault, not a property of the
     input, so they are reported as findings with witnesses.
     """
-    from .partition import canonical_partition, point_position
+    from .partition import canonical_partition
 
     rep = policy_filtration(mdp)
     part = canonical_partition(mdp)
@@ -210,10 +211,8 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
             ok = first >= rep.delta_tilde
             where = str(first)
         else:
-            root = first
-            while root.lo < rep.delta_tilde < root.hi and root.exact is None:
-                root = root.refined((root.hi - root.lo) / 4)
-            ok = point_position(root)[0] >= rep.delta_tilde
+            root = first.excluding(rep.delta_tilde)
+            ok = root.lo >= rep.delta_tilde
             where = f"({root.lo}, {root.hi})"
         outcomes.append(
             CheckOutcome(

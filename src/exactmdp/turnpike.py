@@ -40,20 +40,15 @@ from .bellman import (
 )
 from .limits import CapExceededError
 from .mdp import DecisionRule, Mdp, balance, spreads
+from .exactarith import IsolatedRoot, Point, point_position, points_equal
 from .partition import (
-    PartitionPoint,
     PartitionReport,
     PiecewiseValue,
     canonical_partition,
     classify,
-    point_position,
-    points_equal,
     symbolic_value_iteration,
-    _canonical,
-    _rational_inside,
     _sorted_disjoint,
 )
-from .exactarith import IsolatedRoot
 
 
 class AllRulesOptimalError(ValueError):
@@ -180,8 +175,8 @@ def certificate_audit(mdp: Mdp, result: TurnpikeResult, extra: int = 5) -> bool:
 
 @dataclass(frozen=True)
 class TurnpikeSpan:
-    lo: PartitionPoint
-    hi: PartitionPoint
+    lo: Point
+    hi: Point
     lo_closed: bool
     hi_closed: bool
     n_value: int
@@ -217,15 +212,14 @@ def _candidate_points(
     hi_pad: Fraction,
     query_lo: Fraction,
     query_hi: Fraction,
-) -> list[PartitionPoint]:
-    pts: list[PartitionPoint] = []
+) -> list[Point]:
+    pts: list[Point] = []
 
-    def _want(pt: PartitionPoint) -> bool:
+    def _want(pt: Point) -> bool:
         plo, phi = point_position(pt)
         return phi >= lo_pad and plo <= hi_pad
 
-    def _push(pt: PartitionPoint):
-        pt = _canonical(pt)
+    def _push(pt: Point):
         if isinstance(pt, IsolatedRoot):
             pt = pt.excluding(query_lo).excluding(query_hi)
         if _want(pt) and not any(points_equal(pt, q) for q in pts):
@@ -270,7 +264,7 @@ def turnpike_intervals(
     hi_pad = min(hi + pad, (hi + 1) / 2)
     pts = _candidate_points(part, levels, lo_pad, hi_pad, lo, hi)
 
-    bounds: list[PartitionPoint] = [lo_pad, *pts, hi_pad]
+    bounds: list[Point] = [lo_pad, *pts, hi_pad]
     gap_values: list[int | None] = []
     gap_inside: list[bool] = []
     for i in range(len(bounds) - 1):
@@ -323,7 +317,7 @@ def turnpike_intervals(
 
     # Assemble the query interval as an alternating list of gap and point
     # pieces; gaps inherit the padded structure's constant values.
-    pieces: list[tuple[PartitionPoint, PartitionPoint, bool, bool, int | None]] = []
+    pieces: list[tuple[Point, Point, bool, bool, int | None]] = []
     inner = [
         pt
         for pt in pts
@@ -337,7 +331,7 @@ def turnpike_intervals(
                 return gap_values[i]
         return next(g for g in reversed(gap_values) if g is not None)
 
-    cursor: PartitionPoint = lo
+    cursor: Point = lo
     cursor_closed = True
     for pt in inner:
         plo, phi = point_position(pt)
@@ -406,7 +400,7 @@ class CoverResult:
 
 def _excise(
     intervals: list[tuple[Fraction, Fraction]],
-    bad: list[PartitionPoint],
+    bad: list[Point],
     width: Fraction,
 ) -> tuple[list[tuple[Fraction, Fraction]], Fraction]:
     """Remove an open neighborhood of radius <= width around each bad point
@@ -487,7 +481,7 @@ def turnpike_cover(
 
     # Map N on the irregular-free pieces and excise its discontinuities.
     piece_maps: list[tuple[tuple[Fraction, Fraction], TurnpikeIntervalMap]] = []
-    bad2: list[PartitionPoint] = []
+    bad2: list[Point] = []
     for piece in remaining:
         tmap = turnpike_intervals(mdp, piece[0], piece[1], n_cap, pad=Fraction(0))
         if tmap.partial:

@@ -14,6 +14,7 @@ from exactmdp.exactarith import (
     ZeroPolynomialError,
     count_roots_open,
     isolate_roots,
+    point_position,
     poly_det,
     poly_gcd,
     sign_on_interval,
@@ -79,23 +80,21 @@ class TestPolynomial:
 class TestRootIsolation:
     def test_exact_rational_root(self):
         roots = isolate_roots(poly(-1, 2))  # 2a - 1
-        assert len(roots) == 1
-        assert roots[0].exact == F(1, 2)
-        assert roots[0].multiplicity == 1
+        assert roots == [(F(1, 2), 1)]
+        assert type(roots[0][0]) is F
 
     def test_even_multiplicity_flagged(self):
         roots = isolate_roots(poly(F(1, 4), -1, 1))  # (a - 1/2)^2
-        assert len(roots) == 1
-        assert roots[0].exact == F(1, 2)
-        assert roots[0].multiplicity == 2
+        assert roots == [(F(1, 2), 2)]
 
     def test_irrational_root_bracketed(self):
         # 2a^4 + a - 1 has a single real root near 0.6478 inside (0, 1)
         p = poly(-1, 1, 0, 0, 2)
         roots = isolate_roots(p)
         assert len(roots) == 1
-        root = roots[0]
-        assert root.exact is None
+        root, mult = roots[0]
+        assert isinstance(root, IsolatedRoot)
+        assert mult == 1
         assert F(0) < root.lo < root.hi < F(1)
         refined = root.refined(F(1, 10**6))
         assert refined.hi - refined.lo <= F(1, 10**6)
@@ -116,8 +115,8 @@ class TestRootIsolation:
     def test_multiple_roots_disjoint_ordered(self):
         p = poly(F(1, 8), -F(3, 4), F(13, 8), -1) * poly(-2, 7)  # roots 1/4?, ...
         roots = isolate_roots(p)
-        for a, b in zip(roots, roots[1:]):
-            assert a.position()[1] < b.position()[0]
+        for (a, _), (b, _) in zip(roots, roots[1:]):
+            assert point_position(a)[1] < point_position(b)[0]
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -131,9 +130,10 @@ class TestRootIsolation:
                 continue
             roots = isolate_roots(p)
             assert len(roots) == count_roots_open(p, F(0), F(1))
-            for r in roots:
-                lo, hi = r.position()
-                if r.exact is None:
+            for r, _ in roots:
+                if isinstance(r, F):
+                    assert p(r) == 0
+                else:
                     assert count_roots_open(r.defining, r.lo, r.hi) == 1
 
 
@@ -176,7 +176,7 @@ class TestSignOnInterval:
         d = v1[0] - v2[0]  # 2(2a-1)/(1-a)
         res = sign_on_interval(d, F(0), F(1))
         assert res.sign == "mixed"
-        assert [r.exact for r in res.roots] == [F(1, 2)]
+        assert res.roots == (F(1, 2),)
 
     def test_pole_rejected(self):
         f = RationalFunction(poly(1), poly(F(-1, 2), 1))  # 1/(a - 1/2)

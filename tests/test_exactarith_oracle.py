@@ -20,9 +20,11 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import strategies as st
 
 from exactmdp.exactarith import (
+    IsolatedRoot,
     Polynomial,
     count_roots_open,
     isolate_roots,
+    point_position,
     poly_gcd,
     squarefree_part,
     value_rational_function,
@@ -132,23 +134,23 @@ def test_isolate_roots_matches_sympy(p, interval):
     assert len(roots) == len(expected)
     for r, k in expected:
         holding = [
-            b
-            for b in roots
-            if (b.exact == r if b.exact is not None else rat(b.lo) < r < rat(b.hi))
+            (b, m)
+            for b, m in roots
+            if (rat(b) == r if isinstance(b, F) else rat(b.lo) < r < rat(b.hi))
         ]
         assert len(holding) == 1
-        (b,) = holding
-        assert b.multiplicity == k
+        ((b, m),) = holding
+        assert m == k
         if r.is_Rational:
-            assert b.exact == F(int(r.p), int(r.q))
+            assert b == F(int(r.p), int(r.q))
         else:
-            assert b.exact is None
+            assert isinstance(b, IsolatedRoot)
             assert lo <= b.lo < b.hi <= hi
             # the defining polynomial divides the square-free part and has
             # exactly this one root in the bracket
             assert sqf.rem(to_sympy(b.defining)).is_zero
             assert to_sympy(b.defining).count_roots(rat(b.lo), rat(b.hi)) == 1
-    positions = sorted(b.position() for b in roots)
+    positions = [point_position(b) for b, _ in roots]
     for left, right in zip(positions, positions[1:]):
         assert left[1] < right[0]
 

@@ -6,7 +6,7 @@ rational discontinuities with indeterminate brackets."""
 from fractions import Fraction as F
 
 from exactmdp.bellman import optimal_set, rules_from_action_sets
-from exactmdp.exactarith import Polynomial, polynomial_vanishes_at
+from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
 from exactmdp.partition import canonical_partition
 from exactmdp.turnpike import turnpike_integer, turnpike_intervals
@@ -100,7 +100,7 @@ class TestClimbingTurnpike:
         # reported as an indeterminate bracket
         assert len(tmap.indeterminate) == 1
         bracket = tmap.indeterminate[0]
-        assert bracket.exact is None
+        assert isinstance(bracket, IsolatedRoot)
         assert polynomial_vanishes_at(Polynomial([-1, 1, 0, 0, 2]), bracket)
         assert tmap.value_at(F(3, 5)) == 3
         assert tmap.value_at(F(69, 100)) == 5

@@ -44,8 +44,8 @@ class TestIrrationalBreakPoint:
         part = canonical_partition(irrational_break_mdp())
         assert len(part.irregular_points) == 1
         ip = part.irregular_points[0]
+        # a bracket is always an irrational root
         assert isinstance(ip.point, IsolatedRoot)
-        assert ip.point.exact is None
         # the defining polynomial vanishes exactly at 1/sqrt(3)
         defining = ip.point.defining
         assert polynomial_vanishes_at(Polynomial([-1, 0, 3]), ip.point)
@@ -92,7 +92,7 @@ class TestIrrationalBreakPoint:
         assert turnpike_integer(mdp, F(5774, 10000)).n_value == 17
         tmap = turnpike_intervals(mdp, F(3, 10), F(8, 10), n_cap=12)
         assert tmap.partial
-        assert any(p.exact is None for p in tmap.indeterminate)
+        assert any(isinstance(p, IsolatedRoot) for p in tmap.indeterminate)
         assert tmap.d_all == ()
 
     def test_terminal_and_balance_invariance_with_bracket(self):

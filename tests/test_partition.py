@@ -303,4 +303,4 @@ class TestFirstStepClassification:
             d = q1 - q2
             assert d == Polynomial([F(1, 4), -1, 1])
         roots = isolate_roots(Polynomial([F(1, 4), -1, 1]), F(0), F(1))
-        assert [(r.exact, r.multiplicity) for r in roots] == [(F(1, 2), 2)]
+        assert roots == [(F(1, 2), 2)]

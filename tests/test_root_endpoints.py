@@ -74,16 +74,25 @@ def test_refined_with_defining_zero_at_hi():
     assert root.excluding(F(7, 10)) == root
 
 
-def test_refined_stops_at_an_exact_midpoint_root():
+def test_refined_and_excluding_reject_a_bracket_around_a_rational_root():
+    # an IsolatedRoot is irrational; a bracket built by hand around 5/8 is
+    # rejected once bisection lands on the root, instead of looping
     root = IsolatedRoot(F(1, 2), F(1), Polynomial([-5, 8]))
-    for refined in (root.refined(F(1, 16)), root.excluding(F(7, 10))):
-        assert refined == IsolatedRoot(F(1, 2), F(3, 4), Polynomial([-5, 8]), F(5, 8))
+    with pytest.raises(ValueError, match="rational root 5/8"):
+        root.refined(F(1, 16))
+    with pytest.raises(ValueError, match="rational root 5/8"):
+        root.excluding(F(7, 10))
+    # excluding the root itself is caught before any bisection, so a
+    # rational that no midpoint reaches is rejected too
+    third = IsolatedRoot(F(0), F(1), Polynomial([-1, 3]))
+    with pytest.raises(ValueError, match="rational root 1/3"):
+        third.excluding(F(1, 3))
 
 
 def test_refinement_from_an_isolated_root_matches_a_fresh_bracket():
     # roots from isolate_roots carry what they learned about their defining
     # polynomial; refining them must agree with refining a bare bracket
-    (root,) = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
+    ((root, _),) = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
     fresh = IsolatedRoot(root.lo, root.hi, root.defining)
     for width in (F(1, 300), F(1, 10**6)):
         assert root.refined(width) == fresh.refined(width)
@@ -91,15 +100,20 @@ def test_refinement_from_an_isolated_root_matches_a_fresh_bracket():
 
 
 def _summary(roots):
-    return [(r.lo, r.hi, r.exact, r.multiplicity, r.defining) for r in roots]
+    """(root, multiplicity) for a rational root, (lo, hi, multiplicity,
+    defining) for an irrational one."""
+    return [
+        (r, m) if isinstance(r, F) else (r.lo, r.hi, m, r.defining)
+        for r, m in roots
+    ]
 
 
 def test_isolate_roots_with_roots_at_both_ends_and_the_first_midpoint():
     p = product(X, ONE, HALF, HALF, QUARTER, SQRT_HALF, SQRT_HALF)
     assert _summary(isolate_roots(p)) == [
-        (F(0), F(1, 2), F(1, 4), 1, product(QUARTER, SQRT_HALF)),
-        (F(0), F(1), F(1, 2), 2, product(HALF, QUARTER, SQRT_HALF)),
-        (F(45, 64), F(91, 128), None, 2, product(QUARTER, SQRT_HALF)),
+        (F(1, 4), 1),
+        (F(1, 2), 2),
+        (F(45, 64), F(91, 128), 2, product(QUARTER, SQRT_HALF)),
     ]
 
 
@@ -107,14 +121,14 @@ def test_isolate_roots_on_a_subinterval_with_root_ends():
     p = product(QUARTER, THREE_QUARTERS, HALF, SQRT_3_8, THIRD)
     defining = product(THIRD, SQRT_3_8)
     assert _summary(isolate_roots(p, F(1, 4), F(3, 4))) == [
-        (F(341, 1024), F(683, 2048), F(1, 3), 1, defining),
-        (F(1, 4), F(3, 4), F(1, 2), 1, product(HALF, THIRD, SQRT_3_8)),
-        (F(627, 1024), F(1255, 2048), None, 1, defining),
+        (F(1, 3), 1),
+        (F(1, 2), 1),
+        (F(627, 1024), F(1255, 2048), 1, defining),
     ]
 
 
 def test_isolate_roots_with_a_root_at_hi():
     roots = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
     assert _summary(roots) == [
-        (F(45, 128), F(23, 64), None, 1, Polynomial(SQRT_EIGHTH)),
+        (F(45, 128), F(23, 64), 1, Polynomial(SQRT_EIGHTH)),
     ]
