@@ -22,7 +22,7 @@ the row maxima over L*q*den reduced by one gcd.  A policy's value solves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -59,12 +59,11 @@ class VIStep:
 
 @dataclass(frozen=True)
 class OptSets:
-    """Infinite-horizon optimal data: the value vector, the optimal rule set
-    as per-state action sets, and (optionally) first-step sets by horizon."""
+    """Infinite-horizon optimal data: the value vector and the optimal rule
+    set as per-state action sets."""
 
     v_alpha: ValueVector
     d_alpha_sets: ActionSets
-    d_n: dict[int, ActionSets] = field(default_factory=dict)
 
 
 def rules_from_action_sets(sets: ActionSets) -> frozenset[DecisionRule]:
@@ -258,13 +257,12 @@ def evaluate_markov(
     return v
 
 
-def optimal_set(mdp: Mdp, alpha: Fraction, horizons: int = 0) -> OptSets:
+def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
     """Infinite-horizon value and the set of optimal decision rules.
 
     Runs exact policy iteration from the lexicographically smallest rule with
     lexicographic tie-breaking, verifies the optimality equation, and reads
-    the optimal set off the per-state argmax.  When ``horizons`` is positive
-    the first-step sets for horizons 1..horizons are attached as well.
+    the optimal set off the per-state argmax.
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
@@ -288,11 +286,7 @@ def optimal_set(mdp: Mdp, alpha: Fraction, horizons: int = 0) -> OptSets:
     lq = form.scale * form.q
     if any(b != x * lq for b, x in zip(best, nums)):
         raise AssertionError("policy iteration ended on a non-fixed point")
-    d_n: dict[int, ActionSets] = {}
-    if horizons:
-        for step in value_iteration(mdp, alpha, horizons)[1:]:
-            d_n[step.horizon] = step.first_step
-    return OptSets(v, d_sets, d_n)
+    return OptSets(v, d_sets)
 
 
 def rolling_horizon_policy(mdp: Mdp, alpha: Fraction, n: int) -> MarkovPrefix:

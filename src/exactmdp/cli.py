@@ -60,15 +60,20 @@ def parse_discount(text: str) -> Fraction:
     return value
 
 
-def load_mdp(path: str) -> Mdp:
+def read_mdp(path: str) -> Mdp:
+    """The document at path as an Mdp, not yet checked against the model
+    rules; an unreadable file or a malformed document is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = docio.loads_document(fh.read())
-        mdp = docio.mdp_from_document(doc)
+            return docio.mdp_from_document(docio.loads_document(fh.read()))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except docio.DocumentError as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def load_mdp(path: str) -> Mdp:
+    mdp = read_mdp(path)
     report = validate(mdp)
     if not report.ok:
         first = report.violations[0]
@@ -103,15 +108,7 @@ def emit(report: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = docio.loads_document(fh.read())
-        mdp = docio.mdp_from_document(doc)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.file}: {exc}")
-    except docio.DocumentError as exc:
-        raise InputError(f"{args.file}: {exc}")
-    report = validate(mdp)
+    report = validate(read_mdp(args.file))
     emit(
         {
             "ok": report.ok,

@@ -51,6 +51,12 @@ from .turnpike import turnpike_integer
 
 Vector = tuple[Fraction, ...]
 
+# Last horizon of condition A's certificate search and definition window,
+# and the number of turnpike samples per side that a boundedness verdict
+# takes when the conditions do not decide.
+A_HORIZON = 24
+SAMPLES_PER_SIDE = 6
+
 
 class NotIrregularError(ValueError):
     pass
@@ -217,15 +223,13 @@ def check_condition_A(
     mdp: Mdp,
     alpha_star: Fraction,
     side: str,
-    k_min: int = 1,
-    k_max: int = 24,
     report: PartitionReport | None = None,
 ) -> ConditionVerdict:
     """Check whether some side-optimal rule remains first-step-optimal at the
     point for all large horizons.
 
     When both one-sided sets are singletons the pushforward certificate is
-    attempted for residual horizons up to k_max; at a non-touching break
+    attempted for residual horizons up to A_HORIZON; at a non-touching break
     point its success decides both sides at once.  Otherwise the first-step
     sets over a horizon window are reported, which can only ever be
     evidence: the condition quantifies over all horizons.
@@ -238,13 +242,13 @@ def check_condition_A(
     singletons = count_rules(d_minus) == 1 and count_rules(d_plus) == 1
     non_touching = "touching" not in kind
     certificate_k = None
-    trace = value_iteration(mdp, alpha_star, k_max)
+    trace = value_iteration(mdp, alpha_star, A_HORIZON)
     if singletons:
         phi = smallest_rule(d_minus)
         psi = smallest_rule(d_plus)
         n_val = turnpike_integer(mdp, alpha_star).n_value
         v_inf = optimal_set(mdp, alpha_star).v_alpha
-        for k in range(max(0, n_val - 1), k_max + 1):
+        for k in range(max(0, n_val - 1), A_HORIZON + 1):
             w = tuple(
                 v_inf[i] - trace[k].value[i] for i in range(mdp.m)
             )
@@ -262,8 +266,6 @@ def check_condition_A(
             )
     window = {}
     for step in trace[1:]:
-        if step.horizon < k_min:
-            continue
         # the products meet exactly when every state's sets do
         window[step.horizon] = all(a & b for a, b in zip(step.first_step, d_side))
     return ConditionVerdict(
@@ -271,7 +273,7 @@ def check_condition_A(
         alpha_star,
         None,
         "definition-window",
-        horizon_used=k_max,
+        horizon_used=A_HORIZON,
         window=window,
         witnesses={"certificate_horizon": certificate_k},
     )
@@ -465,10 +467,10 @@ class BoundednessReport:
 
 
 def _empirical_samples(
-    mdp: Mdp, alpha_star: Fraction, side: str, count: int
+    mdp: Mdp, alpha_star: Fraction, side: str
 ) -> tuple[tuple[Fraction, int], ...]:
     out = []
-    for k in range(3, 3 + count):
+    for k in range(3, 3 + SAMPLES_PER_SIDE):
         step = min(alpha_star, 1 - alpha_star) / 2**k
         alpha = alpha_star - step if side == "minus" else alpha_star + step
         out.append((alpha, turnpike_integer(mdp, alpha).n_value))
@@ -478,9 +480,7 @@ def _empirical_samples(
 def boundedness_verdict(
     mdp: Mdp,
     alpha_star: Fraction,
-    k_max_a: int = 24,
     k_range_b=range(0, 13),
-    samples: int = 6,
 ) -> BoundednessReport:
     """Combine the condition checks into a per-side boundedness verdict.
 
@@ -492,9 +492,7 @@ def boundedness_verdict(
     report = canonical_partition(mdp)
     verdicts = {}
     for side in ("minus", "plus"):
-        verdicts[("A", side)] = check_condition_A(
-            mdp, alpha_star, side, k_max=k_max_a, report=report
-        )
+        verdicts[("A", side)] = check_condition_A(mdp, alpha_star, side, report=report)
     b_verdicts = _condition_b_verdicts(
         mdp, alpha_star, ("minus", "plus"), k_range_b, report
     )
@@ -513,7 +511,7 @@ def boundedness_verdict(
             labels[side] = "bounded"
             methods[side] = "small-discount-radius"
         else:
-            data = _empirical_samples(mdp, alpha_star, side, samples)
+            data = _empirical_samples(mdp, alpha_star, side)
             sample_data[side] = data
             values = [n for _, n in data]
             growing = values[-1] >= max(6, values[0] + 3) and all(

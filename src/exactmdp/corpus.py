@@ -1,10 +1,11 @@
-"""Built-in example MDPs with their known analysis results pinned as
-structured expectations.
+"""Built-in example MDPs.
 
-All examples are deterministic.  Transition arrows are encoded as one-hot
-probability rows; action a1/a2 at a state mean the first/second outgoing
-arrow in the construction order, so rule indices match the usual phi_1,
-phi_2, ... labeling (lexicographic in per-state action indices).
+``exactmdp corpus --id <id>`` prints each one as a document; the tests pin
+what is known about them.  All examples are deterministic.  Transition
+arrows are encoded as one-hot probability rows; action a1/a2 at a state mean
+the first/second outgoing arrow in the construction order, so rule indices
+match the usual phi_1, phi_2, ... labeling (lexicographic in per-state
+action indices).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mdp import DecisionRule, Mdp
+from .mdp import Mdp
 
 EXAMPLE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "remark-variant")
 
@@ -21,7 +22,6 @@ EXAMPLE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "remark-variant")
 class ExampleFixture:
     id: str
     mdp: Mdp
-    expected: dict
 
 
 class UnknownExampleError(ValueError):
@@ -55,24 +55,7 @@ def _ex1() -> ExampleFixture:
         "x1": [("a1", "x1", 0), ("a2", "x2", 0)],
         "x2": [("a1", "x1", 0), ("a2", "x2", 1)],
     }
-    mdp = _det(states, arrows, [2, 0])
-    rule = lambda *c: DecisionRule(tuple(c))
-    expected = {
-        "n_by_alpha": {
-            Fraction(1, 10): 2,
-            Fraction(1, 4): 2,
-            Fraction(49, 100): 2,
-            Fraction(1, 2): 3,
-            Fraction(3, 4): 3,
-            Fraction(9, 10): 3,
-        },
-        "d2_left_of_half": frozenset({rule(1, 1)}),
-        "d2_right_of_half": frozenset({rule(0, 1), rule(1, 1)}),
-        "optimal_on_open_interval": frozenset({rule(1, 1)}),
-        "jump_point": Fraction(1, 2),
-        "jump_sides": "left-only",
-    }
-    return ExampleFixture("ex1", mdp, expected)
+    return ExampleFixture("ex1", _det(states, arrows, [2, 0]))
 
 
 def _ex2() -> ExampleFixture:
@@ -84,22 +67,7 @@ def _ex2() -> ExampleFixture:
         "y1": [("a1", "y2", 1)],
         "y2": [("a1", "y2", 0)],
     }
-    mdp = _det(states, arrows, [0, 0, 0, 0, 0])
-    phi1 = DecisionRule((0, 0, 0, 0, 0))
-    expected = {
-        "irregular_points": (),
-        "optimal_everywhere": frozenset({phi1}),
-        "discontinuities": (Fraction(1, 4), Fraction(1, 2)),
-        "two_sided_discontinuities": (Fraction(1, 2),),
-        "n_spans": (
-            (Fraction(0), Fraction(1, 4), 1),
-            (Fraction(1, 4), Fraction(1, 2), 3),
-            (Fraction(1, 2), Fraction(1, 2), 4),
-            (Fraction(1, 2), Fraction(9, 10), 3),
-        ),
-        "horizon3_touching_point": Fraction(1, 2),
-    }
-    return ExampleFixture("ex2", mdp, expected)
+    return ExampleFixture("ex2", _det(states, arrows, [0, 0, 0, 0, 0]))
 
 
 def _ex3(m: int) -> ExampleFixture:
@@ -110,13 +78,7 @@ def _ex3(m: int) -> ExampleFixture:
     for i in range(2, m):
         arrows[f"x{i}"] = [("a1", f"x{i + 1}", 0)]
     arrows[f"x{m}"] = [("a1", f"x{m}", 1)]
-    mdp = _det(states, arrows, [0] * m)
-    expected = {
-        "n_on_open_interval": m,
-        "l_value": m - 1,
-        "optimal_on_open_interval": frozenset({DecisionRule((1,) + (0,) * (m - 1))}),
-    }
-    return ExampleFixture("ex3", mdp, expected)
+    return ExampleFixture("ex3", _det(states, arrows, [0] * m))
 
 
 def _ex4() -> ExampleFixture:
@@ -128,31 +90,8 @@ def _ex4() -> ExampleFixture:
         "x4": [("a1", "x5", Fraction(2, 9))],
         "x5": [("a1", "x5", Fraction(14, 27))],
     }
-    mdp = _det(
-        states,
-        arrows,
-        [1, Fraction(1, 3), 1, Fraction(11, 27), Fraction(19, 27)],
-    )
-    phi1 = DecisionRule((0, 0, 0, 0, 0))
-    phi2 = DecisionRule((1, 0, 0, 0, 0))
-    expected = {
-        "irregular_point": Fraction(1, 2),
-        "kind": "break",
-        "d_left": frozenset({phi1}),
-        "d_right": frozenset({phi2}),
-        "difference_at_x1": "(1-2a)^3 / (27(1-a^2))",
-        "value_at_half": (
-            Fraction(4, 3),
-            Fraction(2, 3),
-            Fraction(4, 3),
-            Fraction(20, 27),
-            Fraction(28, 27),
-        ),
-        "a_holds_both_sides": True,
-        "b_fails_both_sides": True,
-        "n_at_point": 1,
-    }
-    return ExampleFixture("ex4", mdp, expected)
+    terminal = [1, Fraction(1, 3), 1, Fraction(11, 27), Fraction(19, 27)]
+    return ExampleFixture("ex4", _det(states, arrows, terminal))
 
 
 def _ex5() -> ExampleFixture:
@@ -161,20 +100,7 @@ def _ex5() -> ExampleFixture:
         "x1": [("a1", "x1", 1), ("a2", "x2", 2)],
         "x2": [("a1", "x2", Fraction(1, 2))],
     }
-    mdp = _det(states, arrows, [1, Fraction(-1, 2)])
-    phi1 = DecisionRule((0, 0))
-    phi2 = DecisionRule((1, 0))
-    expected = {
-        "irregular_point": Fraction(2, 3),
-        "kind": "break",
-        "d_left": frozenset({phi2}),
-        "d_right": frozenset({phi1}),
-        "b_plus_infimum": Fraction(3, 2),
-        "n_everywhere": 1,
-        "bounded_both_sides": True,
-        "value_at_point": (Fraction(3), Fraction(3, 2)),
-    }
-    return ExampleFixture("ex5", mdp, expected)
+    return ExampleFixture("ex5", _det(states, arrows, [1, Fraction(-1, 2)]))
 
 
 def _ex6() -> ExampleFixture:
@@ -184,23 +110,7 @@ def _ex6() -> ExampleFixture:
         "x2": [("a1", "x2", 1)],
         "x3": [("a1", "x3", -1)],
     }
-    mdp = _det(states, arrows, [0, 0, 0])
-    phi1 = DecisionRule((0, 0, 0))
-    phi2 = DecisionRule((1, 0, 0))
-    expected = {
-        "irregular_point": Fraction(1, 2),
-        "kind": "break",
-        "d_left": frozenset({phi2}),
-        "d_right": frozenset({phi1}),
-        "l_value": 0,
-        "c0": Fraction(2),
-        "delta": Fraction(1, 2),
-        "delta_tilde": Fraction(1, 2),
-        "r1_star": Fraction(1),
-        "n_below_half": 1,
-        "right_side_blowup": True,
-    }
-    return ExampleFixture("ex6", mdp, expected)
+    return ExampleFixture("ex6", _det(states, arrows, [0, 0, 0]))
 
 
 def _remark_variant() -> ExampleFixture:
@@ -216,28 +126,11 @@ def _remark_variant() -> ExampleFixture:
         "x3": [("a1", "x4", 7)],
         "x4": [("a1", "x1", 8)],
     }
-    mdp = _det(states, arrows, [0, 0, 0, 0])
-    phi1 = DecisionRule((0, 0, 0, 0))
-    phi2 = DecisionRule((1, 0, 0, 0))
-    expected = {
-        "irregular_point": Fraction(1, 2),
-        "kind": "break",
-        "d_left": frozenset({phi1}),
-        "d_right": frozenset({phi2}),
-        "value_at_half": (
-            Fraction(36),
-            Fraction(18),
-            Fraction(20),
-            Fraction(26),
-        ),
-        "a_holds_both_sides": True,
-        "b_fails_both_sides": True,
-    }
-    return ExampleFixture("remark-variant", mdp, expected)
+    return ExampleFixture("remark-variant", _det(states, arrows, [0, 0, 0, 0]))
 
 
 def build_example(example_id: str, m: int | None = None) -> ExampleFixture:
-    """Construct one of the bundled example MDPs with its expectations.
+    """Construct one of the bundled example MDPs.
 
     The chain example ("ex3") is parameterized by its state count m.
     """

@@ -117,7 +117,7 @@ def ref_evaluate_deterministic(mdp: Mdp, rule: DecisionRule, alpha: F) -> ValueV
     return v
 
 
-def ref_optimal_set(mdp: Mdp, alpha: F, horizons: int = 0, visited=None) -> OptSets:
+def ref_optimal_set(mdp: Mdp, alpha: F, visited=None) -> OptSets:
     rule = DecisionRule(tuple(0 for _ in range(mdp.m)))
     while True:
         if visited is not None:
@@ -137,11 +137,7 @@ def ref_optimal_set(mdp: Mdp, alpha: F, horizons: int = 0, visited=None) -> OptS
     v_star, d_sets = ref_bellman_step(mdp, alpha, v)
     if v_star.values != v.values:
         raise AssertionError("policy iteration ended on a non-fixed point")
-    d_n = {}
-    if horizons:
-        for step in ref_value_iteration(mdp, alpha, horizons)[1:]:
-            d_n[step.horizon] = step.first_step
-    return OptSets(ValueVector(v.values, alpha, None), d_sets, d_n)
+    return OptSets(ValueVector(v.values, alpha, None), d_sets)
 
 
 def ref_gap(mdp: Mdp, alpha: F, opt: OptSets) -> F:
@@ -204,7 +200,6 @@ def ref_turnpike_integer(mdp: Mdp, alpha: F) -> TurnpikeResult:
 
 
 def assert_same_bellman(mdp: Mdp, alpha: F, horizons: int = 4, rule_limit: int = 16):
-    assert optimal_set(mdp, alpha, horizons) == ref_optimal_set(mdp, alpha, horizons)
     opt = optimal_set(mdp, alpha)
     assert opt == ref_optimal_set(mdp, alpha)
     trace = value_iteration(mdp, alpha, horizons)

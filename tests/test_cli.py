@@ -1,5 +1,4 @@
 import json
-import pathlib
 import random
 from fractions import Fraction as F
 
@@ -10,9 +9,6 @@ from exactmdp.corpus import build_example
 from exactmdp.partition import canonical_partition
 
 from conftest import random_mdp
-
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "exactmdp" / "data"
-
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -25,6 +21,11 @@ def write_mdp(tmp_path, example_id, name="model.json"):
     path = tmp_path / name
     path.write_text(docio.dumps_document(docio.document_from_mdp(mdp)))
     return str(path)
+
+
+def ex1_document() -> dict:
+    """The document ``exactmdp corpus --id ex1`` prints, parsed as JSON."""
+    return json.loads(docio.dumps_document(docio.document_from_mdp(build_example("ex1").mdp)))
 
 
 class TestParsing:
@@ -44,7 +45,7 @@ class TestParsing:
             cli.parse_discount("5/4")
 
     def test_floats_rejected_in_documents(self, tmp_path):
-        doc = json.loads((DATA / "ex1.json").read_text())
+        doc = ex1_document()
         doc["terminal"] = [2.0, 0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -60,7 +61,7 @@ class TestCommands:
         assert json.loads(out)["ok"] is True
 
     def test_validate_reports_bad_row(self, capsys, tmp_path):
-        doc = json.loads((DATA / "ex1.json").read_text())
+        doc = ex1_document()
         doc["transitions"]["x1/a1"] = ["99/100", "0"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -242,6 +243,27 @@ class TestCommands:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.json", "--alpha", "0")
         assert code == 2
+
+    def test_validate_missing_file_matches_solve(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.json")
+        solve = run(capsys, "solve", path, "--alpha", "0")
+        validate = run(capsys, "validate", path)
+        assert solve[0] == validate[0] == 2
+        assert validate[1] == ""
+        assert validate[2] == solve[2]
+        assert validate[2].startswith(f"error: cannot read {path}: ")
+
+    def test_validate_float_literal_matches_solve(self, capsys, tmp_path):
+        doc = ex1_document()
+        doc["terminal"] = [2.0, 0]
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(doc))
+        solve = run(capsys, "solve", str(path), "--alpha", "0")
+        validate = run(capsys, "validate", str(path))
+        assert solve[0] == validate[0] == 2
+        assert validate[1] == ""
+        assert validate[2] == solve[2]
+        assert validate[2].startswith(f"error: {path}: ")
 
     def test_reports_are_byte_deterministic(self, capsys, tmp_path):
         path = write_mdp(tmp_path, "ex4")

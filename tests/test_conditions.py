@@ -138,10 +138,10 @@ class TestConditionB:
 
     def test_equivalence_of_sides_at_non_touching_break(self):
         # both sides agree at non-touching break points across the corpus
-        for ex in ("ex4", "ex5", "remark-variant"):
+        for ex, point in (("ex4", F(1, 2)), ("ex5", F(2, 3)), ("remark-variant", F(1, 2))):
             fx = build_example(ex)
-            minus = check_condition_B(fx.mdp, F(fx.expected["irregular_point"]), "minus")
-            plus = check_condition_B(fx.mdp, F(fx.expected["irregular_point"]), "plus")
+            minus = check_condition_B(fx.mdp, point, "minus")
+            plus = check_condition_B(fx.mdp, point, "plus")
             assert (minus.holds is True) == (plus.holds is True)
 
 
