@@ -59,7 +59,6 @@ from .partition import (
     PiecewiseValue,
     canonical_partition,
     first_step_classify,
-    one_sided_optimal_sets,
     symbolic_value_iteration,
 )
 from .smalldiscount import (

@@ -23,7 +23,7 @@ from .limits import CapExceededError, CapSettingError
 from .mdp import DecisionRule, Mdp, count_rules, validate
 from .exactarith import point_sign
 from .partition import canonical_partition
-from .smalldiscount import policy_filtration, small_discount_checks
+from .smalldiscount import small_discount_checks
 from .turnpike import turnpike_integer, turnpike_intervals
 
 EXIT_OK = 0
@@ -58,6 +58,15 @@ def parse_discount(text: str) -> Fraction:
     if not (0 <= value < 1):
         raise InputError(f"discount factor {text!r} is outside [0, 1)")
     return value
+
+
+def parse_interval(text: str, command: str) -> tuple[Fraction, Fraction]:
+    """The discount pair "lo,hi" of ``command``'s --interval, with lo < hi."""
+    lo_text, _, hi_text = text.partition(",")
+    lo, hi = parse_discount(lo_text), parse_discount(hi_text)
+    if not lo < hi:
+        raise InputError(f"{command} interval must have lo < hi")
+    return lo, hi
 
 
 def read_mdp(path: str) -> Mdp:
@@ -162,10 +171,7 @@ def cmd_turnpike(args) -> int:
             }
         )
         return EXIT_OK
-    lo_text, _, hi_text = args.interval.partition(",")
-    lo, hi = parse_discount(lo_text), parse_discount(hi_text)
-    if not lo < hi:
-        raise InputError("turnpike interval must have lo < hi")
+    lo, hi = parse_interval(args.interval, "turnpike")
     tmap = turnpike_intervals(mdp, lo, hi, n_cap=args.ncap)
     report = {
         "interval": [format_rational(lo), format_rational(hi)],
@@ -223,8 +229,8 @@ def cmd_partition(args) -> int:
 
 def cmd_small_discount(args) -> int:
     mdp = load_mdp(args.file)
-    rep = policy_filtration(mdp)
     checks = small_discount_checks(mdp)
+    rep = checks.filtration
     emit(
         {
             "l_value": rep.l_value,
@@ -300,10 +306,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_sweep(args) -> int:
     mdp = load_mdp(args.file)
-    lo_text, _, hi_text = args.interval.partition(",")
-    lo, hi = parse_discount(lo_text), parse_discount(hi_text)
-    if not lo < hi:
-        raise InputError("sweep interval must have lo < hi")
+    lo, hi = parse_interval(args.interval, "sweep")
     steps = args.steps
     if steps < 1:
         raise InputError("sweep needs at least one step")
@@ -330,7 +333,7 @@ def cmd_sweep(args) -> int:
 def cmd_corpus(args) -> int:
     try:
         fixture = corpus.build_example(args.id, m=args.m)
-    except corpus.UnknownExampleError as exc:
+    except ValueError as exc:  # an unknown id, or a chain with under two states
         raise InputError(str(exc))
     doc = docio.document_from_mdp(fixture.mdp)
     sys.stdout.write(docio.dumps_document(doc))

@@ -19,6 +19,9 @@ Two families of conditions are checked at an irregular discount factor:
   the same optimal set, so a boundedness verdict reads B- and B+ from one
   table.
 
+A verdict reads D(alpha-), D(alpha), D(alpha+) off one canonical partition,
+and both sides of A share one value-iteration trace and certificate search.
+
 A side is declared bounded when its A- and B-conditions are certified, or
 when the point is within the small-discount radius; growth of sampled
 turnpike values is reported as evidence of unboundedness, never as proof.
@@ -40,12 +43,7 @@ from .bellman import (
 from .equivalence import pushforwards_equal
 from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec, spreads
-from .partition import (
-    PartitionReport,
-    canonical_partition,
-    classify,
-    one_sided_optimal_sets,
-)
+from .partition import PartitionReport, canonical_partition, classify
 from .smalldiscount import policy_filtration
 from .turnpike import turnpike_integer
 
@@ -205,26 +203,24 @@ def _derivative_levels(
         k += 1
 
 
-def _require_irregular(
-    mdp: Mdp, alpha_star: Fraction, report: PartitionReport | None
-) -> tuple[str, ActionSets, ActionSets, ActionSets]:
-    """The point's kind, and D(alpha-), D(alpha), D(alpha+)."""
+# An irregular point as the checks read it: its kind, D(alpha-), D(alpha),
+# D(alpha+) and the canonical partition they were read from.
+_Irregular = tuple[str, ActionSets, ActionSets, ActionSets, PartitionReport]
+
+
+def _require_irregular(mdp: Mdp, alpha_star: Fraction) -> _Irregular:
+    """Classify alpha_star once, from the canonical partition of mdp."""
     if not (0 < alpha_star < 1):
         raise NotIrregularError("conditions are defined on irregular points in (0, 1)")
-    report = canonical_partition(mdp) if report is None else report
-    d_minus, d_at, d_plus = one_sided_optimal_sets(mdp, alpha_star, report)
+    report = canonical_partition(mdp)
+    d_minus, d_at, d_plus = report.sets_around(alpha_star)
     kind = classify(d_minus, d_at, d_plus)
     if kind == "regular":
         raise NotIrregularError(f"{alpha_star} is a regular point")
-    return kind, d_minus, d_at, d_plus
+    return kind, d_minus, d_at, d_plus, report
 
 
-def check_condition_A(
-    mdp: Mdp,
-    alpha_star: Fraction,
-    side: str,
-    report: PartitionReport | None = None,
-) -> ConditionVerdict:
+def check_condition_A(mdp: Mdp, alpha_star: Fraction, side: str) -> ConditionVerdict:
     """Check whether some side-optimal rule remains first-step-optimal at the
     point for all large horizons.
 
@@ -236,27 +232,33 @@ def check_condition_A(
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
-    kind, d_minus, _, d_plus = _require_irregular(mdp, alpha_star, report)
-    name = "A-" if side == "minus" else "A+"
-    d_side = d_minus if side == "minus" else d_plus
-    singletons = count_rules(d_minus) == 1 and count_rules(d_plus) == 1
-    non_touching = "touching" not in kind
+    point = _require_irregular(mdp, alpha_star)
+    return _condition_a_verdicts(mdp, alpha_star, point)[side]
+
+
+def _condition_a_verdicts(
+    mdp: Mdp, alpha_star: Fraction, point: _Irregular
+) -> dict[str, ConditionVerdict]:
+    """`check_condition_A` for both sides, from one value-iteration trace
+    and one certificate search: the certificate does not depend on the
+    side."""
+    kind, d_minus, _, d_plus, _ = point
     certificate_k = None
     trace = value_iteration(mdp, alpha_star, A_HORIZON)
-    if singletons:
+    if count_rules(d_minus) == 1 and count_rules(d_plus) == 1:
         phi = smallest_rule(d_minus)
         psi = smallest_rule(d_plus)
         n_val = turnpike_integer(mdp, alpha_star).n_value
         v_inf = optimal_set(mdp, alpha_star).v_alpha
         for k in range(max(0, n_val - 1), A_HORIZON + 1):
-            w = tuple(
-                v_inf[i] - trace[k].value[i] for i in range(mdp.m)
-            )
+            w = tuple(v_inf[i] - trace[k].value[i] for i in range(mdp.m))
             if pushforwards_equal(mdp, phi, w, psi, w):
                 certificate_k = k
                 break
-        if certificate_k is not None and non_touching:
-            return ConditionVerdict(
+    verdicts = {}
+    for side, name, d_side in (("minus", "A-", d_minus), ("plus", "A+", d_plus)):
+        if certificate_k is not None and "touching" not in kind:
+            verdicts[side] = ConditionVerdict(
                 name,
                 alpha_star,
                 True,
@@ -264,19 +266,22 @@ def check_condition_A(
                 horizon_used=certificate_k,
                 witnesses={"phi": phi, "psi": psi},
             )
-    window = {}
-    for step in trace[1:]:
+            continue
         # the products meet exactly when every state's sets do
-        window[step.horizon] = all(a & b for a, b in zip(step.first_step, d_side))
-    return ConditionVerdict(
-        name,
-        alpha_star,
-        None,
-        "definition-window",
-        horizon_used=A_HORIZON,
-        window=window,
-        witnesses={"certificate_horizon": certificate_k},
-    )
+        window = {
+            step.horizon: all(a & b for a, b in zip(step.first_step, d_side))
+            for step in trace[1:]
+        }
+        verdicts[side] = ConditionVerdict(
+            name,
+            alpha_star,
+            None,
+            "definition-window",
+            horizon_used=A_HORIZON,
+            window=window,
+            witnesses={"certificate_horizon": certificate_k},
+        )
+    return verdicts
 
 
 def condition_b_threshold(alpha_star: Fraction, k: int, r1_star: Fraction) -> Fraction:
@@ -296,7 +301,6 @@ def check_condition_B(
     alpha_star: Fraction,
     side: str,
     k_range=range(0, 13),
-    report: PartitionReport | None = None,
 ) -> ConditionVerdict:
     """Check strict first-order dominance of the side-optimal rules over the
     other optimal rules, uniformly in the continuation.
@@ -309,14 +313,11 @@ def check_condition_B(
     level K + 1 extends each prefix of level K by one rule, so a new prefix
     costs one matrix-vector and at most one matrix product, and a level is
     built only after the prefix cap has admitted its size.
-
-    `report` may be the canonical partition of `mdp` itself: the partition
-    depends only on the infinite-horizon value functions, which terminal
-    rewards do not affect, so it equals the partition of the zeroed model.
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
-    return _condition_b_verdicts(mdp, alpha_star, (side,), k_range, report)[side]
+    point = _require_irregular(mdp, alpha_star)
+    return _condition_b_verdicts(mdp, alpha_star, (side,), k_range, point)[side]
 
 
 def _condition_b_verdicts(
@@ -324,16 +325,19 @@ def _condition_b_verdicts(
     alpha_star: Fraction,
     sides: tuple[str, ...],
     k_range,
-    report: PartitionReport | None,
+    point: _Irregular,
 ) -> dict[str, ConditionVerdict]:
     """`check_condition_B` for each of `sides`, all reading one derivative
     table: the prefixes are drawn from D(alpha_star) on either side.  Each
     side settles at its own first conclusive K; the table grows, and the
-    prefix cap is checked, while some side is still open."""
+    prefix cap is checked, while some side is still open.
+
+    The point's sets and value functions are those of `mdp` itself: they
+    depend only on the infinite-horizon value functions, which terminal
+    rewards do not affect, so they equal those of the zeroed model."""
     mdp0 = mdp.with_terminal([Fraction(0)] * mdp.m)
-    report0 = canonical_partition(mdp0) if report is None else report
-    _, d_minus, d_at, d_plus = _require_irregular(mdp0, alpha_star, report0)
-    vf = report0.value_functions
+    _, d_minus, d_at, d_plus, report = point
+    vf = report.value_functions
     names = {"minus": "B-", "plus": "B+"}
     rules_sorted = sorted(rules_from_action_sets(d_at))  # the prefixes' rules
     split = {}  # each side's rules and the other rules of D(alpha_star)
@@ -489,21 +493,17 @@ def boundedness_verdict(
     Otherwise sampled turnpike values approaching the point are attached;
     clear growth is labeled 'unbounded-evidence', anything else 'unknown'.
     """
-    report = canonical_partition(mdp)
-    verdicts = {}
-    for side in ("minus", "plus"):
-        verdicts[("A", side)] = check_condition_A(mdp, alpha_star, side, report=report)
+    point = _require_irregular(mdp, alpha_star)
+    a_verdicts = _condition_a_verdicts(mdp, alpha_star, point)
     b_verdicts = _condition_b_verdicts(
-        mdp, alpha_star, ("minus", "plus"), k_range_b, report
+        mdp, alpha_star, ("minus", "plus"), k_range_b, point
     )
-    for side, verdict in b_verdicts.items():
-        verdicts[("B", side)] = verdict
     filt = policy_filtration(mdp)
     labels = {}
     methods = {}
     sample_data = {"minus": (), "plus": ()}
     for side in ("minus", "plus"):
-        a, b = verdicts[("A", side)], verdicts[("B", side)]
+        a, b = a_verdicts[side], b_verdicts[side]
         if a.holds is True and b.holds is True:
             labels[side] = "bounded"
             methods[side] = "conditions"
@@ -523,10 +523,10 @@ def boundedness_verdict(
         point=alpha_star,
         left=labels["minus"],
         right=labels["plus"],
-        a_left=verdicts[("A", "minus")],
-        a_right=verdicts[("A", "plus")],
-        b_left=verdicts[("B", "minus")],
-        b_right=verdicts[("B", "plus")],
+        a_left=a_verdicts["minus"],
+        a_right=a_verdicts["plus"],
+        b_left=b_verdicts["minus"],
+        b_right=b_verdicts["plus"],
         method_left=methods["minus"],
         method_right=methods["plus"],
         samples_left=sample_data["minus"],

@@ -45,11 +45,6 @@ class DecisionRule:
     def action(self, state_index: int) -> int:
         return self.choices[state_index]
 
-    def named(self, mdp: "Mdp") -> dict[str, str]:
-        return {
-            mdp.states[i]: mdp.actions[i][a] for i, a in enumerate(self.choices)
-        }
-
 
 @dataclass(frozen=True)
 class MarkovPrefix:

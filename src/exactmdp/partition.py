@@ -8,7 +8,9 @@ touching points, where a policy is optimal only at the point itself).  The
 same structure exists at every finite horizon for the first-step-optimal
 sets; both are computed here with exact arithmetic and told apart by one
 ``classify``.  Each such set -- D(alpha), D(alpha-), D(alpha+) or a first-step
-set D_n(alpha) -- is held as per-state action sets (``ActionSets``).
+set D_n(alpha) -- is held as per-state action sets (``ActionSets``), and
+``PartitionReport.sets_around`` and ``PiecewiseValue.sets_around`` read the
+one-sided sets at any rational point off the structure without solving again.
 Irrational separation points are carried as isolating brackets, never as
 floats.
 """
@@ -67,6 +69,21 @@ class PartitionReport:
             if point_sign(iv.lo, alpha) < 0 < point_sign(iv.hi, alpha):
                 return iv
         raise ValueError(f"no partition interval contains {alpha}")
+
+    def sets_around(self, alpha: Fraction) -> tuple[ActionSets, ActionSets, ActionSets]:
+        """(D(alpha-), D(alpha), D(alpha+)), read off the partition: D is
+        constant on each open interval, and a regular point's set is its
+        interval's.  D(0-) has no rules by convention."""
+        if not (0 <= alpha < 1):
+            raise ValueError("discount factor must lie in [0, 1)")
+        for ip in self.irregular_points:
+            if points_equal(ip.point, alpha):
+                return ip.d_left, ip.d_at, ip.d_right
+        first = self.intervals[0].d_set
+        if alpha == 0:
+            return (frozenset(),) * len(first), first, first
+        d = self.interval_containing(alpha).d_set
+        return d, d, d
 
 
 def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
@@ -207,11 +224,13 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
     points: list[Point] = []
     while True:
         bounds: list[Point] = [Fraction(0)] + points + [Fraction(1)]
+        gap_sets: list[ActionSets] = []
         added = False
         for i in range(len(bounds) - 1):
             lo_pt, hi_pt = bounds[i], bounds[i + 1]
             mid = _rational_inside(lo_pt, hi_pt)
-            vstar = vfun[smallest_rule(optimal_set(mdp, mid).d_alpha_sets)]
+            gap_sets.append(optimal_set(mdp, mid).d_alpha_sets)
+            vstar = vfun[smallest_rule(gap_sets[-1])]
             hull_lo = point_position(lo_pt)[0]
             hull_hi = point_position(hi_pt)[1]
             for _, vec in class_reps:
@@ -239,13 +258,8 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         if not added:
             break
 
-    # Evaluate D on each gap and at each point, then classify.
-    bounds = [Fraction(0)] + points + [Fraction(1)]
-    gap_sets = [
-        optimal_set(mdp, _rational_inside(bounds[i], bounds[i + 1])).d_alpha_sets
-        for i in range(len(bounds) - 1)
-    ]
-
+    # The last round added no point, so its gaps are the final ones and
+    # gap_sets holds D on each; evaluate D at each point and classify.
     irregular: list[IrregularPoint] = []
     kept: list[int] = []
     for i, pt in enumerate(points):
@@ -285,23 +299,6 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         blackwell_point=blackwell,
         value_functions=vfun,
     )
-
-
-def one_sided_optimal_sets(
-    mdp: Mdp, alpha: Fraction, report: PartitionReport | None = None
-) -> tuple[ActionSets, ActionSets, ActionSets]:
-    """(D(alpha-), D(alpha), D(alpha+)); D(0-) has no rules by convention."""
-    if not (0 <= alpha < 1):
-        raise ValueError("discount factor must lie in [0, 1)")
-    report = canonical_partition(mdp) if report is None else report
-    if alpha == 0:
-        no_rules = (frozenset(),) * mdp.m
-        return no_rules, optimal_set(mdp, alpha).d_alpha_sets, report.intervals[0].d_set
-    for ip in report.irregular_points:
-        if points_equal(ip.point, alpha):
-            return ip.d_left, ip.d_at, ip.d_right
-    iv = report.interval_containing(alpha)
-    return iv.d_set, optimal_set(mdp, alpha).d_alpha_sets, iv.d_set
 
 
 # -- piecewise-symbolic value iteration -------------------------------------------

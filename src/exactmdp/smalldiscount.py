@@ -157,6 +157,7 @@ class CheckOutcome:
 @dataclass(frozen=True)
 class SmallDiscountChecks:
     outcomes: tuple[CheckOutcome, ...]
+    filtration: FiltrationReport  # the filtration the outcomes checked
 
     @property
     def all_passed(self) -> bool:
@@ -271,4 +272,4 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
                 "0 is an irregular point; check not applicable",
             )
         )
-    return SmallDiscountChecks(tuple(outcomes))
+    return SmallDiscountChecks(tuple(outcomes), rep)

@@ -256,10 +256,19 @@ def turnpike_intervals(
     """
     if not (0 <= lo < hi < 1):
         raise ValueError("interval must satisfy 0 <= lo < hi < 1")
-    part = canonical_partition(mdp)
-    levels = symbolic_value_iteration(mdp, n_cap - 1)
     if pad is None:
         pad = (hi - lo) / 8
+    part = canonical_partition(mdp)
+    levels = symbolic_value_iteration(mdp, n_cap - 1)
+    return _interval_map(mdp, lo, hi, n_cap, pad, part, levels)
+
+
+def _interval_map(
+    mdp: Mdp, lo: Fraction, hi: Fraction, n_cap: int, pad: Fraction,
+    part: PartitionReport, levels: list[PiecewiseValue],
+) -> TurnpikeIntervalMap:
+    """`turnpike_intervals` given the partition and the symbolic levels of
+    horizons 0..n_cap - 1, which a cover computes once for all its pieces."""
     lo_pad = max(Fraction(0), lo - pad)
     hi_pad = min(hi + pad, (hi + 1) / 2)
     pts = _candidate_points(part, levels, lo_pad, hi_pad, lo, hi)
@@ -334,19 +343,12 @@ def turnpike_intervals(
     cursor: Point = lo
     cursor_closed = True
     for pt in inner:
-        plo, phi = point_position(pt)
-        is_at_lo = isinstance(pt, Fraction) and pt == lo
-        if not is_at_lo:
+        if not (isinstance(pt, Fraction) and pt == lo):
             pieces.append((cursor, pt, cursor_closed, False, _gap_value_after(point_position(cursor)[1])))
         val = point_values.get(pt) if isinstance(pt, Fraction) else None
         pieces.append((pt, pt, True, True, val))
         cursor, cursor_closed = pt, False
-    is_at_hi = (
-        inner
-        and isinstance(inner[-1], Fraction)
-        and inner[-1] == hi
-    )
-    if not is_at_hi:
+    if not (inner and isinstance(inner[-1], Fraction) and inner[-1] == hi):
         pieces.append((cursor, hi, cursor_closed, True, _gap_value_after(point_position(cursor)[1])))
 
     merged: list[list] = []
@@ -480,15 +482,14 @@ def turnpike_cover(
         budget = eps - loss
 
     # Map N on the irregular-free pieces and excise its discontinuities.
-    piece_maps: list[tuple[tuple[Fraction, Fraction], TurnpikeIntervalMap]] = []
+    levels = symbolic_value_iteration(mdp, n_cap - 1) if remaining else []
     bad2: list[Point] = []
     for piece in remaining:
-        tmap = turnpike_intervals(mdp, piece[0], piece[1], n_cap, pad=Fraction(0))
+        tmap = _interval_map(mdp, *piece, n_cap, Fraction(0), part, levels)
         if tmap.partial:
             err = CapExceededError("symbolic-horizon", tmap.horizon_used, n_cap)
             err.partial_map = tmap
             raise err
-        piece_maps.append((piece, tmap))
         bad2.extend(
             p
             for p in list(tmap.d_all) + list(tmap.indeterminate)

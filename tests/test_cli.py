@@ -240,6 +240,23 @@ class TestCommands:
         code, _, err = run(capsys, "corpus", "--id", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("m", ["1", "0", "-1"])
+    def test_corpus_chain_below_two_states_is_input_error(self, capsys, m):
+        code, out, err = run(capsys, "corpus", "--id", "ex3", "--m", m)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the chain example needs at least two states\n"
+
+    @pytest.mark.parametrize("command", ["turnpike", "sweep"])
+    def test_interval_needs_lo_below_hi_message(self, capsys, tmp_path, command):
+        path = write_mdp(tmp_path, "ex1")
+        argv = [command, path, "--interval", "1/2,1/4"]
+        if command == "sweep":
+            argv += ["--steps", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} interval must have lo < hi\n"
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent.json", "--alpha", "0")
         assert code == 2

@@ -34,13 +34,10 @@ RANDOM_SEEDS = (10, 52, 95, 109, 112, 118, 132)
 RANDOM_K_RANGE = range(0, 7)
 
 
-def reference_check_condition_B(
-    mdp, alpha_star, side, k_range=range(0, 13), report=None
-):
+def reference_check_condition_B(mdp, alpha_star, side, k_range=range(0, 13)):
     """Condition B with every prefix's derivative rebuilt from the identity."""
     mdp0 = mdp.with_terminal([F(0)] * mdp.m)
-    report0 = canonical_partition(mdp0) if report is None else report
-    _, *sides = _require_irregular(mdp0, alpha_star, report0)
+    _, *sides, report0 = _require_irregular(mdp0, alpha_star)
     d_minus, d_at, d_plus = map(rules_from_action_sets, sides)
     name = "B-" if side == "minus" else "B+"
     d_side = d_minus if side == "minus" else d_plus

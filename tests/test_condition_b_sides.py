@@ -17,13 +17,14 @@ from conftest import random_mdp
 from exactmdp import conditions
 from exactmdp.conditions import (
     _condition_b_verdicts,
+    _require_irregular,
     boundedness_verdict,
     check_condition_B,
 )
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.limits import CapExceededError
-from exactmdp.partition import canonical_partition, one_sided_optimal_sets
+from exactmdp.partition import canonical_partition
 
 K_RANGE = range(0, 6)
 
@@ -46,7 +47,8 @@ def one_sided(mdp, point, k_range):
 
 def test_sides_settle_at_their_own_horizon():
     mdp = touching_mdp()
-    both = _condition_b_verdicts(mdp, F(2, 5), ("minus", "plus"), K_RANGE, None)
+    point = _require_irregular(mdp, F(2, 5))
+    both = _condition_b_verdicts(mdp, F(2, 5), ("minus", "plus"), K_RANGE, point)
     assert both == one_sided(mdp, F(2, 5), K_RANGE)
     assert both["minus"].holds is True and both["minus"].horizon_used == 3
     assert both["plus"].holds is None and both["plus"].horizon_used == 5
@@ -71,14 +73,16 @@ def test_verdict_builds_one_table(monkeypatch):
 
 def test_cap_stops_the_side_still_open(monkeypatch):
     mdp = touching_mdp()
-    _, d_at, _ = one_sided_optimal_sets(mdp, F(2, 5))
+    _, d_at, _ = canonical_partition(mdp).sets_around(F(2, 5))
     n = len(rules_from_action_sets(d_at))
     # level 3 (n^4 prefixes) settles B-; level 4 is needed by B+ only
     monkeypatch.setenv("EXACTMDP_PREFIX_CAP", str(n**4))
     assert check_condition_B(mdp, F(2, 5), "minus", k_range=K_RANGE).horizon_used == 3
     for call in (
         lambda: check_condition_B(mdp, F(2, 5), "plus", k_range=K_RANGE),
-        lambda: _condition_b_verdicts(mdp, F(2, 5), ("minus", "plus"), K_RANGE, None),
+        lambda: _condition_b_verdicts(
+            mdp, F(2, 5), ("minus", "plus"), K_RANGE, _require_irregular(mdp, F(2, 5))
+        ),
     ):
         with pytest.raises(CapExceededError) as info:
             call()

@@ -14,7 +14,7 @@ from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import build_example
 from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.mdp import DecisionRule, Mdp
-from exactmdp.partition import canonical_partition, one_sided_optimal_sets
+from exactmdp.partition import canonical_partition
 from exactmdp.turnpike import turnpike_integer, turnpike_intervals
 
 
@@ -62,10 +62,10 @@ class TestIrrationalBreakPoint:
         part = canonical_partition(mdp)
         # 1/sqrt(3) = 0.5773...; both probes are inside the default bracket
         # width, so side resolution must refine exactly
-        sides = one_sided_optimal_sets(mdp, F(577, 1000), part)
+        sides = part.sets_around(F(577, 1000))
         dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == da == dp == frozenset({phi(0, 0, 0)})
-        sides = one_sided_optimal_sets(mdp, F(578, 1000), part)
+        sides = part.sets_around(F(578, 1000))
         dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == da == dp == frozenset({phi(1, 0, 0)})
 

@@ -8,7 +8,6 @@ from exactmdp.mdp import DecisionRule, Mdp, balance, enumerate_decision_rules
 from exactmdp.partition import (
     canonical_partition,
     first_step_classify,
-    one_sided_optimal_sets,
     point_position,
     symbolic_value_iteration,
 )
@@ -73,7 +72,7 @@ class TestCanonicalPartition:
             for k in range(1, 26):
                 alpha = F(k, 26)
                 d_direct = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
-                _, d_at, _ = one_sided_optimal_sets(mdp, alpha, part)
+                _, d_at, _ = part.sets_around(alpha)
                 assert d_direct == rules_from_action_sets(d_at)
 
     def test_upper_hemicontinuity_at_irregular_points(self, rng):
@@ -138,19 +137,22 @@ def _partition_signature(part):
 class TestOneSided:
     def test_regular_interior_point(self):
         mdp = build_example("ex4").mdp
-        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(1, 4)))
+        sides = canonical_partition(mdp).sets_around(F(1, 4))
+        dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == da == dp == frozenset({phi(0, 0, 0, 0, 0)})
 
     def test_example_break_point(self):
         mdp = build_example("ex4").mdp
-        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(1, 2)))
+        sides = canonical_partition(mdp).sets_around(F(1, 2))
+        dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == frozenset({phi(0, 0, 0, 0, 0)})
         assert dp == frozenset({phi(1, 0, 0, 0, 0)})
         assert da == dm | dp
 
     def test_zero_left_side_is_empty(self):
         mdp = build_example("ex6").mdp
-        dm, da, dp = map(rules_from_action_sets, one_sided_optimal_sets(mdp, F(0)))
+        sides = canonical_partition(mdp).sets_around(F(0))
+        dm, da, dp = map(rules_from_action_sets, sides)
         assert dm == frozenset()
         assert da == dp == frozenset({phi(1, 0, 0)})
 

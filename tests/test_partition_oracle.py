@@ -13,11 +13,7 @@ from exactmdp.bellman import evaluate_deterministic, rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import IsolatedRoot, polynomial_vanishes_at
 from exactmdp.mdp import enumerate_decision_rules
-from exactmdp.partition import (
-    canonical_partition,
-    one_sided_optimal_sets,
-    point_position,
-)
+from exactmdp.partition import canonical_partition, point_position
 
 from conftest import random_mdp
 
@@ -36,7 +32,7 @@ def dense_check(mdp, denominator=97):
     part = canonical_partition(mdp)
     for k in range(0, denominator):
         alpha = F(k, denominator)
-        _, d_at, _ = one_sided_optimal_sets(mdp, alpha, part)
+        _, d_at, _ = part.sets_around(alpha)
         assert rules_from_action_sets(d_at) == exhaustive_d(mdp, alpha), (alpha, mdp)
     return part
 

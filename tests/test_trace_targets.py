@@ -1,0 +1,69 @@
+"""The traced benchmark run (``perfbench/run.py --trace 1``) wraps the
+exactmdp functions that ``perfbench/spans.py`` names in ``TARGETS``, and its
+hooks read some of their arguments by position and name.  A refactor of
+``src/`` that renames or moves one of them breaks only that run; these tests
+catch it here.  They read ``perfbench/`` and change nothing in it."""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from exactmdp import bellman, partition
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Resolve each target as Tracer.install does, in a process that imports the
+# package afresh from this checkout's src/, and print the ones that fail.
+RESOLVE = """
+import importlib, json, sys
+failed = []
+for module, attr in json.loads(sys.argv[1]):
+    try:
+        owner = importlib.import_module("exactmdp." + module)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner.__dict__[cls_name].__dict__[attr]
+        else:
+            getattr(owner, attr)
+    except (ImportError, AttributeError, KeyError) as exc:
+        failed.append([module, attr, repr(exc)])
+print(json.dumps(failed))
+"""
+
+
+def span_targets():
+    """TARGETS of perfbench/spans.py, run from its source so no bytecode
+    cache is written next to it."""
+    path = ROOT / "perfbench" / "spans.py"
+    namespace: dict = {}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_span_target_resolves_in_a_fresh_import():
+    pairs = [[module, attr] for module, attr, *_ in span_targets()]
+    assert pairs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", RESOLVE, json.dumps(pairs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        cwd=ROOT,
+    ).stdout
+    assert json.loads(out) == []
+
+
+def test_hooked_parameters_keep_their_names_and_positions():
+    # the hooks read canonical_partition's mdp, symbolic_value_iteration's
+    # n_max and value_iteration's n_max as (args[i] or kwargs[name])
+    for fn, names in (
+        (partition.canonical_partition, ["mdp"]),
+        (partition.symbolic_value_iteration, ["mdp", "n_max"]),
+        (bellman.value_iteration, ["mdp", "alpha", "n_max"]),
+    ):
+        assert list(inspect.signature(fn).parameters)[: len(names)] == names, fn
