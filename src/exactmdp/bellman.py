@@ -9,8 +9,9 @@ state; ``rules_from_action_sets`` is the one place that lists a product's
 rules, under the enumeration cap, for reports that print them.
 
 Policy evaluation, Q-values and value iteration run on integers.  With L
-the lcm of every reward and transition denominator and alpha = p/q, an
-``_IntegerForm`` holds L*r and L*P, and a value vector is held as integer
+the lcm of every reward and transition denominator, ``Mdp.integer_table``
+holds L*r and L*P and is built once per MDP; at alpha = p/q an
+``_IntegerForm`` is (p, q, table).  A value vector is held as integer
 numerators over one denominator: for v = nums/den,
 Q(i, k) * L*q*den = L*r(i, k)*q*den + p * sum_j L*P(i, k, j)*nums[j] is an
 integer, so argmaxes and ties are integer comparisons, and the next value is
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .exactarith import bareiss_solve
 from .limits import CapExceededError, enumeration_cap
-from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules
+from .mdp import DecisionRule, IntegerTable, MarkovPrefix, Mdp, count_rules
 
 ActionSets = tuple[frozenset[int], ...]
 
@@ -105,41 +106,15 @@ def apply_policy_operator(
 
 @dataclass(frozen=True)
 class _IntegerForm:
-    """An MDP at one discount alpha = p/q, scaled to integers.
-
-    ``scale`` is L, the lcm of every reward and transition denominator;
-    ``rewards[i][k]`` is L*r(i, k) and ``rows[i][k]`` lists the nonzero
-    (j, L*P(i, k, j)).
-    """
+    """An MDP at one discount alpha = p/q with its integer table."""
 
     p: int
     q: int
-    scale: int
-    rewards: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    table: IntegerTable
 
 
 def _integer_form(mdp: Mdp, alpha: Fraction) -> _IntegerForm:
-    scale = math.lcm(
-        *(r.denominator for row in mdp.rewards for r in row),
-        *(x.denominator for acts in mdp.transitions for row in acts for x in row),
-    )
-    rewards = tuple(
-        tuple(r.numerator * (scale // r.denominator) for r in row)
-        for row in mdp.rewards
-    )
-    rows = tuple(
-        tuple(
-            tuple(
-                (j, x.numerator * (scale // x.denominator))
-                for j, x in enumerate(row)
-                if x
-            )
-            for row in acts
-        )
-        for acts in mdp.transitions
-    )
-    return _IntegerForm(alpha.numerator, alpha.denominator, scale, rewards, rows)
+    return _IntegerForm(alpha.numerator, alpha.denominator, mdp.integer_table)
 
 
 def _ints_of(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -162,10 +137,10 @@ def _vector(
 
 def _q_nums(form: _IntegerForm, nums: Sequence[int], den: int) -> list[list[int]]:
     """Q-values at the value vector nums/den, each times L*q*den."""
-    p, qd = form.p, form.q * den
+    p, qd, t = form.p, form.q * den, form.table
     return [
         [r * qd + p * sum(w * nums[j] for j, w in row) for r, row in zip(rs, acts)]
-        for rs, acts in zip(form.rewards, form.rows)
+        for rs, acts in zip(t.rewards, t.rows)
     ]
 
 
@@ -183,7 +158,7 @@ def _step(
     """One optimality-operator step on nums/den: the next (nums, den), reduced,
     and the per-state argmax sets."""
     best, sets = _argmax(_q_nums(form, nums, den))
-    return _reduced(best, form.scale * form.q * den), sets
+    return _reduced(best, form.table.scale * form.q * den), sets
 
 
 def bellman_step(
@@ -216,16 +191,17 @@ def value_iteration(mdp: Mdp, alpha: Fraction, n_max: int) -> list[VIStep]:
 
 def _policy_value(form: _IntegerForm, rule: DecisionRule) -> tuple[list[int], int]:
     """Reduced (nums, den) of a stationary deterministic policy's value."""
-    m = len(form.rows)
-    ql, p = form.q * form.scale, form.p
+    t = form.table
+    m = len(t.rows)
+    ql, p = form.q * t.scale, form.p
     a = []
     for i in range(m):
         row = [0] * m
         row[i] = ql
-        for j, w in form.rows[i][rule.action(i)]:
+        for j, w in t.rows[i][rule.action(i)]:
             row[j] -= p * w
         a.append(row)
-    b = [form.q * form.rewards[i][rule.action(i)] for i in range(m)]
+    b = [form.q * t.rewards[i][rule.action(i)] for i in range(m)]
     x, det = bareiss_solve(a, b)
     # T_pi v = v for v = x/det, scaled by qL*det
     if any(sum(c * xj for c, xj in zip(row, x)) != det * bi for row, bi in zip(a, b)):
@@ -283,7 +259,7 @@ def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
             break
         rule = DecisionRule(tuple(improved))
     best, d_sets = _argmax(q)
-    lq = form.scale * form.q
+    lq = form.table.scale * form.q
     if any(b != x * lq for b, x in zip(best, nums)):
         raise AssertionError("policy iteration ended on a non-fixed point")
     return OptSets(v, d_sets)

@@ -156,6 +156,8 @@ def cmd_turnpike(args) -> int:
     mdp = load_mdp(args.file)
     if args.alpha is None and args.interval is None:
         raise InputError("turnpike needs --alpha or --interval")
+    if args.alpha is not None and args.interval is not None:
+        raise InputError("turnpike takes --alpha or --interval, not both")
     if args.ncap < 1:
         raise InputError("--ncap must be a positive integer")
     if args.alpha is not None:
@@ -335,6 +337,8 @@ def cmd_corpus(args) -> int:
         fixture = corpus.build_example(args.id, m=args.m)
     except ValueError as exc:  # an unknown id, or a chain with under two states
         raise InputError(str(exc))
+    if args.m is not None and args.id != "ex3":
+        raise InputError("--m applies only to the chain example ex3")
     doc = docio.document_from_mdp(fixture.mdp)
     sys.stdout.write(docio.dumps_document(doc))
     return EXIT_OK

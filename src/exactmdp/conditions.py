@@ -15,7 +15,9 @@ Two families of conditions are checked at an irregular discount factor:
   them outright.  The derivatives of all continuation prefixes are kept in
   one table that grows a level per horizon: each prefix extends its
   parent's derivative and transition product by one step instead of
-  rebuilding them from the identity.  Both sides draw their prefixes from
+  rebuilding them from the identity.  A level holds integer numerators over
+  one denominator, built from the MDP's integer table, so no step reduces a
+  fraction.  Both sides draw their prefixes from
   the same optimal set, so a boundedness verdict reads B- and B+ from one
   table.
 
@@ -42,7 +44,7 @@ from .bellman import (
 )
 from .equivalence import pushforwards_equal
 from .limits import CapExceededError, prefix_cap
-from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec, spreads
+from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
 from .partition import PartitionReport, canonical_partition, classify
 from .smalldiscount import policy_filtration
 from .turnpike import turnpike_integer
@@ -75,18 +77,13 @@ class ConditionVerdict:
 
 def _mat_mul(a, b, m):
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0))
-            for j in range(m)
-        )
+        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
         for i in range(m)
     )
 
 
 def _identity(m):
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(m)) for i in range(m)
-    )
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 
 def derivative_difference(
@@ -172,7 +169,7 @@ def _finite_value_derivative(
 
 def _derivative_levels(
     mdp0: Mdp, rules: list[DecisionRule], alpha: Fraction
-) -> Iterator[list[Vector]]:
+) -> Iterator[tuple[list[tuple[int, ...]], int]]:
     """Yield the condition-B derivative table level by level, K = 0, 1, ...
 
     Level K lists, for every (first, tail) with |tail| = K and rules drawn
@@ -184,22 +181,31 @@ def _derivative_levels(
     parent plus (K+1)·alpha^K·M·r_r, and its product is M·P_r.  The products
     of a level are formed only when the next level is requested, and only
     the current level is held.
+
+    A level is yielded as (numerators, D), integers over one denominator,
+    from the integer table (L*P, L*r) at alpha = p/q.  With M' = L^(K+1)·M,
+    a child is its parent times D_(K+1)/D_K plus (K+1)·p^K·M'·(L*r_r), over
+    D_(K+1) = L^(K+2)·q^K: D_0 = 1 (level 0 is zero), D_1 = L², then
+    D_(K+1) = D_K·L·q.
     """
-    m, n = mdp0.m, len(rules)
-    trans = [mdp0.transition_matrix(r) for r in rules]
-    rewards = [mdp0.reward_vector(r) for r in rules]
-    derivs = [(Fraction(0),) * m] * n
+    m, n, table = mdp0.m, len(rules), mdp0.integer_table
+    p, q, scale = alpha.numerator, alpha.denominator, table.scale
+    rows = [[table.rows[i][k] for i, k in enumerate(r.choices)] for r in rules]
+    trans = [[[dict(row).get(j, 0) for j in range(m)] for row in rs] for rs in rows]
+    rewards = [[table.rewards[i][k] for i, k in enumerate(r.choices)] for r in rules]
+    derivs, den = [(0,) * m] * n, 1
     prods = [_identity(m)]  # products of the parent level: the empty prefix
     k = 0
     while True:
-        yield derivs
-        w = (k + 1) * alpha**k
+        yield derivs, den
+        w, ratio = (k + 1) * p**k, scale * (q if k else scale)
         prods = [_mat_mul(prods[i // n], trans[i % n], m) for i in range(len(derivs))]
         derivs = [
-            tuple(d[x] + w * c[x] for x in range(m))
+            tuple(d[x] * ratio + w * c[x] for x in range(m))
             for d, prod in zip(derivs, prods)
             for c in (mat_vec(prod, reward) for reward in rewards)
         ]
+        den *= ratio
         k += 1
 
 
@@ -375,7 +381,7 @@ def _condition_b_verdicts(
             )
             continue
         pending.append(side)
-    r1_star = spreads(mdp0).r1_star
+    r1_star = mdp0.reward_spreads.r1_star
     levels, depth = None, 0
     for k in k_range:
         if not pending:
@@ -389,7 +395,7 @@ def _condition_b_verdicts(
         if levels is None or k < depth:
             levels, depth = _derivative_levels(mdp0, rules_sorted, alpha_star), -1
         while depth < k:
-            depth, derivs = depth + 1, next(levels)
+            depth, (derivs, den) = depth + 1, next(levels)
         # the continuations of each first rule, in the same tail order
         size = len(rules_sorted) ** k
         by_first = {
@@ -397,7 +403,9 @@ def _condition_b_verdicts(
             for i, rule in enumerate(rules_sorted)
         }
         for side in list(pending):
-            extrema = _dominance_extrema(mdp, side, *split[side], by_first, threshold)
+            extrema = _dominance_extrema(
+                mdp, side, *split[side], by_first, den, threshold
+            )
             if extrema is not None:
                 pending.remove(side)
                 verdicts[side] = ConditionVerdict(
@@ -425,13 +433,15 @@ def _dominance_extrema(
     side: str,
     d_side: list[DecisionRule],
     others: list[DecisionRule],
-    by_first: dict[DecisionRule, list[Vector]],
+    by_first: dict[DecisionRule, list[tuple[int, ...]]],
+    den: int,
     threshold: Fraction,
 ) -> dict | None:
     """The extreme derivative difference of each (phi, psi) over the
     continuations in `by_first`, when every pair clears the threshold on
-    `side`; None as soon as one pair does not.  Both rule lists are sorted."""
-    extrema = {}
+    `side`; None as soon as one pair does not.  Both rule lists are sorted,
+    and the derivatives are numerators over `den`."""
+    extrema, bar = {}, threshold * den
     for phi in d_side:
         for psi in others:
             per_state = [
@@ -440,16 +450,16 @@ def _dominance_extrema(
             ]
             if side == "plus":
                 best = [(min(vals), x) for x, vals in enumerate(per_state)]
-                ok = any(v > threshold for v, _ in best)
+                ok = any(v > bar for v, _ in best)
                 extreme = max(best, key=lambda t: t[0])
             else:
                 best = [(max(vals), x) for x, vals in enumerate(per_state)]
-                ok = any(v < -threshold for v, _ in best)
+                ok = any(v < -bar for v, _ in best)
                 extreme = min(best, key=lambda t: t[0])
             if not ok:
                 return None
             extrema[(phi, psi)] = {
-                "value": extreme[0],
+                "value": Fraction(extreme[0], den),
                 "state": mdp.states[extreme[1]],
             }
     return extrema

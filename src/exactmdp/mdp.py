@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence, Sized
 
@@ -26,10 +27,8 @@ def _frac(x) -> Fraction:
 
 
 def mat_vec(p: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact product of a square matrix, such as a transition matrix, and a vector."""
-    return tuple(
-        sum((pij * v[j] for j, pij in enumerate(row)), Fraction(0)) for row in p
-    )
+    """Exact product of a square matrix and a vector, of Fractions or ints."""
+    return tuple(sum(pij * v[j] for j, pij in enumerate(row)) for row in p)
 
 
 @dataclass(frozen=True, order=True)
@@ -87,6 +86,20 @@ class Spreads:
 
 
 @dataclass(frozen=True)
+class IntegerTable:
+    """An MDP's data scaled to integers, independent of the discount.
+
+    ``scale`` is L, the lcm of every reward and transition denominator;
+    ``rewards[i][k]`` is L*r(i, k) and ``rows[i][k]`` lists the nonzero
+    (j, L*P(i, k, j)).
+    """
+
+    scale: int
+    rewards: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+@dataclass(frozen=True)
 class Violation:
     code: str
     state: str | None = None
@@ -135,6 +148,15 @@ class Mdp:
     @property
     def m(self) -> int:
         return len(self.states)
+
+    # Built on first use and kept in the instance dict: once per model.
+    @cached_property
+    def integer_table(self) -> IntegerTable:
+        return build_integer_table(self)
+
+    @cached_property
+    def reward_spreads(self) -> Spreads:
+        return spreads(self)
 
     def action_count(self, i: int) -> int:
         return len(self.actions[i])
@@ -230,6 +252,23 @@ def enumerate_decision_rules(mdp: Mdp) -> list[DecisionRule]:
     return [DecisionRule(choices) for choices in product(*ranges)]
 
 
+def build_integer_table(mdp: Mdp) -> IntegerTable:
+    scale = math.lcm(
+        *(r.denominator for row in mdp.rewards for r in row),
+        *(x.denominator for acts in mdp.transitions for row in acts for x in row),
+    )
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    rewards = tuple(tuple(map(scaled, row)) for row in mdp.rewards)
+    rows = tuple(
+        tuple(tuple((j, scaled(x)) for j, x in enumerate(row) if x) for row in acts)
+        for acts in mdp.transitions
+    )
+    return IntegerTable(scale, rewards, rows)
+
+
 def spreads(mdp: Mdp) -> Spreads:
     all_rewards = [r for row in mdp.rewards for r in row]
     r1 = max(abs(r) for r in all_rewards)
@@ -256,7 +295,7 @@ def balance(mdp: Mdp) -> tuple[Mdp, Spreads]:
     Optimal-policy structure at every horizon is unchanged; the returned
     spreads are those of the balanced model (so its R equals its R*).
     """
-    sp = spreads(mdp)
+    sp = mdp.reward_spreads
     balanced = Mdp(
         mdp.states,
         mdp.actions,
@@ -264,4 +303,4 @@ def balance(mdp: Mdp) -> tuple[Mdp, Spreads]:
         tuple(tuple(r - sp.f1 for r in row) for row in mdp.rewards),
         tuple(t - sp.f2 for t in mdp.terminal),
     )
-    return balanced, spreads(balanced)
+    return balanced, balanced.reward_spreads

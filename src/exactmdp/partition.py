@@ -17,6 +17,7 @@ floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -28,6 +29,7 @@ from .exactarith import (
     Point,
     Polynomial,
     RationalFunction,
+    _poly,
     descartes_bound,
     isolate_roots,
     point_position,
@@ -394,6 +396,25 @@ def _argmax_at_bracket(
     return frozenset(out)
 
 
+def _q_polynomials(mdp: Mdp, pvec: Sequence[Polynomial]) -> list[list[Polynomial]]:
+    """Q(i, k) = r(i, k) + alpha * sum_j P(i, k, j) * pvec[j] from the integer
+    table: with pvec[j] = nums[j] / d, its coefficients are L*r(i, k)*d, then
+    sum_j L*P(i, k, j) * nums[j] shifted up by one, over L*d."""
+    table = mdp.integer_table
+    d = math.lcm(*(v.den for v in pvec))
+    nums = [[c * (d // v.den) for c in v.ints] for v in pvec]
+    width = max(map(len, nums))
+
+    def q(r: int, row) -> Polynomial:
+        acc = [r * d] + [0] * width
+        for j, w in row:
+            for t, c in enumerate(nums[j], 1):
+                acc[t] += w * c
+        return _poly(acc, table.scale * d)
+
+    return [list(map(q, rs, acts)) for rs, acts in zip(table.rewards, table.rows)]
+
+
 def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
     bounds: list[Point] = pw.bounds()
     cut_records: list[tuple[str, object]] = []  # ('bound', idx) | ('local', point)
@@ -402,21 +423,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
     psets: list[ActionSets] = []
 
     for idx, pvec in enumerate(pw.pieces):
-        qs = [
-            [
-                Polynomial.constant(mdp.rewards[i][k])
-                + sum(
-                    (
-                        pvec[j] * mdp.transitions[i][k][j]
-                        for j in range(mdp.m)
-                        if mdp.transitions[i][k][j] != 0
-                    ),
-                    Polynomial(),
-                ).shift_up(1)
-                for k in range(mdp.action_count(i))
-            ]
-            for i in range(mdp.m)
-        ]
+        qs = _q_polynomials(mdp, pvec)
         hull_lo = point_position(bounds[idx])[0]
         hull_hi = point_position(bounds[idx + 1])[1]
         raw: list[Point] = []

@@ -39,7 +39,7 @@ from .bellman import (
     value_iteration,
 )
 from .limits import CapExceededError
-from .mdp import DecisionRule, Mdp, balance, spreads
+from .mdp import DecisionRule, Mdp, balance
 from .exactarith import IsolatedRoot, Point, point_position, points_equal
 from .partition import (
     PartitionReport,
@@ -71,7 +71,7 @@ def suboptimality_gap(mdp: Mdp, alpha: Fraction) -> Fraction:
 def _gap(form: _IntegerForm, v_star: list[int], den: int) -> Fraction:
     """Smallest positive defect V*(i) - Q(i, k) at V* = v_star / den, read
     off the integer Q-values (each times L*q*den)."""
-    lq = form.scale * form.q
+    lq = form.table.scale * form.q
     positives = [
         v * lq - x
         for v, row in zip(v_star, _q_nums(form, v_star, den))
@@ -124,7 +124,7 @@ def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
     p, q = form.p, form.q
     g_num, g_den = gap.numerator, gap.denominator
-    sp = spreads(mdp)
+    sp = mdp.reward_spreads
     c = sp.r1_star / (1 - alpha) + sp.r2_star
     # K is the first k with 2 * alpha^(k+1) * c < gap
     lhs, rhs = 2 * p * c.numerator * g_den, g_num * c.denominator * q

@@ -247,6 +247,20 @@ class TestCommands:
         assert out == ""
         assert err == "error: the chain example needs at least two states\n"
 
+    @pytest.mark.parametrize("example_id", ["ex1", "ex5", "remark-variant"])
+    def test_corpus_size_for_a_fixed_example_is_input_error(self, capsys, example_id):
+        code, out, err = run(capsys, "corpus", "--id", example_id, "--m", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: --m applies only to the chain example ex3\n"
+
+    def test_turnpike_alpha_with_interval_is_input_error(self, capsys, tmp_path):
+        path = write_mdp(tmp_path, "ex1")
+        code, out, err = run(
+            capsys, "turnpike", path, "--alpha", "1/2", "--interval", "1/10,1/2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: turnpike takes --alpha or --interval, not both\n"
+
     @pytest.mark.parametrize("command", ["turnpike", "sweep"])
     def test_interval_needs_lo_below_hi_message(self, capsys, tmp_path, command):
         path = write_mdp(tmp_path, "ex1")

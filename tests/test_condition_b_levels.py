@@ -1,9 +1,10 @@
 """`check_condition_B` reads its finite-horizon derivatives from a table that
 grows one level per horizon (`_derivative_levels`) instead of recomputing
-each prefix's derivative from the identity.  These tests keep the
-recomputing K loop as a reference and require the table to reproduce it
-exactly: every verdict, and every table entry against
-`_finite_value_derivative`."""
+each prefix's derivative from the identity, held as integer numerators over
+one denominator per level.  These tests keep the recomputing K loop and the
+`Fraction` table as references and require the integer table to reproduce
+them exactly: every verdict, and every table entry against both
+`_finite_value_derivative` and the `Fraction` table."""
 
 import random
 from fractions import Fraction as F
@@ -17,6 +18,8 @@ from exactmdp.conditions import (
     ConditionVerdict,
     _derivative_levels,
     _finite_value_derivative,
+    _identity,
+    _mat_mul,
     _require_irregular,
     check_condition_B,
     condition_b_threshold,
@@ -24,7 +27,7 @@ from exactmdp.conditions import (
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.limits import CapExceededError, prefix_cap
-from exactmdp.mdp import MarkovPrefix, enumerate_decision_rules, spreads
+from exactmdp.mdp import MarkovPrefix, enumerate_decision_rules, mat_vec, spreads
 from exactmdp.partition import canonical_partition
 
 # 2- and 3-state MDPs from conftest.random_mdp(max_states=3, max_actions=2,
@@ -167,17 +170,73 @@ def test_negative_horizon_is_rejected():
             call(mdp, F(1, 2), "plus", k_range=range(-1, 3))
 
 
+def reference_derivative_levels(mdp0, rules, alpha):
+    """The derivative table on `Fraction` matrices, level by level: each
+    child is its parent plus (K+1)·alpha^K·M·r_r, with M the parent's
+    transition product."""
+    m, n = mdp0.m, len(rules)
+    trans = [mdp0.transition_matrix(r) for r in rules]
+    rewards = [mdp0.reward_vector(r) for r in rules]
+    derivs = [(F(0),) * m] * n
+    prods = [_identity(m)]
+    k = 0
+    while True:
+        yield derivs
+        w = (k + 1) * alpha**k
+        prods = [_mat_mul(prods[i // n], trans[i % n], m) for i in range(len(derivs))]
+        derivs = [
+            tuple(d[x] + w * c[x] for x in range(m))
+            for d, prod in zip(derivs, prods)
+            for c in (mat_vec(prod, reward) for reward in rewards)
+        ]
+        k += 1
+
+
+def assert_levels_match_reference(mdp, alpha, depth):
+    """Every integer entry over its level denominator equals the `Fraction`
+    table's entry, at every level up to `depth`, for the rules of
+    D(alpha)."""
+    mdp0 = mdp.with_terminal([F(0)] * mdp.m)
+    rules = sorted(rules_from_action_sets(_require_irregular(mdp, alpha)[2]))
+    got = islice(_derivative_levels(mdp0, rules, alpha), depth + 1)
+    want = islice(reference_derivative_levels(mdp0, rules, alpha), depth + 1)
+    for k, ((table, den), ref) in enumerate(zip(got, want)):
+        assert den > 0
+        assert [tuple(F(x, den) for x in entry) for entry in table] == ref, k
+
+
+# Every D(alpha) below has two rules; ex5's verdict at 2/3 reads level 9,
+# which has 1024 entries.
+LEVEL_DEPTH = 9
+
+
+@pytest.mark.parametrize(
+    "example_id", [e for e in EXAMPLE_IDS if e not in ("ex1", "ex2", "ex3")]
+)
+def test_integer_levels_match_fraction_table_corpus(example_id):
+    mdp = build_example(example_id).mdp
+    for point in rational_irregular_points(mdp):
+        assert_levels_match_reference(mdp, point, LEVEL_DEPTH)
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_integer_levels_match_fraction_table_random(seed):
+    mdp = seeded_mdp(seed)
+    for point in rational_irregular_points(mdp):
+        assert_levels_match_reference(mdp, point, LEVEL_DEPTH)
+
+
 def assert_levels_match_oracle(mdp, rules, alpha, depth):
     mdp0 = mdp.with_terminal([F(0)] * mdp.m)
     levels = islice(_derivative_levels(mdp0, rules, alpha), depth + 1)
-    for k, table in enumerate(levels):
+    for k, (table, den) in enumerate(levels):
         prefixes = [
             (first, tail) for first in rules for tail in product(rules, repeat=k)
         ]
         assert len(table) == len(prefixes)
         for (first, tail), deriv in zip(prefixes, table):
             continuation = MarkovPrefix(tail if tail else (first,))
-            assert deriv == _finite_value_derivative(
+            assert tuple(F(x, den) for x in deriv) == _finite_value_derivative(
                 mdp0, first, continuation, alpha, k + 1
             ), (k, first, tail)
 

@@ -1,0 +1,90 @@
+"""Symbolic value iteration builds each horizon's Q polynomials from the
+MDP's integer table (`partition._q_polynomials`): integer coefficients over
+L times the common denominator of the previous piece.  This test keeps the
+`Fraction` construction as the reference and requires every horizon to come
+out the same, cuts, pieces and first-step sets alike."""
+
+import importlib.util
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from conftest import random_mdp
+from exactmdp import docio, partition
+from exactmdp.corpus import EXAMPLE_IDS, build_example
+from exactmdp.exactarith import Polynomial
+from exactmdp.partition import symbolic_value_iteration
+
+HORIZON = 9
+
+# perfbench/mdpgen.py, read as the benchmark's random-partition family
+_spec = importlib.util.spec_from_file_location(
+    "mdpgen", Path(__file__).resolve().parents[1] / "perfbench" / "mdpgen.py"
+)
+mdpgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mdpgen)
+PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
+
+
+def reference_q_polynomials(mdp, pvec):
+    """Q(i, k) = r(i, k) + alpha * sum_j P(i, k, j) * pvec[j] on `Fraction`
+    coefficients."""
+    return [
+        [
+            Polynomial.constant(mdp.rewards[i][k])
+            + sum(
+                (
+                    pvec[j] * mdp.transitions[i][k][j]
+                    for j in range(mdp.m)
+                    if mdp.transitions[i][k][j] != 0
+                ),
+                Polynomial(),
+            ).shift_up(1)
+            for k in range(mdp.action_count(i))
+        ]
+        for i in range(mdp.m)
+    ]
+
+
+def assert_same_as_reference(monkeypatch, mdp):
+    got = symbolic_value_iteration(mdp, HORIZON)
+    with monkeypatch.context() as patch:
+        patch.setattr(partition, "_q_polynomials", reference_q_polynomials)
+        want = symbolic_value_iteration(mdp, HORIZON)
+    assert len(got) == len(want) == HORIZON + 1
+    for level, ref in zip(got, want):
+        assert level.cuts == ref.cuts, level.horizon
+        assert level.pieces == ref.pieces, level.horizon
+        assert level.interval_sets == ref.interval_sets, level.horizon
+        assert level.point_sets == ref.point_sets, level.horizon
+        assert level == ref
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_corpus(monkeypatch, example_id):
+    assert_same_as_reference(monkeypatch, build_example(example_id).mdp)
+
+
+@pytest.mark.parametrize("states, actions, index", PARTITION_FAMILY)
+def test_benchmark_partition_family(monkeypatch, states, actions, index):
+    doc = mdpgen.random_document(states, actions, 8, index)
+    assert_same_as_reference(monkeypatch, docio.mdp_from_document(doc))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random(monkeypatch, seed):
+    mdp = random_mdp(random.Random(seed), max_states=3, max_actions=3)
+    assert_same_as_reference(monkeypatch, mdp)
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_one_step_from_mixed_denominators(example_id):
+    # pieces over different denominators, one of them zero
+    mdp = build_example(example_id).mdp
+    pvec = [Polynomial()] + [
+        Polynomial([F(j, j + 2), F(-2, 2 * j + 1), F(0), F(3, j + 4)])
+        for j in range(1, mdp.m)
+    ]
+    assert partition._q_polynomials(mdp, pvec) == reference_q_polynomials(mdp, pvec)

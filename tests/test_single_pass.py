@@ -1,15 +1,20 @@
 """Each analysis computes its shared inputs once: a boundedness verdict
 makes one canonical partition, one value-iteration trace and one policy
-filtration; ``small-discount`` one filtration; and a turnpike cover one
-partition and one symbolic value iteration however many pieces remain."""
+filtration; ``small-discount`` one filtration; a turnpike cover one
+partition and one symbolic value iteration however many pieces remain; and
+every model scales its data to integers and measures its spreads once,
+however many discounts it is solved at."""
 
 import importlib
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from exactmdp import cli, docio
 from exactmdp.conditions import boundedness_verdict
 from exactmdp.corpus import build_example
+from exactmdp.smalldiscount import small_discount_checks
 from exactmdp.turnpike import turnpike_cover
 
 
@@ -68,3 +73,32 @@ def test_cover_maps_every_piece_from_one_partition(monkeypatch):
     # the break at 1/2 is excised, so at least the two sides of it remain
     assert len(cov.pieces) >= 2
     assert (len(partitions), len(levels)) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "analysis",
+    [small_discount_checks, lambda mdp: boundedness_verdict(mdp, F(2, 3))],
+    ids=["small_discount_checks", "boundedness_verdict"],
+)
+def test_each_model_builds_its_table_and_spreads_once(monkeypatch, analysis):
+    mdp = build_example("ex5").mdp
+    calls = {
+        name: count_calls(monkeypatch, "mdp", name)
+        for name in ("build_integer_table", "spreads")
+    }
+    analysis(mdp)
+    for name, seen in calls.items():
+        models = [args[0] for args in seen]
+        assert any(model is mdp for model in models), name
+        # the calls hold their models, so no id is reused
+        assert len({id(model) for model in models}) == len(models), name
+
+
+def test_terminal_copy_builds_its_own_equal_table(monkeypatch):
+    mdp = build_example("ex5").mdp
+    copy = mdp.with_terminal([F(0)] * mdp.m)
+    calls = count_calls(monkeypatch, "mdp", "build_integer_table")
+    table = mdp.integer_table
+    assert copy.integer_table == table and copy.integer_table is not table
+    assert mdp.integer_table is table
+    assert len(calls) == 2 and calls[0][0] is mdp and calls[1][0] is copy
