@@ -325,8 +325,11 @@ def cmd_sweep(args) -> int:
         lines.append(f"{format_rational(alpha)},{res.n_value},{n_opt},{interval_id}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

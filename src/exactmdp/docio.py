@@ -4,7 +4,9 @@ All numeric payloads are exact rational strings ("p/q" or an integer
 string); JSON float literals are rejected at parse time so no rounding can
 sneak into an analysis.  Every field must also have its JSON type: a
 boolean is not a rational, and a string is never read as a list of names or
-values.  Each violation raises ``DocumentError``.
+values.  Each violation raises ``DocumentError``.  ``mdp_from_document``
+parses each distinct rational string once per document and checks the
+format only; the model rules are ``mdp.validate``'s.
 """
 
 from __future__ import annotations
@@ -89,20 +91,28 @@ def mdp_from_document(doc: dict) -> Mdp:
     for key in ("states", "actions", "transitions", "rewards", "terminal"):
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
-    states = _names(doc["states"], "states")
+    states = tuple(_names(doc["states"], "states"))
     if not states:
         raise DocumentError("states must not be empty")
-    actions = _typed(doc["actions"], dict, "actions")
+    doc_actions = _typed(doc["actions"], dict, "actions")
     doc_transitions = _typed(doc["transitions"], dict, "transitions")
     doc_rewards = _typed(doc["rewards"], dict, "rewards")
-    transitions = {}
-    rewards = {}
-    state_actions = {}
+    parsed: dict[str, Fraction] = {}  # keyed by JSON string only
+
+    def parse(raw, where: str, *index) -> Fraction:
+        if type(raw) is not str:  # a JSON number or boolean
+            return parse_rational_string(raw, where.format(*index))
+        if raw not in parsed:
+            parsed[raw] = parse_rational_string(raw, where.format(*index))
+        return parsed[raw]
+
+    actions, transitions, rewards = [], [], []
     for s in states:
-        if s not in actions:
+        if s not in doc_actions:
             raise DocumentError(f"state {s!r} missing from actions")
-        state_actions[s] = _names(actions[s], f"actions[{s!r}]")
-        for a in state_actions[s]:
+        acts = tuple(_names(doc_actions[s], f"actions[{s!r}]"))
+        rows, rews = [], []
+        for a in acts:
             key = f"{s}/{a}"
             if key not in doc_transitions:
                 raise DocumentError(f"missing transitions[{key!r}]")
@@ -113,20 +123,18 @@ def mdp_from_document(doc: dict) -> Mdp:
                 raise DocumentError(
                     f"transitions[{key!r}] has {len(row)} entries, expected {len(states)}"
                 )
-            transitions[(s, a)] = [
-                parse_rational_string(p, f"transitions[{key}][{j}]")
-                for j, p in enumerate(row)
-            ]
-            rewards[(s, a)] = parse_rational_string(
-                doc_rewards[key], f"rewards[{key}]"
+            rows.append(
+                tuple(parse(p, "transitions[{}][{}]", key, j) for j, p in enumerate(row))
             )
+            rews.append(parse(doc_rewards[key], "rewards[{}]", key))
+        actions.append(acts)
+        transitions.append(tuple(rows))
+        rewards.append(tuple(rews))
     terminal = _typed(doc["terminal"], list, "terminal")
     if len(terminal) != len(states):
         raise DocumentError("terminal vector length mismatch")
-    terminal = [
-        parse_rational_string(t, f"terminal[{i}]") for i, t in enumerate(terminal)
-    ]
-    return Mdp.from_tables(states, state_actions, transitions, rewards, terminal)
+    terminal = tuple(parse(t, "terminal[{}]", i) for i, t in enumerate(terminal))
+    return Mdp(states, tuple(actions), tuple(transitions), tuple(rewards), terminal)
 
 
 def document_from_mdp(mdp: Mdp) -> dict:

@@ -21,9 +21,9 @@ Collins 1967), Sturm chains from the same integer pseudo-remainders, values
 and signs at a rational a/b from homogenized integer Horner evaluation, and
 determinants and value functions from one polynomial Bareiss elimination
 (Bareiss 1968) whose divisions are exact in Z[a]; ``bareiss_solve`` is its
-scalar form for solves at a rational point.  A Sturm chain is built once
-per square-free polynomial and reused across every bisection step on it,
-including later refinements of an ``IsolatedRoot``, which carries its chain.
+scalar form for solves at a rational point.  Sturm chains count roots
+while ``isolate_roots`` splits an interval; in a bracket with one simple
+root, bisection and ``point_sign`` read the defining polynomial's sign.
 
 Most intervals handed to root isolation hold no root.  ``descartes_bound``
 maps (lo, hi) onto (0, oo) by t -> (lo + hi·t)/(1 + t) and counts the sign
@@ -37,7 +37,7 @@ through to the exact path unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -450,32 +450,33 @@ def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
+def _sign_above_root(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign of square-free a between its one root in (lo, hi) and hi; the
+    root is simple, so a has the opposite sign between lo and the root."""
+    sign = _sign_at(a, hi)
+    if sign == 0:
+        sign = -_sign_at(a, lo)
+    if sign == 0:
+        sign = -_sign_at(_derivative_ints(a), hi)
+    return sign
+
+
 def _bisect(
-    chain: SturmChain, defining: Polynomial, lo: Fraction, hi: Fraction, width: Fraction
+    defining: Polynomial, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction, Fraction | None]:
     """Halve (lo, hi), which holds exactly one root of the square-free
-    ``defining`` whose Sturm chain is ``chain``, until it is no wider than
-    ``width``.  Returns (lo, hi, mid) when a midpoint hits the root and
-    (lo, hi, None) otherwise.
-
-    Each step evaluates the chain at the midpoint only.  Where ``defining``
-    vanishes at lo the chain cannot count, and ``count_roots_open``, which
-    divides that root out, counts instead.
+    ``defining``, until it is no wider than ``width``.  Returns (lo, hi, mid)
+    when a midpoint hits the root and (lo, hi, None) otherwise.  A midpoint
+    with ``defining``'s sign above the root has the root on its left.
     """
-    v_lo = _variations(chain, lo)
+    a = defining.ints
+    above = _sign_above_root(a, lo, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v_mid = _variations(chain, mid)
-        if v_mid is None:
+        sign = _sign_at(a, mid)
+        if sign == 0:
             return lo, hi, mid
-        if v_lo is None:
-            left = count_roots_open(defining, lo, mid)
-        else:
-            left = v_lo - v_mid
-        if left == 1:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
+        lo, hi = (lo, mid) if sign == above else (mid, hi)
     return lo, hi, None
 
 
@@ -502,25 +503,19 @@ class IsolatedRoot:
     one root in the open bracket, and that root is certified irrational:
     ``isolate_roots`` returns every rational root as a ``Fraction``, and
     every ``IsolatedRoot`` it builds comes out of ``_identify_rational``.
-    ``chain`` is the Sturm chain of ``defining`` once one has been built, so
-    refinements reuse it; it takes no part in equality.
     """
 
     lo: Fraction
     hi: Fraction
     defining: Polynomial
-    chain: SturmChain | None = field(default=None, compare=False, repr=False)
 
     def refined(self, max_width: Fraction) -> "IsolatedRoot":
         if self.hi - self.lo <= max_width:
             return self
-        chain = self.chain
-        if chain is None:
-            chain = sturm_chain(squarefree_part(self.defining).ints)
-        lo, hi, hit = _bisect(chain, self.defining, self.lo, self.hi, max_width)
+        lo, hi, hit = _bisect(self.defining, self.lo, self.hi, max_width)
         if hit is not None:
             raise ValueError(f"bracket ({self.lo}, {self.hi}) holds the rational root {hit}")
-        return IsolatedRoot(lo, hi, self.defining, chain)
+        return IsolatedRoot(lo, hi, self.defining)
 
     def excluding(self, point: Fraction) -> "IsolatedRoot":
         """Refine until the bracket no longer contains the given rational."""
@@ -556,7 +551,11 @@ def point_sign(pt: Point, alpha: Fraction) -> int:
         return 1
     if lo == hi:
         return 0
-    return -1 if count_roots_open(pt.defining, pt.lo, alpha) == 1 else 1
+    a = pt.defining.ints
+    sign = _sign_at(a, alpha)
+    if sign == 0:  # the root inside is irrational, so alpha is an end
+        return 1 if alpha == lo else -1
+    return -1 if sign == _sign_above_root(a, lo, hi) else 1
 
 
 def points_equal(a: Point, b: Point) -> bool:
@@ -565,23 +564,21 @@ def points_equal(a: Point, b: Point) -> bool:
     return same_root(a, b)
 
 
-def _identify_rational(
-    s: Polynomial, lo: Fraction, hi: Fraction, chain: SturmChain
-) -> Point:
-    """Resolve a width-1 bracket of square-free s, whose Sturm chain is
-    given, into an exact rational root or a certified-irrational bracket."""
+def _identify_rational(s: Polynomial, lo: Fraction, hi: Fraction) -> Point:
+    """Resolve a bracket holding one root of square-free s into an exact
+    rational root or a certified-irrational bracket."""
     prim = s.primitive()
     qmax = abs(prim.ints[-1])
     # Two distinct rationals with denominator <= qmax differ by >= 1/qmax^2,
     # so a bracket narrower than that holds at most one candidate.
     width_target = Fraction(1, 2 * qmax * qmax)
-    lo, hi, hit = _bisect(chain, prim, lo, hi, width_target)
+    lo, hi, hit = _bisect(prim, lo, hi, width_target)
     if hit is not None:
         return hit
     cand = simplest_fraction_between(lo, hi)
     if cand.denominator <= qmax and _sign_at(prim.ints, cand) == 0:
         return cand
-    return IsolatedRoot(lo, hi, prim, chain)
+    return IsolatedRoot(lo, hi, prim)
 
 
 def isolate_roots(
@@ -617,7 +614,7 @@ def isolate_roots(
         if count == 0:
             continue
         if count == 1:
-            found.append(_identify_rational(q, a, b, chain))
+            found.append(_identify_rational(q, a, b))
             continue
         mid = (a + b) / 2
         vm = _variations(chain, mid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence, Sized
+from typing import Sequence, Sized
 
 from .limits import CapExceededError, enumeration_cap
 
@@ -176,38 +176,21 @@ class Mdp:
             tuple(_frac(t) for t in terminal),
         )
 
-    @staticmethod
-    def from_tables(
-        states: Sequence[str],
-        actions: Mapping[str, Sequence[str]],
-        transitions: Mapping[tuple[str, str], Sequence[Fraction]],
-        rewards: Mapping[tuple[str, str], Fraction],
-        terminal: Sequence[Fraction],
-    ) -> "Mdp":
-        """Build from name-keyed tables (the file-format layer uses this)."""
-        st = tuple(states)
-        acts = tuple(tuple(actions[s]) for s in st)
-        trans = tuple(
-            tuple(
-                tuple(_frac(p) for p in transitions[(s, a)]) for a in actions[s]
-            )
-            for s in st
-        )
-        rew = tuple(
-            tuple(_frac(rewards[(s, a)]) for a in actions[s]) for s in st
-        )
-        term = tuple(_frac(t) for t in terminal)
-        return Mdp(st, acts, trans, rew, term)
-
 
 def validate(mdp: Mdp) -> ValidationReport:
-    """Check the semantic invariants; violations are returned as data."""
+    """Check the semantic invariants; violations are returned as data.
+
+    Rows are read from the integer table: w = L·p is in range when
+    0 <= w <= L, a row sums to 1 when its w sum to L, and the table drops
+    only zeros.  Details are Fraction(w, L), as reduced as p itself."""
     violations: list[Violation] = []
     seen_states = set()
     for s in mdp.states:
         if s in seen_states:
             violations.append(Violation("duplicate-state", state=s))
         seen_states.add(s)
+    table = mdp.integer_table
+    scale = table.scale
     for i, s in enumerate(mdp.states):
         if mdp.action_count(i) == 0:
             violations.append(Violation("empty-action-set", state=s))
@@ -216,23 +199,26 @@ def validate(mdp: Mdp) -> ValidationReport:
             if a in seen_actions:
                 violations.append(Violation("duplicate-action", state=s, action=a))
             seen_actions.add(a)
-            row = mdp.transitions[i][k]
-            for p in row:
-                if p < 0 or p > 1:
+            row = table.rows[i][k]
+            for _, w in row:
+                if w < 0 or w > scale:
                     violations.append(
                         Violation(
                             "probability-out-of-range",
                             state=s,
                             action=a,
-                            detail=str(p),
+                            detail=str(Fraction(w, scale)),
                         )
                     )
                     break
-            total = sum(row, Fraction(0))
-            if total != 1:
+            total = sum(w for _, w in row)
+            if total != scale:
                 violations.append(
                     Violation(
-                        "row-sum-not-one", state=s, action=a, detail=str(total)
+                        "row-sum-not-one",
+                        state=s,
+                        action=a,
+                        detail=str(Fraction(total, scale)),
                     )
                 )
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -271,10 +257,11 @@ def build_integer_table(mdp: Mdp) -> IntegerTable:
 
 def spreads(mdp: Mdp) -> Spreads:
     all_rewards = [r for row in mdp.rewards for r in row]
-    r1 = max(abs(r) for r in all_rewards)
-    r2 = max(abs(t) for t in mdp.terminal)
-    f1 = (max(all_rewards) + min(all_rewards)) / 2
-    f2 = (max(mdp.terminal) + min(mdp.terminal)) / 2
+    hi1, lo1 = max(all_rewards), min(all_rewards)
+    hi2, lo2 = max(mdp.terminal), min(mdp.terminal)
+    # max |x| = max(max x, -min x)
+    r1, r2 = max(hi1, -lo1), max(hi2, -lo2)
+    f1, f2 = (hi1 + lo1) / 2, (hi2 + lo2) / 2
     r1_star = r1 - abs(f1)
     r2_star = r2 - abs(f2)
     return Spreads(

@@ -1,9 +1,18 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from exactmdp.mdp import Mdp
+
+# perfbench/mdpgen.py, read (never edited) as the benchmark's random families
+_spec = importlib.util.spec_from_file_location(
+    "mdpgen", Path(__file__).resolve().parents[1] / "perfbench" / "mdpgen.py"
+)
+mdpgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mdpgen)
 
 
 def random_rational(rng: random.Random, max_den: int = 8, lo=0, hi=2) -> Fraction:

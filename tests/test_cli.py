@@ -205,6 +205,16 @@ class TestCommands:
         first = run(capsys, "turnpike", path, "--alpha", "1/4")
         assert run(capsys, "turnpike", path, "--alpha", "1/4") == first
 
+    def test_sweep_to_an_unwritable_path_is_input_error(self, capsys, tmp_path):
+        path = write_mdp(tmp_path, "ex1")
+        out_path = str(tmp_path / "absent" / "sweep.csv")
+        code, out, err = run(
+            capsys, "sweep", path, "--interval", "0,9/10", "--steps", "2", "--out", out_path
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
+
     def test_sweep_to_stdout(self, capsys, tmp_path):
         path = write_mdp(tmp_path, "ex5")
         code, out, _ = run(capsys, "sweep", path, "--interval", "0,1/2", "--steps", "3")

@@ -1,20 +1,25 @@
-"""Byte pin of the CLI on the bundled corpus.
+"""Byte pin of the CLI on the bundled corpus and on the pointwise path.
 
 Each command runs on the document that ``exactmdp corpus --id <id>`` prints,
 and its exit code and the sha256 of its stdout must equal the values
 recorded below.  The commands are those of the benchmark's corpus workload:
 ``solve``, ``turnpike`` at a point and on an interval, ``partition``,
 ``small-discount``, ``sweep``, and ``conditions`` at every positive
-irregular point.  Any change to the printed bytes fails here.
+irregular point.  The pointwise pins run ``solve`` and ``turnpike --alpha``
+on the benchmark's first 12x4 random document, and the validation pins run
+``validate`` on three documents that break one model rule each.  Any change
+to the printed bytes fails here.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
 
 import pytest
 
+from conftest import mdpgen
 from exactmdp import cli, docio
 from exactmdp.corpus import build_example
 
@@ -67,6 +72,37 @@ PINS = (
     ('remark-variant', 'conditions --point 1/2', 0, '2f91c88a51da7bbcd11389f0b90467745adc537b678297b4c2a8e5f1f6cf9038'),
 )
 
+POINTWISE_PINS = (
+    ('solve --alpha 9/10', 0, 'f85cc2bc2df94d48a7004a307c2e65dd713775392437ca3a4d4ba9a293c2b9ec'),
+    ('turnpike --alpha 9/10', 0, '5911e50b1006c5164f7a281a58650be912498c573f5e7623a9be06c863a7bf1a'),
+    ('solve --alpha 19/20', 0, 'eb9b79ef3336008b242f21b52e9ccae041699e3c4c59c7c393d45a0073e389f0'),
+    ('turnpike --alpha 19/20', 0, 'e3171d2bf04cd57bff98a88d5bfbcff06993c9146f127800fab2cbae200d66ab'),
+    ('solve --alpha 97/100', 0, 'e18f9fcccc2634dfee8246b02f2ce6e8f52808fd6cbadb9638776a93077ae1ee'),
+    ('turnpike --alpha 97/100', 0, '74d570cda899f5ae071bc3dc8d70f94bd9befcbfdd0ec39ba49c9036ee7cd993'),
+)
+
+VALIDATE_PINS = (
+    ('out-of-range', 0, '4f5801e41181460a8c0a432b2aad29b0fdf42f91070ce71f3a87b3f7ba8470d4'),
+    ('row-sum', 0, '1b472cabdf62a31cce6a0bf12a540aa2b5915657d1ad35b8427528a183c2035e'),
+    ('duplicate-action', 0, '9fda44d36a19c3b4028b51f641b109caf0b88d7867d1c4d73e16808d437f8b81'),
+)
+
+# ex1 with one model rule broken: an entry outside [0, 1] (its row still
+# sums to 1), a row summing to 2/3, and an action listed twice
+INVALID_EDITS = {
+    'out-of-range': lambda d: d['transitions'].__setitem__('x1/a1', ['3/2', '-1/2']),
+    'row-sum': lambda d: d['transitions'].__setitem__('x1/a2', ['1/3', '1/3']),
+    'duplicate-action': lambda d: d['actions'].__setitem__('x2', ['a1', 'a1']),
+}
+
+
+def run_cli(argv):
+    """(exit code, sha256 of stdout) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
@@ -82,10 +118,29 @@ def documents(tmp_path_factory):
 @pytest.mark.parametrize("eid,command,code,sha", PINS, ids=[f"{p[0]}:{p[1]}" for p in PINS])
 def test_cli_bytes(documents, eid, command, code, sha):
     name, *options = command.split()
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        got = cli.main([name, documents[eid], *options])
-    assert (got, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()) == (code, sha)
+    assert run_cli([name, documents[eid], *options]) == (code, sha)
+
+
+@pytest.fixture(scope="module")
+def pointwise_document(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pointwise") / "r12x4-0.json"
+    path.write_text(docio.dumps_document(mdpgen.random_document(12, 4, 8, 0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,code,sha", POINTWISE_PINS, ids=[p[0] for p in POINTWISE_PINS])
+def test_pointwise_bytes(pointwise_document, command, code, sha):
+    name, *options = command.split()
+    assert run_cli([name, pointwise_document, *options]) == (code, sha)
+
+
+@pytest.mark.parametrize("case,code,sha", VALIDATE_PINS, ids=[p[0] for p in VALIDATE_PINS])
+def test_validate_bytes(tmp_path, case, code, sha):
+    doc = copy.deepcopy(docio.document_from_mdp(build_example("ex1").mdp))
+    INVALID_EDITS[case](doc)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["validate", str(path)]) == (code, sha)
 
 
 def test_pins_cover_every_positive_irregular_point(documents):

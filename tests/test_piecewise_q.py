@@ -4,27 +4,19 @@ L times the common denominator of the previous piece.  This test keeps the
 `Fraction` construction as the reference and requires every horizon to come
 out the same, cuts, pieces and first-step sets alike."""
 
-import importlib.util
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-from conftest import random_mdp
+from conftest import mdpgen, random_mdp
 from exactmdp import docio, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import Polynomial
 from exactmdp.partition import symbolic_value_iteration
 
 HORIZON = 9
-
-# perfbench/mdpgen.py, read as the benchmark's random-partition family
-_spec = importlib.util.spec_from_file_location(
-    "mdpgen", Path(__file__).resolve().parents[1] / "perfbench" / "mdpgen.py"
-)
-mdpgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mdpgen)
+# the benchmark's random-partition family
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 
 

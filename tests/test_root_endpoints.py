@@ -5,9 +5,12 @@ both ends, so every path that counts roots on a bracket must handle an end
 that is itself a root: the open-interval count excludes it, and a bracket
 whose defining polynomial vanishes at an end must still refine to the same
 bracket.  Each pinned count follows from the factors, and each pinned
-bracket contains the root its factor names.
+bracket contains the root its factor names.  Bisection inside a one-root
+bracket and ``point_sign`` read only the defining polynomial's sign; the
+Sturm-chain bisection they replaced is kept below as their reference.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +18,14 @@ import pytest
 from exactmdp.exactarith import (
     IsolatedRoot,
     Polynomial,
+    _bisect,
+    _sign_at,
+    _variations,
     count_roots_open,
     isolate_roots,
+    point_sign,
+    squarefree_part,
+    sturm_chain,
 )
 
 
@@ -90,8 +99,8 @@ def test_refined_and_excluding_reject_a_bracket_around_a_rational_root():
 
 
 def test_refinement_from_an_isolated_root_matches_a_fresh_bracket():
-    # roots from isolate_roots carry what they learned about their defining
-    # polynomial; refining them must agree with refining a bare bracket
+    # a root from isolate_roots holds only its bracket and defining
+    # polynomial, so refining it agrees with refining the same bare bracket
     ((root, _),) = isolate_roots(product(X, HALF, SQRT_EIGHTH), F(0), F(1, 2))
     fresh = IsolatedRoot(root.lo, root.hi, root.defining)
     for width in (F(1, 300), F(1, 10**6)):
@@ -132,3 +141,62 @@ def test_isolate_roots_with_a_root_at_hi():
     assert _summary(roots) == [
         (F(45, 128), F(23, 64), 1, Polynomial(SQRT_EIGHTH)),
     ]
+
+
+def sturm_bisect(defining, lo, hi, width):
+    """The Sturm-chain bisection that the sign test replaced, kept as the
+    reference: count the chain's sign variations at each midpoint."""
+    chain = sturm_chain(squarefree_part(defining).ints)
+    v_lo = _variations(chain, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        if v_mid is None:
+            return lo, hi, mid
+        if v_lo is None:
+            left = count_roots_open(defining, lo, mid)
+        else:
+            left = v_lo - v_mid
+        if left == 1:
+            hi = mid
+        else:
+            lo, v_lo = mid, v_mid
+    return lo, hi, None
+
+
+def one_root_brackets(rng):
+    """(defining, lo, hi) with one simple root of the square-free defining
+    inside (lo, hi), the defining polynomial often vanishing at an end."""
+    while True:
+        factors = [[-rng.randint(1, 9), rng.randint(2, 9)] for _ in range(rng.randint(0, 3))]
+        factors += [[-rng.randint(1, 9), 0, rng.randint(2, 12)] for _ in range(rng.randint(1, 2))]
+        p = squarefree_part(product(*factors))
+        ends = sorted({F(0), F(1), *(F(-f[0], f[1]) for f in factors if len(f) == 2)})
+        for lo, hi in zip(ends, ends[1:]):
+            if count_roots_open(p, lo, hi) == 1:
+                return p, lo, hi
+        for root, _ in isolate_roots(p):
+            if isinstance(root, IsolatedRoot):
+                return root.defining, root.lo, root.hi
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sign_bisection_matches_the_sturm_reference(seed):
+    rng = random.Random(seed)
+    p, lo, hi = one_root_brackets(rng)
+    for width in (F(1, 8), F(1, 1000), F(1, 10**9)):
+        assert _bisect(p, lo, hi, width) == sturm_bisect(p, lo, hi, width)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_point_sign_matches_the_root_count(seed):
+    rng = random.Random(seed)
+    p, lo, hi = one_root_brackets(rng)
+    root = IsolatedRoot(lo, hi, p)
+    den = rng.randint(2, 50)
+    probes = {lo, hi, *(lo + (hi - lo) * F(k, den) for k in range(den + 1))}
+    for alpha in probes:
+        if _sign_at(p.ints, alpha) == 0 and lo < alpha < hi:
+            continue  # a rational root: no IsolatedRoot holds one
+        expected = -1 if count_roots_open(p, lo, alpha) == 1 else 1
+        assert point_sign(root, alpha) == expected, alpha

@@ -3,7 +3,8 @@ makes one canonical partition, one value-iteration trace and one policy
 filtration; ``small-discount`` one filtration; a turnpike cover one
 partition and one symbolic value iteration however many pieces remain; and
 every model scales its data to integers and measures its spreads once,
-however many discounts it is solved at."""
+however many discounts it is solved at.  Reading a document parses each
+distinct rational string once."""
 
 import importlib
 import sys
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import mdpgen
 from exactmdp import cli, docio
 from exactmdp.conditions import boundedness_verdict
 from exactmdp.corpus import build_example
@@ -102,3 +104,21 @@ def test_terminal_copy_builds_its_own_equal_table(monkeypatch):
     assert copy.integer_table == table and copy.integer_table is not table
     assert mdp.integer_table is table
     assert len(calls) == 2 and calls[0][0] is mdp and calls[1][0] is copy
+
+
+@pytest.mark.parametrize("command", ["solve", "turnpike"])
+def test_pointwise_commands_read_the_document_once(monkeypatch, capsys, tmp_path, command):
+    doc = mdpgen.random_document(12, 4, 8, 0)
+    path = tmp_path / "r12x4.json"
+    path.write_text(docio.dumps_document(doc))
+    payloads = [
+        *(p for row in doc["transitions"].values() for p in row),
+        *doc["rewards"].values(),
+        *doc["terminal"],
+    ]
+    tables = count_calls(monkeypatch, "mdp", "build_integer_table")
+    parses = count_calls(monkeypatch, "docio", "parse_rational_string")
+    assert cli.main([command, str(path), "--alpha", "9/10"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 1
+    assert sorted(args[0] for args in parses) == sorted(set(payloads))
