@@ -152,6 +152,17 @@ def _argmax(q: list[list[int]]) -> tuple[list[int], ActionSets]:
     return best, sets
 
 
+def _sets_at_fixed_point(
+    form: _IntegerForm, nums: Sequence[int], den: int, q: list[list[int]]
+) -> ActionSets | None:
+    """The argmax sets of the Q-values q at V = nums/den, when V is the
+    optimality operator's fixed point (each row maximum is V * L*q); else
+    None."""
+    best, sets = _argmax(q)
+    lq = form.table.scale * form.q
+    return sets if all(b == x * lq for b, x in zip(best, nums)) else None
+
+
 def _step(
     form: _IntegerForm, nums: Sequence[int], den: int
 ) -> tuple[tuple[list[int], int], ActionSets]:
@@ -258,9 +269,8 @@ def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
         if not changed:
             break
         rule = DecisionRule(tuple(improved))
-    best, d_sets = _argmax(q)
-    lq = form.table.scale * form.q
-    if any(b != x * lq for b, x in zip(best, nums)):
+    d_sets = _sets_at_fixed_point(form, nums, den, q)
+    if d_sets is None:
         raise AssertionError("policy iteration ended on a non-fixed point")
     return OptSets(v, d_sets)
 

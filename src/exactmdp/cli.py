@@ -19,7 +19,7 @@ from . import corpus, docio
 from .bellman import ActionSets, optimal_set, rules_from_action_sets
 from .conditions import NotIrregularError, boundedness_verdict
 from .docio import format_rational
-from .limits import CapExceededError, CapSettingError
+from .limits import CapExceededError, CapSettingError, parse_int
 from .mdp import DecisionRule, Mdp, count_rules, validate
 from .exactarith import point_sign
 from .partition import canonical_partition
@@ -36,19 +36,21 @@ class InputError(ValueError):
 
 
 def parse_alpha(text: str) -> Fraction:
-    """Accept "p/q", an integer, or a terminating decimal such as "0.5"."""
+    """Accept "p/q", an integer, or a terminating decimal such as "0.5",
+    written in ASCII digits (``parse_int``)."""
     text = text.strip()
     try:
         if "/" in text:
             num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
+            return Fraction(parse_int(num), parse_int(den))
         if "." in text:
             whole, _, frac = text.partition(".")
             body = (whole or "0") + "." + frac
-            if not frac.isdigit() or not (whole or "0").lstrip("+-").isdigit():
+            parse_int(whole or "0")
+            if not (frac.isascii() and frac.isdigit()):
                 raise ValueError(text)
             return Fraction(body)  # exact: d.ddd = dddd / 10^k
-        return Fraction(int(text))
+        return Fraction(parse_int(text))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse {text!r} as an exact rational")
 
@@ -316,7 +318,7 @@ def cmd_sweep(args) -> int:
     lines = ["alpha,N,num_optimal_rules,in_interval_id"]
     for i in range(1, steps + 1):
         alpha = lo + (hi - lo) * Fraction(i, steps + 1)
-        res = turnpike_integer(mdp, alpha)
+        res = turnpike_integer(mdp, alpha, part)
         n_opt = count_rules(res.d_alpha_sets)
         # irregular points at or left of alpha, each side decided exactly
         interval_id = sum(

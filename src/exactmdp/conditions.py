@@ -23,6 +23,9 @@ Two families of conditions are checked at an irregular discount factor:
 
 A verdict reads D(alpha-), D(alpha), D(alpha+) off one canonical partition,
 and both sides of A share one value-iteration trace and certificate search.
+D and V* at the point and at every turnpike sample are read off that
+partition too (``PartitionReport.optimal_at``), so no check runs policy
+iteration.
 
 A side is declared bounded when its A- and B-conditions are certified, or
 when the point is within the small-discount radius; growth of sampled
@@ -37,7 +40,6 @@ from fractions import Fraction
 
 from .bellman import (
     ActionSets,
-    optimal_set,
     rules_from_action_sets,
     smallest_rule,
     value_iteration,
@@ -47,7 +49,7 @@ from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
 from .partition import PartitionReport, canonical_partition, classify
 from .smalldiscount import policy_filtration
-from .turnpike import turnpike_integer
+from .turnpike import _turnpike_at, turnpike_integer
 
 Vector = tuple[Fraction, ...]
 
@@ -248,14 +250,15 @@ def _condition_a_verdicts(
     """`check_condition_A` for both sides, from one value-iteration trace
     and one certificate search: the certificate does not depend on the
     side."""
-    kind, d_minus, _, d_plus, _ = point
+    kind, d_minus, _, d_plus, report = point
     certificate_k = None
     trace = value_iteration(mdp, alpha_star, A_HORIZON)
     if count_rules(d_minus) == 1 and count_rules(d_plus) == 1:
         phi = smallest_rule(d_minus)
         psi = smallest_rule(d_plus)
-        n_val = turnpike_integer(mdp, alpha_star).n_value
-        v_inf = optimal_set(mdp, alpha_star).v_alpha
+        opt = report.optimal_at(mdp, alpha_star)
+        n_val = _turnpike_at(mdp, opt).n_value
+        v_inf = opt.v_alpha
         for k in range(max(0, n_val - 1), A_HORIZON + 1):
             w = tuple(v_inf[i] - trace[k].value[i] for i in range(mdp.m))
             if pushforwards_equal(mdp, phi, w, psi, w):
@@ -481,13 +484,13 @@ class BoundednessReport:
 
 
 def _empirical_samples(
-    mdp: Mdp, alpha_star: Fraction, side: str
+    mdp: Mdp, alpha_star: Fraction, side: str, report: PartitionReport
 ) -> tuple[tuple[Fraction, int], ...]:
     out = []
     for k in range(3, 3 + SAMPLES_PER_SIDE):
         step = min(alpha_star, 1 - alpha_star) / 2**k
         alpha = alpha_star - step if side == "minus" else alpha_star + step
-        out.append((alpha, turnpike_integer(mdp, alpha).n_value))
+        out.append((alpha, turnpike_integer(mdp, alpha, report).n_value))
     return tuple(out)
 
 
@@ -509,6 +512,7 @@ def boundedness_verdict(
         mdp, alpha_star, ("minus", "plus"), k_range_b, point
     )
     filt = policy_filtration(mdp)
+    report = point[-1]
     labels = {}
     methods = {}
     sample_data = {"minus": (), "plus": ()}
@@ -521,7 +525,7 @@ def boundedness_verdict(
             labels[side] = "bounded"
             methods[side] = "small-discount-radius"
         else:
-            data = _empirical_samples(mdp, alpha_star, side)
+            data = _empirical_samples(mdp, alpha_star, side, report)
             sample_data[side] = data
             values = [n for _, n in data]
             growing = values[-1] >= max(6, values[0] + 3) and all(

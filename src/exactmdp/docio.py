@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .limits import parse_int
 from .mdp import Mdp
 
 FORMAT_VERSION = 1
@@ -30,8 +31,8 @@ def _reject_float(text: str):
 
 
 def parse_rational_string(raw, where: str = "") -> Fraction:
-    """Parse "p/q" or integer payloads; floats, decimals and booleans are
-    rejected."""
+    """Parse "p/q" or integer payloads, each part ASCII [+-]?[0-9]+ once
+    the string is stripped; floats, decimals and booleans are rejected."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if isinstance(raw, str):
@@ -39,11 +40,11 @@ def parse_rational_string(raw, where: str = "") -> Fraction:
         if "/" in text:
             num, _, den = text.partition("/")
             try:
-                return Fraction(int(num), int(den))
+                return Fraction(parse_int(num), parse_int(den))
             except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError(f"bad rational {raw!r} at {where}: {exc}")
         try:
-            return Fraction(int(text))
+            return Fraction(parse_int(text))
         except ValueError:
             raise DocumentError(
                 f"bad rational {raw!r} at {where}; expected \"p/q\" or an integer"

@@ -26,8 +26,9 @@ while ``isolate_roots`` splits an interval; in a bracket with one simple
 root, bisection and ``point_sign`` read the defining polynomial's sign.
 
 Most intervals handed to root isolation hold no root.  ``descartes_bound``
-maps (lo, hi) onto (0, oo) by t -> (lo + hi·t)/(1 + t) and counts the sign
-variations of the transformed integer polynomial (Descartes' rule of signs;
+maps (lo, hi) onto (0, oo) by t -> (hi + lo·t)/(1 + t), built from two
+Taylor shifts and two scalings, and counts the sign variations of the
+transformed integer polynomial (Descartes' rule of signs;
 Collins & Akritas 1976, Rouillier & Zimmermann 2004).  A count of 0
 certifies the interval root-free at O(d²) integer cost, so ``isolate_roots``
 returns at once, before any gcd or Sturm chain; any other count falls
@@ -159,13 +160,9 @@ class Polynomial:
         return _poly([0] * k + list(self.ints), self.den)
 
     def __call__(self, point: Fraction) -> Fraction:
-        # homogenized Horner, as in _sign_at: acc = d^deg·ints(n/d)
-        n, d = point.numerator, point.denominator
-        acc, dk = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * n + c * dk
-            dk *= d
-        return Fraction(acc * d, dk * self.den)
+        d = point.denominator
+        acc = _homogeneous_value(self.ints, point.numerator, d)
+        return Fraction(acc, d ** max(self.degree, 0) * self.den)
 
     def derivative(self) -> "Polynomial":
         return _poly(_derivative_ints(self.ints), self.den)
@@ -325,21 +322,35 @@ def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [1]
 
 
-def _sign_at(a: Sequence[int], x: Fraction) -> int:
-    """Sign of a at x = n/d, from the homogenized value sum(a_i n^i d^(k-i))."""
-    n, d = x.numerator, x.denominator
+def _homogeneous_value(a: Sequence[int], n: int, d: int) -> int:
+    """d^k·a(n/d) = sum(a_i n^i d^(k-i)) for k = len(a) - 1, by Horner."""
     acc = 0
     dk = 1
     for c in reversed(a):
         acc = acc * n + c * dk
         dk *= d
+    return acc
+
+
+def _sign_at(a: Sequence[int], x: Fraction) -> int:
+    """Sign of a at x = n/d, from the homogenized value sum(a_i n^i d^(k-i))."""
+    acc = _homogeneous_value(a, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
-def descartes_bound(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of (1+t)^d·a((lo + hi·t)/(1+t)), d = deg a.
+def _taylor_shift(a: list[int], s: int) -> None:
+    """Replace a(x) by a(x + s) in place: Ruffini-Horner, O(d²) steps, which
+    are additions only when s = 1."""
+    top = len(a) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            a[j] += a[j + 1] if s == 1 else s * a[j + 1]
 
-    The Möbius map t -> (lo + hi·t)/(1+t) takes (0, oo) onto the open
+
+def descartes_bound(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1+t)^d·a((hi + lo·t)/(1+t)), d = deg a.
+
+    The Möbius map t -> (hi + lo·t)/(1+t) takes (0, oo) onto the open
     interval (lo, hi), so by Descartes' rule of signs this is an upper bound
     on the number of roots of a in (lo, hi), counted with multiplicity, and
     differs from it by an even number.  0 certifies (lo, hi) root-free at
@@ -347,18 +358,27 @@ def descartes_bound(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     """
     n0, d0 = lo.numerator, lo.denominator
     n1, d1 = hi.numerator, hi.denominator
-    # with lo = n0/d0 and hi = n1/d1 the map is (n0·d1 + n1·d0·t)/(d0·d1·(1+t));
-    # homogenized Horner builds sum(a_i·num^i·den^(d-i)), a positive multiple
-    num0, num1 = n0 * d1, n1 * d0
-    den = d0 * d1
-    acc = [a[-1]]
-    den_pow = [1]  # den^(d-k)·(1+t)^(d-k) at step k
-    for c in reversed(a[:-1]):
-        den_pow = [den * (x + y) for x, y in zip(den_pow + [0], [0] + den_pow)]
-        acc = [num0 * x + num1 * y for x, y in zip(acc + [0], [0] + acc)]
-        if c:
-            acc = [x + c * y for x, y in zip(acc, den_pow)]
-    signs = [c > 0 for c in acc if c]
+    # With D = d0·d1, A = n0·d1 and W = n1·d0 - A, lo + (hi - lo)·x is
+    # (A + W·x)/D.  D^d·a((x + A)/D) has coefficients a_i·D^(d-i) shifted by
+    # A; scaling coefficient i by W^i gives D^d·a(lo + (hi - lo)·x), which
+    # maps (0, 1) onto (lo, hi); reversing it and shifting by 1 maps (0, oo)
+    # onto (0, 1) by x = 1/(1+t).  The result is the polynomial above.
+    big_d, shift = d0 * d1, n0 * d1
+    width = n1 * d0 - shift
+    b = list(a)
+    power = 1
+    for i in range(len(b) - 1, -1, -1):
+        b[i] *= power
+        power *= big_d
+    if shift:
+        _taylor_shift(b, shift)
+    power = 1
+    for i in range(len(b)):
+        b[i] *= power
+        power *= width
+    b.reverse()
+    _taylor_shift(b, 1)
+    signs = [c > 0 for c in b if c]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -769,6 +789,26 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
+
+
+def values_at(
+    fs: Sequence[RationalFunction], x: Fraction
+) -> tuple[list[int], int]:
+    """(nums, den) with f_i(x) = nums[i] / den over one positive denominator,
+    gcd(den, *nums) = 1, on integers: with k >= both degrees of f and
+    x = n/d, f(x) = d^k·num(x) / (d^k·den(x)), two homogenized values."""
+    n, d = x.numerator, x.denominator
+    pairs = []
+    for f in fs:
+        k = max(f.num.degree, f.den.degree)
+        top = _homogeneous_value(f.num.ints, n, d) * d ** (k - f.num.degree)
+        bottom = _homogeneous_value(f.den.ints, n, d) * d ** (k - f.den.degree)
+        bottom *= f.num.den  # the denominator polynomial is over 1
+        pairs.append((top, bottom) if bottom > 0 else (-top, -bottom))
+    den = math.lcm(*(b for _, b in pairs))
+    nums = [t * (den // b) for t, b in pairs]
+    g = math.gcd(den, *nums)
+    return [v // g for v in nums], den // g
 
 
 def unreduced_difference(f: RationalFunction, g: RationalFunction) -> list[int]:

@@ -8,12 +8,15 @@ instances can be pushed through deliberately:
 - ``EXACTMDP_PREFIX_CAP``          policy prefixes enumerated per condition check
 - ``EXACTMDP_PIECE_CAP``           pieces per symbolic horizon
 
-A setting that is not a positive integer raises ``CapSettingError``.
+A setting that is not a positive integer raises ``CapSettingError``.  Cap
+settings, document rationals and discounts all read their integers with
+``parse_int``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 DEFAULT_ENUMERATION_CAP = 4096
 DEFAULT_SYMBOLIC_HORIZON_CAP = 64
@@ -35,13 +38,25 @@ class CapSettingError(ValueError):
     """A cap environment variable is not a positive integer."""
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer an ASCII string [+-]?[0-9]+ spells.  Unlike int(), this
+    refuses underscores, whitespace and non-ASCII digits, with int()'s own
+    ValueError message."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _from_env(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
     message = f"{name}={raw!r} is not a positive integer"
     try:
-        value = int(raw)
+        value = parse_int(raw.strip())
     except ValueError:
         raise CapSettingError(message) from None
     if value < 1:

@@ -11,8 +11,11 @@ sets; both are computed here with exact arithmetic and told apart by one
 set D_n(alpha) -- is held as per-state action sets (``ActionSets``), and
 ``PartitionReport.sets_around`` and ``PiecewiseValue.sets_around`` read the
 one-sided sets at any rational point off the structure without solving again.
-Irrational separation points are carried as isolating brackets, never as
-floats.
+Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
+V*(alpha) without policy iteration: D is the set of alpha's cell or
+irregular point, V* the stored value functions of D's smallest rule at
+alpha, and one integer Q pass certifies both.  Irrational separation points
+are carried as isolating brackets, never as floats.
 """
 
 from __future__ import annotations
@@ -23,7 +26,17 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .bellman import ActionSets, optimal_set, product_subset, smallest_rule
+from .bellman import (
+    ActionSets,
+    OptSets,
+    _integer_form,
+    _q_nums,
+    _sets_at_fixed_point,
+    _vector,
+    optimal_set,
+    product_subset,
+    smallest_rule,
+)
 from .exactarith import (
     IsolatedRoot,
     Point,
@@ -39,6 +52,7 @@ from .exactarith import (
     polynomial_vanishes_at,
     unreduced_difference,
     value_rational_function,
+    values_at,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
 from .mdp import DecisionRule, Mdp, count_rules, enumerate_decision_rules
@@ -86,6 +100,20 @@ class PartitionReport:
             return (frozenset(),) * len(first), first, first
         d = self.interval_containing(alpha).d_set
         return d, d, d
+
+    def optimal_at(self, mdp: Mdp, alpha: Fraction) -> OptSets:
+        """D(alpha) and V*(alpha) of mdp, the MDP this partition is of, read
+        off the partition instead of solved: D from ``sets_around`` and V* as
+        the stored value functions of D's smallest rule at alpha.  One
+        integer Q pass certifies both, the fixed-point check that
+        ``optimal_set`` ends with: the argmax sets must be D and the row
+        maxima V* itself, else AssertionError."""
+        d_sets = self.sets_around(alpha)[1]
+        nums, den = values_at(self.value_functions[smallest_rule(d_sets)], alpha)
+        form = _integer_form(mdp, alpha)
+        if _sets_at_fixed_point(form, nums, den, _q_nums(form, nums, den)) != d_sets:
+            raise AssertionError(f"partition sets fail the optimality check at {alpha}")
+        return OptSets(_vector(nums, den, alpha, None), d_sets)
 
 
 def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:

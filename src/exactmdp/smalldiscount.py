@@ -11,10 +11,11 @@ is the number of states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bellman import ActionSets, optimal_set
+from .bellman import ActionSets
 from .exactarith import point_position
 from .mdp import Mdp, balance, count_rules
 from .turnpike import turnpike_integer
@@ -172,15 +173,17 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     """Spot-check the small-discount predictions against direct computation.
 
     Failures would indicate an implementation fault, not a property of the
-    input, so they are reported as findings with witnesses.
+    input, so they are reported as findings with witnesses.  D(alpha) and
+    N(alpha) at each distinct grid point are computed once, with D and V*
+    read off the canonical partition and certified there.
     """
     from .partition import canonical_partition
 
     rep = policy_filtration(mdp)
     part = canonical_partition(mdp)
     outcomes: list[CheckOutcome] = []
-
-    d0 = optimal_set(mdp, Fraction(0)).d_alpha_sets
+    at = functools.cache(lambda alpha: turnpike_integer(mdp, alpha, part))
+    d0 = at(Fraction(0)).d_alpha_sets
     f0 = rep.rules_at(0)
     outcomes.append(
         CheckOutcome(
@@ -193,7 +196,7 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     fl = rep.rules_at(rep.l_value)
     bad = []
     for alpha in _grid(rep.delta_tilde, grid):
-        if optimal_set(mdp, alpha).d_alpha_sets != fl:
+        if at(alpha).d_alpha_sets != fl:
             bad.append(alpha)
     outcomes.append(
         CheckOutcome(
@@ -233,7 +236,7 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
 
     bad = []
     for alpha in _grid(rep.delta, grid):
-        n = turnpike_integer(mdp, alpha).n_value
+        n = at(alpha).n_value
         if n > rep.l_value + 1:
             bad.append((alpha, n))
     outcomes.append(
@@ -254,7 +257,7 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
         for alpha in [Fraction(0)] + _grid(delta0, grid):
             if alpha >= delta0:
                 continue
-            n = turnpike_integer(mdp, alpha).n_value
+            n = at(alpha).n_value
             if n != 1:
                 bad.append((alpha, n))
         outcomes.append(

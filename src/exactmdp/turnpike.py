@@ -19,6 +19,11 @@ horizons bound the work of deciding it:
   alpha * sp(V_K - V*) <= 2 * alpha^(K+1) * (R1 / (1 - alpha) + R2), the
   test holds by n = K at the latest, and N is the one the exhaustive check
   up to K gives.
+
+D(alpha) and V*(alpha) come from exact policy iteration, except where the
+caller holds the canonical partition: the interval maps, the cover, ``sweep``,
+the condition checks and the small-discount checks pass it, and D and V* are
+read off it and certified by one Q pass (``PartitionReport.optimal_at``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from fractions import Fraction
 
 from .bellman import (
     ActionSets,
+    OptSets,
     _IntegerForm,
     _integer_form,
     _ints_of,
@@ -95,8 +101,13 @@ class TurnpikeResult:
     horizons_checked: int = 0
 
 
-def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
+def turnpike_integer(
+    mdp: Mdp, alpha: Fraction, part: PartitionReport | None = None
+) -> TurnpikeResult:
     """N(alpha) together with the a-priori certificate horizon K.
+
+    Given ``part``, the canonical partition of mdp, D(alpha) and V*(alpha)
+    are read off it (``PartitionReport.optimal_at``) instead of solved.
 
     K uses the balanced spreads R1* and R2*, which ``spreads`` gives for the
     model as it stands.  Nothing else depends on balancing: shifting rewards
@@ -113,7 +124,13 @@ def turnpike_integer(mdp: Mdp, alpha: Fraction) -> TurnpikeResult:
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    opt = optimal_set(mdp, alpha)
+    opt = optimal_set(mdp, alpha) if part is None else part.optimal_at(mdp, alpha)
+    return _turnpike_at(mdp, opt)
+
+
+def _turnpike_at(mdp: Mdp, opt: OptSets) -> TurnpikeResult:
+    """`turnpike_integer` at the discount of opt, given D and V* there."""
+    alpha = opt.v_alpha.alpha
     if alpha == 0:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
     form = _integer_form(mdp, alpha)
@@ -293,12 +310,12 @@ def _interval_map(
             mid = (max(left_edge, lo) + min(right_edge, hi)) / 2
         else:
             mid = (left_edge + right_edge) / 2
-        gap_values.append(turnpike_integer(mdp, mid).n_value)
+        gap_values.append(turnpike_integer(mdp, mid, part).n_value)
         gap_inside.append(inside)
     point_values: dict[Fraction, int] = {}
     for pt in pts:
         if isinstance(pt, Fraction):
-            point_values[pt] = turnpike_integer(mdp, pt).n_value
+            point_values[pt] = turnpike_integer(mdp, pt, part).n_value
     # candidate completeness matters on [lo, hi]; pad-only evaluations count
     # only when they back a one-sided limit at a query-endpoint candidate
     relevant = [
@@ -504,7 +521,7 @@ def turnpike_cover(
     for plo, phi in remaining:
         if plo >= phi:
             continue
-        val = turnpike_integer(mdp, (plo + phi) / 2).n_value
+        val = turnpike_integer(mdp, (plo + phi) / 2, part).n_value
         pieces.append(CoverPiece(plo, phi, val))
     if loss >= eps:
         raise AssertionError("excised measure exceeded the budget; kernel bug")

@@ -40,6 +40,24 @@ class TestParsing:
         with pytest.raises(cli.InputError):
             cli.parse_alpha("1e-3x")
 
+    @pytest.mark.parametrize(
+        "text", ["1_000", "１/２", "1_0/3", "0.٥", "1 / 2", "٠.5", "0.+5", "-.5", "5."]
+    )
+    def test_alpha_needs_ascii_integer_parts(self, capsys, tmp_path, text):
+        with pytest.raises(cli.InputError):
+            cli.parse_alpha(text)
+        code, out, err = run(capsys, "solve", write_mdp(tmp_path, "ex1"), "--alpha", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {text.strip()!r} as an exact rational\n"
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("+3", 3), ("-1/2", F(-1, 2)), ("0.5", F(1, 2)), (".5", F(1, 2)),
+         ("  3/4 ", F(3, 4)), ("+0.25", F(1, 4))],
+    )
+    def test_alpha_signs_decimals_and_padding_still_parse(self, text, value):
+        assert cli.parse_alpha(text) == value
+
     def test_discount_range(self):
         with pytest.raises(cli.InputError):
             cli.parse_discount("5/4")

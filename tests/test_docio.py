@@ -14,6 +14,7 @@ import io
 import json
 import random
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,24 @@ def test_wrong_json_types_are_rejected(path, value):
         docio.mdp_from_document(doc)
     assert run_cli(["solve", "--alpha", "1/2"], doc) == 2
     assert run_cli(["validate"], doc) == 2
+
+
+# int() alone takes underscores, inner spaces and non-ASCII digits
+NOT_ASCII_INTEGERS = ["1_000", "１/２", "1_0/3", "1 / 2", "1/ 2", "٣", "1/٢", "²"]
+
+
+@pytest.mark.parametrize("raw", NOT_ASCII_INTEGERS)
+def test_rational_strings_need_ascii_integer_parts(raw):
+    with pytest.raises(docio.DocumentError, match="bad rational"):
+        docio.parse_rational_string(raw, "rewards['s/a']")
+    assert run_cli(["solve", "--alpha", "1/2"], with_field(("rewards", "s/a"), raw)) == 2
+
+
+@pytest.mark.parametrize(
+    "raw, value", [("+3", 3), ("-1/2", F(-1, 2)), (" 1/2 ", F(1, 2)), ("007", 7)]
+)
+def test_signed_and_padded_rationals_still_parse(raw, value):
+    assert docio.parse_rational_string(raw) == value
 
 
 def test_valid_reference_document_solves():

@@ -14,6 +14,8 @@ CAP_VARIABLES = (
     ("EXACTMDP_PIECE_CAP", limits.piece_cap),
 )
 BAD_VALUES = ("abc", "0", "-3")
+# int() alone reads each of these as a positive integer
+NOT_ASCII_VALUES = ("１０", "1_000", "٣", "1 0")
 
 
 @pytest.mark.parametrize("raw", BAD_VALUES)
@@ -45,3 +47,29 @@ def test_cli_exits_2_on_bad_enumeration_cap(monkeypatch, capsys, tmp_path, raw):
     assert captured.err == (
         f"error: EXACTMDP_ENUMERATION_CAP={raw!r} is not a positive integer\n"
     )
+
+
+@pytest.mark.parametrize("raw", NOT_ASCII_VALUES)
+@pytest.mark.parametrize("name, read", CAP_VARIABLES)
+def test_setting_needs_ascii_digits(monkeypatch, name, read, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(limits.CapSettingError, match=name):
+        read()
+
+
+@pytest.mark.parametrize("raw", NOT_ASCII_VALUES)
+def test_cli_exits_2_on_non_ascii_cap(monkeypatch, capsys, tmp_path, raw):
+    path = tmp_path / "model.json"
+    path.write_text(docio.dumps_document(docio.document_from_mdp(build_example("ex1").mdp)))
+    monkeypatch.setenv("EXACTMDP_ENUMERATION_CAP", raw)
+    assert cli.main(["solve", str(path), "--alpha", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: EXACTMDP_ENUMERATION_CAP={raw!r} is not a positive integer\n"
+    )
+
+
+@pytest.mark.parametrize("raw, value", [(" 7 ", 7), ("+7", 7), ("007", 7)])
+def test_padded_and_signed_settings_still_read(monkeypatch, raw, value):
+    monkeypatch.setenv("EXACTMDP_PIECE_CAP", raw)
+    assert limits.piece_cap() == value

@@ -154,6 +154,69 @@ def test_variations_may_exceed_the_root_count():
     assert isolate_roots(Polynomial(p)) == []
 
 
+# -- the Taylor-shift form against the Möbius-Horner form -------------------------
+
+
+def reference_descartes_bound(a, lo: F, hi: F) -> int:
+    """Sign variations of (1+t)^d·a((lo + hi·t)/(1+t)), built by homogenized
+    Horner on (lo·D + hi·D·t, D·(1+t)) with D = d0·d1.  This is
+    ``descartes_bound``'s polynomial with its coefficients reversed."""
+    n0, d0 = lo.numerator, lo.denominator
+    n1, d1 = hi.numerator, hi.denominator
+    num0, num1 = n0 * d1, n1 * d0
+    den = d0 * d1
+    acc = [a[-1]]
+    den_pow = [1]
+    for c in reversed(a[:-1]):
+        den_pow = [den * (x + y) for x, y in zip(den_pow + [0], [0] + den_pow)]
+        acc = [num0 * x + num1 * y for x, y in zip(acc + [0], [0] + acc)]
+        if c:
+            acc = [x + c * y for x, y in zip(acc, den_pow)]
+    signs = [c > 0 for c in acc if c]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def seeded_bracket(rng: random.Random) -> tuple[F, F]:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(0), F(rng.randint(1, 9), 10)
+    if kind == 1:
+        return F(rng.randint(0, 9), 10), F(1)
+    den = 2**30 if kind == 2 else rng.randint(2, 50)
+    x, y = sorted(rng.sample(range(den + 1), 2))
+    return F(x, den), F(y, den)
+
+
+def seeded_polynomial(rng: random.Random, lo: F, hi: F) -> list[int]:
+    """Degree 1 to 12, about a third of the coefficients zero, and with
+    probability 1/2 each a factor vanishing at lo and at hi."""
+    degree = rng.randint(1, 12)
+    factors = [end for end in (lo, hi) if rng.random() < 0.5][:degree]
+    coeffs = [rng.choice((0, rng.randint(-99, 99))) for _ in range(degree - len(factors))]
+    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 99))
+    p = Polynomial(coeffs)
+    for end in factors:  # (den·x - num) vanishes at end = num/den
+        p = p * Polynomial([-end.numerator, end.denominator])
+    return integer_coeffs(p)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_taylor_shift_form_equals_reference(seed):
+    rng = random.Random(9100 + seed)
+    for _ in range(100):
+        lo, hi = seeded_bracket(rng)
+        a = seeded_polynomial(rng, lo, hi)
+        assert descartes_bound(a, lo, hi) == reference_descartes_bound(a, lo, hi)
+
+
+def test_taylor_shift_form_on_roots_at_both_ends():
+    # x(x - 1)(2x - 1)^2 on (0, 1), (0, 1/2) and (1/2, 1)
+    a = integer_coeffs(Polynomial([0, 1]) * Polynomial([-1, 1]) * Polynomial([1, -4, 4]))
+    for lo, hi in ((F(0), F(1)), (F(0), F(1, 2)), (F(1, 2), F(1))):
+        assert descartes_bound(a, lo, hi) == reference_descartes_bound(a, lo, hi)
+    assert descartes_bound(a, F(0), F(1, 2)) == 0
+
+
 # -- the pair screen inside canonical_partition ----------------------------------
 
 

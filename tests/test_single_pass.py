@@ -4,7 +4,9 @@ filtration; ``small-discount`` one filtration; a turnpike cover one
 partition and one symbolic value iteration however many pieces remain; and
 every model scales its data to integers and measures its spreads once,
 however many discounts it is solved at.  Reading a document parses each
-distinct rational string once."""
+distinct rational string once.  Once an analysis holds the canonical
+partition, D and V* come off it: no policy iteration runs outside the
+partition itself, and each discount is read off once."""
 
 import importlib
 import sys
@@ -13,29 +15,65 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mdpgen
-from exactmdp import cli, docio
+from exactmdp import cli, docio, partition
 from exactmdp.conditions import boundedness_verdict
 from exactmdp.corpus import build_example
 from exactmdp.smalldiscount import small_discount_checks
 from exactmdp.turnpike import turnpike_cover
 
 
-def count_calls(monkeypatch, module, name):
-    """Record the calls of exactmdp.<module>.<name> under every name that any
-    exactmdp module binds it to, so calls through ``from .x import f`` count."""
-    original = getattr(importlib.import_module(f"exactmdp.{module}"), name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
+def rebind(monkeypatch, original, replacement):
+    """Replace ``original`` under every name that any exactmdp module binds
+    it to, so calls through ``from .x import f`` see the replacement."""
     for key, mod in list(sys.modules.items()):
         if key == "exactmdp" or key.startswith("exactmdp."):
             for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def count_calls(monkeypatch, module, name, when=lambda: True):
+    """Record the calls of exactmdp.<module>.<name> made while ``when()``
+    holds."""
+    original = getattr(importlib.import_module(f"exactmdp.{module}"), name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        if when():
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    rebind(monkeypatch, original, counting)
     return calls
+
+
+def outside_partition(monkeypatch):
+    """A ``when`` for count_calls: true outside every canonical_partition."""
+    original = partition.canonical_partition
+    depth = [0]
+
+    def tracked(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    rebind(monkeypatch, original, tracked)
+    return lambda: depth[0] == 0
+
+
+def count_read_offs(monkeypatch):
+    """The discounts ``PartitionReport.optimal_at`` is called at."""
+    original = partition.PartitionReport.optimal_at
+    alphas = []
+
+    def counting(self, mdp, alpha):
+        alphas.append(alpha)
+        return original(self, mdp, alpha)
+
+    monkeypatch.setattr(partition.PartitionReport, "optimal_at", counting)
+    return alphas
 
 
 def test_boundedness_verdict_computes_each_input_once(monkeypatch):
@@ -122,3 +160,49 @@ def test_pointwise_commands_read_the_document_once(monkeypatch, capsys, tmp_path
     capsys.readouterr()
     assert len(tables) == 1
     assert sorted(args[0] for args in parses) == sorted(set(payloads))
+
+
+def test_sweep_runs_policy_iteration_only_inside_the_partition(
+    monkeypatch, capsys, tmp_path
+):
+    path = tmp_path / "ex4.json"
+    path.write_text(docio.dumps_document(docio.document_from_mdp(build_example("ex4").mdp)))
+    outside = count_calls(
+        monkeypatch, "bellman", "optimal_set", outside_partition(monkeypatch)
+    )
+    every = count_calls(monkeypatch, "bellman", "optimal_set")
+    argv = ["sweep", str(path), "--interval", "1/100,9/10", "--steps", "20"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 21
+    assert every and outside == []
+
+
+def test_small_discount_checks_solve_each_discount_once(monkeypatch):
+    mdp = build_example("ex5").mdp
+    outside = count_calls(
+        monkeypatch, "bellman", "optimal_set", outside_partition(monkeypatch)
+    )
+    calls = count_calls(monkeypatch, "turnpike", "turnpike_integer")
+    read_offs = count_read_offs(monkeypatch)
+    checks = small_discount_checks(mdp)
+    assert checks.all_passed
+    turnpikes = [args[1] for args in calls]
+    # the zero-regular grid repeats the turnpike grid, and 0 both set checks
+    assert F(0) in turnpikes and len(turnpikes) > 20
+    assert len(turnpikes) == len(set(turnpikes))
+    assert sorted(read_offs) == sorted(turnpikes)
+    assert outside == []
+
+
+def test_boundedness_verdict_solves_the_point_once(monkeypatch):
+    mdp = build_example("ex4").mdp
+    alpha_star = F(1, 2)
+    outside = count_calls(
+        monkeypatch, "bellman", "optimal_set", outside_partition(monkeypatch)
+    )
+    read_offs = count_read_offs(monkeypatch)
+    report = boundedness_verdict(mdp, alpha_star)
+    assert report.a_left.method == "certificate"  # which reads V*(1/2)
+    assert report.samples_left and report.samples_right
+    assert outside == []
+    assert read_offs.count(alpha_star) == 1
