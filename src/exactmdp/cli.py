@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,26 +31,31 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+_DECIMAL = re.compile(r"[+-]?[0-9]*[.][0-9]+")
+
 
 class InputError(ValueError):
     pass
 
 
 def parse_alpha(text: str) -> Fraction:
-    """Accept "p/q", an integer, or a terminating decimal such as "0.5",
-    written in ASCII digits (``parse_int``)."""
+    """The exact rational that text spells, after outer whitespace is
+    stripped, in ASCII digits only (``parse_int``):
+
+        integer   [+-]?[0-9]+
+        fraction  integer "/" integer
+        decimal   [+-]?[0-9]*[.][0-9]+   (read exactly: 0.5 is 1/2)
+
+    so ".5", "+.5" and "-0.5" are decimals, and "1." and "." are not."""
     text = text.strip()
     try:
         if "/" in text:
             num, _, den = text.partition("/")
             return Fraction(parse_int(num), parse_int(den))
         if "." in text:
-            whole, _, frac = text.partition(".")
-            body = (whole or "0") + "." + frac
-            parse_int(whole or "0")
-            if not (frac.isascii() and frac.isdigit()):
+            if not _DECIMAL.fullmatch(text):
                 raise ValueError(text)
-            return Fraction(body)  # exact: d.ddd = dddd / 10^k
+            return Fraction(text)  # exact: d.ddd = dddd / 10^k
         return Fraction(parse_int(text))
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse {text!r} as an exact rational")

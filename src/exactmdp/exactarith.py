@@ -33,6 +33,14 @@ Collins & Akritas 1976, Rouillier & Zimmermann 2004).  A count of 0
 certifies the interval root-free at O(d²) integer cost, so ``isolate_roots``
 returns at once, before any gcd or Sturm chain; any other count falls
 through to the exact path unchanged.
+
+The two point tests exit early the same way.  An ``IsolatedRoot``'s root
+lies strictly inside its open bracket, so ``polynomial_vanishes_at`` answers
+no when Descartes' rule finds p root-free on the bracket, and ``same_root``
+answers no when the two open brackets are disjoint; only the other cases
+reach the gcd.  ``simplest_fraction_between``, which names the one rational
+a narrow bracket can hold, runs its continued-fraction recursion on integer
+numerators and denominators.
 """
 
 from __future__ import annotations
@@ -501,18 +509,33 @@ def _bisect(
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator strictly inside (lo, hi)."""
+    """The rational with smallest denominator strictly inside (lo, hi).
+
+    The continued-fraction recursion on integer numerators and denominators:
+    with n = floor(lo), either n + 1 < hi, or (lo, hi) - n lies in [0, 1]
+    and the answer is n + 1/q with q the simplest rational in
+    (1/(hi - n), 1/(lo - n)), or q = floor(1/(hi - n)) + 1 when lo = n.
+    """
     if not lo < hi:
         raise ValueError("empty interval")
-    n = math.floor(lo)
-    if lo < n + 1 < hi:
-        return Fraction(n + 1)
-    a, b = lo - n, hi - n  # 0 <= a < b <= 1, no integer strictly inside
-    if a == 0:
-        q = math.floor(Fraction(1) / b) + 1
-        return n + Fraction(1, q)
-    inner = simplest_fraction_between(Fraction(1) / b, Fraction(1) / a)
-    return n + Fraction(1) / inner
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    wholes = []
+    while True:
+        n = ln // ld
+        if (n + 1) * hd < hn:
+            num, den = n + 1, 1
+            break
+        ln -= n * ld
+        hn -= n * hd
+        if not ln:
+            q = hd // hn + 1
+            num, den = n * q + 1, q
+            break
+        wholes.append(n)
+        ln, ld, hn, hd = hd, hn, ld, ln
+    for n in reversed(wholes):
+        num, den = n * num + den, num
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -684,9 +707,13 @@ def _disjoin(roots: list[Point]) -> list[Point]:
 
 
 def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
-    """Does p vanish at the irrational isolated root?"""
+    """Does p vanish at the irrational isolated root?  The root lies strictly
+    inside its open bracket, so when Descartes' rule finds no root of p there
+    the answer is no, without a gcd."""
     if p.is_zero:
         return True
+    if descartes_bound(p.ints, root.lo, root.hi) == 0:
+        return False
     g = poly_gcd(p, root.defining)
     if g.degree <= 0:
         return False
@@ -694,6 +721,10 @@ def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
 
 
 def same_root(a: IsolatedRoot, b: IsolatedRoot) -> bool:
+    """Are the two irrational roots one number?  Disjoint open brackets
+    hold different roots, which needs no gcd."""
+    if max(a.lo, b.lo) >= min(a.hi, b.hi):
+        return False
     g = poly_gcd(a.defining, b.defining)
     if g.degree <= 0:
         return False

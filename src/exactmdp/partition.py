@@ -16,6 +16,14 @@ V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the stored value functions of D's smallest rule at
 alpha, and one integer Q pass certifies both.  Irrational separation points
 are carried as isolating brackets, never as floats.
+
+Symbolic value iteration's inner loop runs on integers.  Each pair
+difference q_a - q_b and each tie test q_k - q_max is a positive integer
+multiple of the difference, left unreduced (``_diff``): root isolation and
+the vanishing test read only its signs and its primitive and square-free
+forms.  The argmax at a rational point compares homogenized integer values
+that share one positive factor (``_scaled_values``), with no ``Fraction``
+per Q value.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ from .exactarith import (
     Point,
     Polynomial,
     RationalFunction,
+    _homogeneous_value,
     _poly,
+    _sub_ints,
     descartes_bound,
     isolate_roots,
     point_position,
@@ -245,6 +255,14 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
     after which the set map is provably constant between consecutive points.
     """
     rules = enumerate_decision_rules(mdp)
+    solved: dict[Fraction, ActionSets] = {}
+
+    def sets_at(alpha: Fraction) -> ActionSets:
+        # a first-round midpoint can come back as a partition point
+        if alpha not in solved:
+            solved[alpha] = optimal_set(mdp, alpha).d_alpha_sets
+        return solved[alpha]
+
     vfun = {rule: value_rational_function(mdp, rule) for rule in rules}
     classes: dict[tuple, list[DecisionRule]] = {}
     for rule in rules:
@@ -259,7 +277,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         for i in range(len(bounds) - 1):
             lo_pt, hi_pt = bounds[i], bounds[i + 1]
             mid = _rational_inside(lo_pt, hi_pt)
-            gap_sets.append(optimal_set(mdp, mid).d_alpha_sets)
+            gap_sets.append(sets_at(mid))
             vstar = vfun[smallest_rule(gap_sets[-1])]
             hull_lo = point_position(lo_pt)[0]
             hull_hi = point_position(hi_pt)[1]
@@ -295,7 +313,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
     for i, pt in enumerate(points):
         d_left, d_right = gap_sets[i], gap_sets[i + 1]
         if isinstance(pt, Fraction):
-            d_at = optimal_set(mdp, pt).d_alpha_sets
+            d_at = sets_at(pt)
         else:
             d_at = _optimal_at_root(mdp, vfun, smallest_rule(d_left), pt)
         if not (product_subset(d_left, d_at) and product_subset(d_right, d_at)):
@@ -307,7 +325,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
 
     # Irregularity of the left endpoint 0: touching only, as 0 has no left
     # side, so it is classified with its right side on both.
-    d0, d0_plus = optimal_set(mdp, Fraction(0)).d_alpha_sets, gap_sets[0]
+    d0, d0_plus = sets_at(Fraction(0)), gap_sets[0]
     kind = classify(d0_plus, d0, d0_plus)
     if kind != "regular":
         no_rules = (frozenset(),) * mdp.m
@@ -407,8 +425,39 @@ def _settle_inside(
             raise AssertionError("cannot separate coincident partition points")
 
 
+def _diff(a: Polynomial, b: Polynomial) -> Polynomial:
+    """A positive integer multiple of a - b, over 1: both cross-scaled to the
+    lcm of their denominators and subtracted, with no content reduction.
+    Root isolation and ``polynomial_vanishes_at`` read only its signs and
+    its primitive and square-free forms, which the multiple leaves alone."""
+    x, y = a.ints, b.ints
+    if a.den != b.den:
+        den = math.lcm(a.den, b.den)
+        x = [c * (den // a.den) for c in x]
+        y = [c * (den // b.den) for c in y]
+    return _poly(_sub_ints(x, y))
+
+
+def _scaled_values(qs: Sequence[Polynomial], pt: Fraction) -> list[int]:
+    """q(pt) for each q in qs, all times one positive factor d^top·M, where
+    pt = n/d, top is the largest degree and M the lcm of the denominators:
+    q's homogenized value at n/d times d^(top - deg q)·(M / q.den)."""
+    n, d = pt.numerator, pt.denominator
+    top = max(q.degree for q in qs)
+    big = math.lcm(*(q.den for q in qs))
+    return [
+        _homogeneous_value(q.ints, n, d) * d ** (top - q.degree) * (big // q.den)
+        for q in qs
+    ]
+
+
+def _first_argmax(qs: Sequence[Polynomial], pt: Fraction) -> int:
+    vals = _scaled_values(qs, pt)
+    return max(range(len(vals)), key=vals.__getitem__)
+
+
 def _poly_eval_argmax(qs: Sequence[Polynomial], pt: Fraction) -> frozenset[int]:
-    vals = [q(pt) for q in qs]
+    vals = _scaled_values(qs, pt)
     best = max(vals)
     return frozenset(k for k, v in enumerate(vals) if v == best)
 
@@ -418,7 +467,7 @@ def _argmax_at_bracket(
 ) -> frozenset[int]:
     out = set()
     for k, q in enumerate(qs):
-        d = q - qmax
+        d = _diff(q, qmax)
         if d.is_zero or polynomial_vanishes_at(d, pt):
             out.add(k)
     return frozenset(out)
@@ -458,7 +507,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         for i in range(mdp.m):
             for a in range(mdp.action_count(i)):
                 for b in range(a + 1, mdp.action_count(i)):
-                    d = qs[i][a] - qs[i][b]
+                    d = _diff(qs[i][a], qs[i][b])
                     if d.is_zero:
                         continue
                     for pt, _ in isolate_roots(d, hull_lo, hull_hi):
@@ -487,10 +536,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
                 mid_right = _rational_inside(
                     boundary, local[0] if local else bounds[idx + 1]
                 )
-                maxpolys = [
-                    qs[i][max(range(len(qs[i])), key=lambda k: qs[i][k](mid_right))]
-                    for i in range(mdp.m)
-                ]
+                maxpolys = [qs[i][_first_argmax(qs[i], mid_right)] for i in range(mdp.m)]
                 pset = tuple(
                     _argmax_at_bracket(qs[i], maxpolys[i], boundary)
                     for i in range(mdp.m)
@@ -504,9 +550,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
             piece_polys = []
             piece_sets = []
             for i in range(mdp.m):
-                vals = [q(mid) for q in qs[i]]
-                best_idx = max(range(len(vals)), key=lambda k: vals[k])
-                best_poly = qs[i][best_idx]
+                best_poly = qs[i][_first_argmax(qs[i], mid)]
                 piece_polys.append(best_poly)
                 piece_sets.append(
                     frozenset(k for k, q in enumerate(qs[i]) if q == best_poly)

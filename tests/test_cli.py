@@ -41,7 +41,9 @@ class TestParsing:
             cli.parse_alpha("1e-3x")
 
     @pytest.mark.parametrize(
-        "text", ["1_000", "１/２", "1_0/3", "0.٥", "1 / 2", "٠.5", "0.+5", "-.5", "5."]
+        "text",
+        ["1_000", "１/２", "1_0/3", "0.٥", "1 / 2", "٠.5", "0.+5", "5.",
+         ".", "+.", "+-.5", "..5", ".5.", "0.5e0", "+ .5"],
     )
     def test_alpha_needs_ascii_integer_parts(self, capsys, tmp_path, text):
         with pytest.raises(cli.InputError):
@@ -57,6 +59,26 @@ class TestParsing:
     )
     def test_alpha_signs_decimals_and_padding_still_parse(self, text, value):
         assert cli.parse_alpha(text) == value
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("+.5", F(1, 2)), ("-.5", F(-1, 2)), ("+.25", F(1, 4)), ("-0.5", F(-1, 2)),
+         (" +.125 ", F(1, 8)), ("+00.50", F(1, 2))],
+    )
+    def test_alpha_sign_before_point(self, text, value):
+        assert cli.parse_alpha(text) == value
+
+    def test_signed_decimal_solves_like_the_fraction(self, capsys, tmp_path):
+        path = write_mdp(tmp_path, "ex1")
+        assert run(capsys, "solve", path, "--alpha", "+.5") == run(
+            capsys, "solve", path, "--alpha", "1/2"
+        )
+
+    @pytest.mark.parametrize("text", ["-.5", "-0.5", "-.0001", "+1.0"])
+    def test_decimal_outside_range_is_a_range_error(self, capsys, tmp_path, text):
+        code, out, err = run(capsys, "solve", write_mdp(tmp_path, "ex1"), "--alpha", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: discount factor {text!r} is outside [0, 1)\n"
 
     def test_discount_range(self):
         with pytest.raises(cli.InputError):

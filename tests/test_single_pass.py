@@ -6,7 +6,9 @@ every model scales its data to integers and measures its spreads once,
 however many discounts it is solved at.  Reading a document parses each
 distinct rational string once.  Once an analysis holds the canonical
 partition, D and V* come off it: no policy iteration runs outside the
-partition itself, and each discount is read off once."""
+partition itself, and each discount is read off once; the partition itself
+solves each discount once, even when a midpoint comes back as a partition
+point."""
 
 import importlib
 import sys
@@ -17,7 +19,7 @@ import pytest
 from conftest import mdpgen
 from exactmdp import cli, docio, partition
 from exactmdp.conditions import boundedness_verdict
-from exactmdp.corpus import build_example
+from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.smalldiscount import small_discount_checks
 from exactmdp.turnpike import turnpike_cover
 
@@ -206,3 +208,16 @@ def test_boundedness_verdict_solves_the_point_once(monkeypatch):
     assert report.samples_left and report.samples_right
     assert outside == []
     assert read_offs.count(alpha_star) == 1
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_partition_solves_each_discount_once(monkeypatch, example_id):
+    calls = count_calls(monkeypatch, "bellman", "optimal_set")
+    report = partition.canonical_partition(build_example(example_id).mdp)
+    alphas = [args[1] for args in calls]
+    assert F(0) in alphas
+    assert len(alphas) == len(set(alphas)), sorted(alphas)
+    if example_id in ("ex4", "ex6", "remark-variant"):
+        # 1/2 is the first midpoint and the break point
+        assert report.irregular_points[-1].point == F(1, 2)
+        assert sorted(alphas) == [F(0), F(1, 4), F(1, 2), F(3, 4)]
