@@ -45,6 +45,7 @@ from .bellman import (
     value_iteration,
 )
 from .equivalence import pushforwards_equal
+from .exactarith import value_rational_function
 from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
 from .partition import PartitionReport, canonical_partition, classify
@@ -109,7 +110,6 @@ def derivative_difference(
         return tuple(a - b for a, b in zip(d1, d2))
     if prefix.tail is None:
         raise ValueError("infinite-horizon derivative needs a stationary tail")
-    from .exactarith import value_rational_function
 
     def _symbolic(first: DecisionRule):
         # polynomial head of the reward stream, then the tail value function

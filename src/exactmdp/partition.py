@@ -178,14 +178,16 @@ def _add_point(points: list[Point], new: Point) -> bool:
     points.append(new)
     points[:] = _sorted_disjoint(points)
     rationals = [p for p in points if isinstance(p, Fraction)]
-    for i, pt in enumerate(points):
-        # the root is irrational, so bisection leaves each rational behind
-        while isinstance(pt, IsolatedRoot) and any(
-            pt.lo <= q <= pt.hi for q in rationals
-        ):
-            pt = pt.refined((pt.hi - pt.lo) / 4)
-        points[i] = pt
+    points[:] = [_clear_of(pt, rationals) for pt in points]
     return True
+
+
+def _clear_of(pt: Point, rationals: Sequence[Fraction]) -> Point:
+    """Refine a bracket until its closed hull holds none of the rationals;
+    the root is irrational, so bisection leaves each rational behind."""
+    while isinstance(pt, IsolatedRoot) and any(pt.lo <= q <= pt.hi for q in rationals):
+        pt = pt.refined((pt.hi - pt.lo) / 4)
+    return pt
 
 
 def _root_free_on(

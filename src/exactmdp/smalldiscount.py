@@ -18,6 +18,7 @@ from fractions import Fraction
 from .bellman import ActionSets
 from .exactarith import point_position
 from .mdp import Mdp, balance, count_rules
+from .partition import canonical_partition
 from .turnpike import turnpike_integer
 
 INFINITE = None  # C_n before any separation has occurred
@@ -177,8 +178,6 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     N(alpha) at each distinct grid point are computed once, with D and V*
     read off the canonical partition and certified there.
     """
-    from .partition import canonical_partition
-
     rep = policy_filtration(mdp)
     part = canonical_partition(mdp)
     outcomes: list[CheckOutcome] = []

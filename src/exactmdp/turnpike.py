@@ -53,6 +53,7 @@ from .partition import (
     canonical_partition,
     classify,
     symbolic_value_iteration,
+    _clear_of,
     _sorted_disjoint,
 )
 
@@ -230,16 +231,15 @@ def _candidate_points(
     query_lo: Fraction,
     query_hi: Fraction,
 ) -> list[Point]:
+    """The irregular and first-step irregular points that meet
+    [lo_pad, hi_pad], sorted, with every bracket's closed hull clear of both
+    query ends, of the rational candidates and of the other brackets."""
     pts: list[Point] = []
 
-    def _want(pt: Point) -> bool:
-        plo, phi = point_position(pt)
-        return phi >= lo_pad and plo <= hi_pad
-
     def _push(pt: Point):
-        if isinstance(pt, IsolatedRoot):
-            pt = pt.excluding(query_lo).excluding(query_hi)
-        if _want(pt) and not any(points_equal(pt, q) for q in pts):
+        pt = _clear_of(pt, (query_lo, query_hi))
+        plo, phi = point_position(pt)
+        if phi >= lo_pad and plo <= hi_pad and not any(points_equal(pt, q) for q in pts):
             pts.append(pt)
 
     for ip in part.irregular_points:
@@ -249,15 +249,13 @@ def _candidate_points(
             left, right = level.interval_sets[i], level.interval_sets[i + 1]
             if classify(left, level.point_sets[i], right) != "regular":
                 _push(cut)
-    return _sorted_disjoint(pts)
+    pts = _sorted_disjoint(pts)
+    rationals = [p for p in pts if isinstance(p, Fraction)]
+    return [_clear_of(p, rationals) for p in pts]
 
 
 def turnpike_intervals(
-    mdp: Mdp,
-    lo: Fraction,
-    hi: Fraction,
-    n_cap: int = 16,
-    pad: Fraction | None = None,
+    mdp: Mdp, lo: Fraction, hi: Fraction, n_cap: int = 16
 ) -> TurnpikeIntervalMap:
     """Decompose [lo, hi] into maximal intervals of constant N.
 
@@ -265,19 +263,18 @@ def turnpike_intervals(
     first-step irregular points of horizons below n_cap; N is evaluated once
     per gap (it is constant there) and at each rational candidate.  If some
     evaluation reaches N >= n_cap the map is returned flagged partial, since
-    candidate completeness is then no longer certified.
+    candidate completeness is then no longer certified.  Every span end and
+    indeterminate point lies in [lo, hi].
 
-    ``pad`` widens the analysis window beyond [lo, hi] so that one-sided
-    limits exist at the interval's own candidate points; pass 0 to confine
-    every evaluation to [lo, hi].
+    Candidates are gathered in [lo, hi] widened by (hi - lo) / 8 on each
+    side, so that one-sided limits exist at the interval's own candidate
+    points.
     """
     if not (0 <= lo < hi < 1):
         raise ValueError("interval must satisfy 0 <= lo < hi < 1")
-    if pad is None:
-        pad = (hi - lo) / 8
     part = canonical_partition(mdp)
     levels = symbolic_value_iteration(mdp, n_cap - 1)
-    return _interval_map(mdp, lo, hi, n_cap, pad, part, levels)
+    return _interval_map(mdp, lo, hi, n_cap, (hi - lo) / 8, part, levels)
 
 
 def _interval_map(
@@ -285,119 +282,73 @@ def _interval_map(
     part: PartitionReport, levels: list[PiecewiseValue],
 ) -> TurnpikeIntervalMap:
     """`turnpike_intervals` given the partition and the symbolic levels of
-    horizons 0..n_cap - 1, which a cover computes once for all its pieces."""
+    horizons 0..n_cap - 1, which a cover computes once for all its pieces.
+
+    Candidates are taken in the window [lo - pad, hi + pad], clipped to
+    [0, (hi + 1) / 2].  No bracket's closed hull holds lo or hi, so the
+    points of [lo, hi] are one run pts[first:last].  Gap j lies between
+    pts[j - 1] and pts[j], with the window's ends standing in at j = 0 and
+    j = len(pts).  Gaps first..last are the only ones sampled: each meets
+    [lo, hi] and is sampled inside it, so the pad beyond a blow-up zone
+    cannot set a span's N, or lies beside a rational query end and is
+    sampled at its own midpoint for the one-sided limit there.
+
+    The map is partial when N >= n_cap at one of those gap samples or at any
+    rational candidate of the window, inside [lo, hi] or not.
+    """
     lo_pad = max(Fraction(0), lo - pad)
     hi_pad = min(hi + pad, (hi + 1) / 2)
     pts = _candidate_points(part, levels, lo_pad, hi_pad, lo, hi)
-
+    first = sum(point_position(p)[1] < lo for p in pts)
+    last = sum(point_position(p)[0] <= hi for p in pts)
     bounds: list[Point] = [lo_pad, *pts, hi_pad]
-    gap_values: list[int | None] = []
-    gap_inside: list[bool] = []
-    for i in range(len(bounds) - 1):
-        left_edge = point_position(bounds[i])[1]
-        right_edge = point_position(bounds[i + 1])[0]
-        if not left_edge < right_edge:
-            # degenerate gap: a candidate point sits on the padded boundary
-            # (only 0 can do this); there is nothing to sample in between
-            gap_values.append(None)
-            gap_inside.append(False)
+    gaps: dict[int, int] = {}
+    for j in range(first, last + 1):
+        left, right = point_position(bounds[j])[1], point_position(bounds[j + 1])[0]
+        if left == right:
+            # a rational candidate on an end of the window leaves no gap there
             continue
-        # sample inside the query interval whenever the gap meets it, so a
-        # pad region beyond an uncovered blow-up zone cannot contaminate the
-        # reported span values
-        inside = right_edge > lo and left_edge < hi
-        if inside:
-            mid = (max(left_edge, lo) + min(right_edge, hi)) / 2
-        else:
-            mid = (left_edge + right_edge) / 2
-        gap_values.append(turnpike_integer(mdp, mid, part).n_value)
-        gap_inside.append(inside)
-    point_values: dict[Fraction, int] = {}
-    for pt in pts:
-        if isinstance(pt, Fraction):
-            point_values[pt] = turnpike_integer(mdp, pt, part).n_value
-    # candidate completeness matters on [lo, hi]; pad-only evaluations count
-    # only when they back a one-sided limit at a query-endpoint candidate
-    relevant = [
-        g for g, inside in zip(gap_values, gap_inside) if inside and g is not None
-    ]
-    for j, pt in enumerate(pts):
-        if isinstance(pt, Fraction) and pt in (lo, hi):
-            for idx in (j, j + 1):
-                if gap_values[idx] is not None and not gap_inside[idx]:
-                    relevant.append(gap_values[idx])
-    max_seen = max(relevant + list(point_values.values()), default=1)
-    partial = max_seen >= n_cap
+        if lo < right and left < hi:
+            left, right = max(left, lo), min(right, hi)
+        gaps[j] = turnpike_integer(mdp, (left + right) / 2, part).n_value
+    point_values = {
+        p: turnpike_integer(mdp, p, part).n_value for p in pts if isinstance(p, Fraction)
+    }
+    partial = max([*gaps.values(), *point_values.values()], default=1) >= n_cap
 
+    # one walk over [lo, hi]: each gap and point in turn, equal neighbours
+    # merged; a bracket has no value (None) and ends the run before it
+    runs: list[list] = []
     d_minus, d_plus = [], []
-    for i, pt in enumerate(pts):
-        if not isinstance(pt, Fraction) or not (lo <= pt <= hi):
-            continue
-        n_at = point_values[pt]
-        if pt != 0 and gap_values[i] is not None and gap_values[i] != n_at:
-            d_minus.append(pt)
-        if gap_values[i + 1] is not None and gap_values[i + 1] != n_at:
-            d_plus.append(pt)
-    d_hat = [p for p in d_minus if p in d_plus]
-    d_all = sorted(set(d_minus) | set(d_plus))
 
-    # Assemble the query interval as an alternating list of gap and point
-    # pieces; gaps inherit the padded structure's constant values.
-    pieces: list[tuple[Point, Point, bool, bool, int | None]] = []
-    inner = [
-        pt
-        for pt in pts
-        if point_position(pt)[1] >= lo and point_position(pt)[0] <= hi
-    ]
-    # gap value applicable immediately right of a position
-    def _gap_value_after(pos: Fraction) -> int:
-        for i in range(len(bounds) - 1):
-            right = point_position(bounds[i + 1])[0]
-            if pos < right and gap_values[i] is not None:
-                return gap_values[i]
-        return next(g for g in reversed(gap_values) if g is not None)
+    def emit(a: Point, b: Point, a_closed: bool, b_closed: bool, n: int | None):
+        if n is not None and runs and runs[-1][4] == n:
+            runs[-1][1], runs[-1][3] = b, b_closed
+        else:
+            runs.append([a, b, a_closed, b_closed, n])
 
     cursor: Point = lo
     cursor_closed = True
-    for pt in inner:
-        if not (isinstance(pt, Fraction) and pt == lo):
-            pieces.append((cursor, pt, cursor_closed, False, _gap_value_after(point_position(cursor)[1])))
-        val = point_values.get(pt) if isinstance(pt, Fraction) else None
-        pieces.append((pt, pt, True, True, val))
+    for j in range(first, last):
+        pt = pts[j]
+        if pt != lo:
+            emit(cursor, pt, cursor_closed, False, gaps[j])
+        n_at = point_values.get(pt)
+        emit(pt, pt, True, True, n_at)
+        if n_at is not None and j in gaps and gaps[j] != n_at:
+            d_minus.append(pt)
+        if n_at is not None and j + 1 in gaps and gaps[j + 1] != n_at:
+            d_plus.append(pt)
         cursor, cursor_closed = pt, False
-    if not (inner and isinstance(inner[-1], Fraction) and inner[-1] == hi):
-        pieces.append((cursor, hi, cursor_closed, True, _gap_value_after(point_position(cursor)[1])))
-
-    merged: list[list] = []
-    indeterminate: list[IsolatedRoot] = []
-    for piece in pieces:
-        plo, phi, lo_cl, hi_cl, val = piece
-        if val is None:
-            indeterminate.append(plo)
-            merged.append(list(piece))
-            continue
-        if (
-            merged
-            and merged[-1][4] is not None
-            and merged[-1][4] == val
-            and not (merged[-1][3] is False and lo_cl is False)
-        ):
-            merged[-1][1] = phi
-            merged[-1][3] = hi_cl
-        else:
-            merged.append(list(piece))
-    spans = tuple(
-        TurnpikeSpan(mlo, mhi, lo_cl, hi_cl, val)
-        for mlo, mhi, lo_cl, hi_cl, val in merged
-        if val is not None
-    )
+    if cursor != hi:
+        emit(cursor, hi, cursor_closed, True, gaps[last])
     return TurnpikeIntervalMap(
-        spans=spans,
+        spans=tuple(TurnpikeSpan(*run) for run in runs if run[4] is not None),
         d_minus=tuple(d_minus),
         d_plus=tuple(d_plus),
-        d_hat=tuple(d_hat),
-        d_all=tuple(d_all),
-        indeterminate=tuple(indeterminate),
+        d_hat=tuple(p for p in d_minus if p in d_plus),
+        d_all=tuple(sorted({*d_minus, *d_plus})),
+        indeterminate=tuple(run[0] for run in runs if run[4] is None),
         point_values=point_values,
         partial=partial,
         horizon_used=n_cap,

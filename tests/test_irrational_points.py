@@ -117,10 +117,13 @@ class TestIrrationalBreakPoint:
 # Exit code and sha256 of stdout of the CLI on irrational_break_mdp(), whose
 # partition prints the bracket (9/16, 19/32) with defining [-1, 0, 3]; the
 # turnpike map stops at its horizon cap (exit 3) with brackets of growing
-# degree right of 1/sqrt(3).
+# degree right of 1/sqrt(3).  [1/2, 9/16] ends on the bracket's lower end
+# and lies wholly left of the root: one span [1/2, 9/16] with N = 1, no
+# indeterminate point, exit 0.
 IRRATIONAL_PINS = (
     ("partition", 0, "108d3506765f4dec6bf699573494a56e6a44e8ed085bfde6797c442a1953fdda"),
     ("turnpike --interval 1/100,9/10", 3, "3115d5796c5b8f7c2eb95b19c694f2468fe6b5e8f1a04a5dbd965ffa69558ca3"),
+    ("turnpike --interval 1/2,9/16", 0, "e91dac11b5a53ffc6dfd7c8becfeb10b138f6983ca822a64630a2e075edb0033"),
 )
 
 
