@@ -112,18 +112,18 @@ def derivative_difference(
         raise ValueError("infinite-horizon derivative needs a stationary tail")
 
     def _symbolic(first: DecisionRule):
-        # polynomial head of the reward stream, then the tail value function
+        # polynomial head of the reward stream and the transition product
         head_rules = [first, *prefix.rules]
         coeffs: list[Vector] = []
         p = _identity(m)
         for rule in head_rules:
             coeffs.append(mat_vec(p, mdp.reward_vector(rule)))
             p = _mat_mul(p, mdp.transition_matrix(rule), m)
-        tail_v = value_rational_function(mdp, prefix.tail)
-        return coeffs, p, tail_v
+        return coeffs, p
 
-    c1, p1, tail_v = _symbolic(phi)
-    c2, p2, _ = _symbolic(psi)
+    c1, p1 = _symbolic(phi)
+    c2, p2 = _symbolic(psi)
+    tail_v = value_rational_function(mdp, prefix.tail)
     horizon = len(c1)
     out = []
     a = alpha_star

@@ -18,12 +18,19 @@ helpers the rest of the package needs to order and compare points.
 and a value); every operation runs on the integers.  gcds and square-free
 parts come from a primitive polynomial remainder sequence (Brown 1971;
 Collins 1967), Sturm chains from the same integer pseudo-remainders, values
-and signs at a rational a/b from homogenized integer Horner evaluation, and
-determinants and value functions from one polynomial Bareiss elimination
-(Bareiss 1968) whose divisions are exact in Z[a]; ``bareiss_solve`` is its
-scalar form for solves at a rational point.  Sturm chains count roots
+and signs at a rational a/b from homogenized integer Horner evaluation.
+Determinants and value functions are Kronecker substitutions (Schönhage
+1982): the matrix is evaluated at a = X = 2^s, with s chosen so that every
+coefficient of the result lies below X/2 in magnitude, one integer Bareiss
+elimination (Bareiss 1968) runs on it, and the coefficients come back as
+the balanced base-X digits of the integer result.  ``bareiss_solve`` and
+``poly_det`` share that one elimination kernel.  Before its remainder
+sequence, a gcd evaluates both inputs at a power of two above a Mignotte
+bound on any common factor, and an integer gcd of at most X/2 certifies
+the pair coprime (Char, Geddes & Gonnet 1989).  Sturm chains count roots
 while ``isolate_roots`` splits an interval; in a bracket with one simple
-root, bisection and ``point_sign`` read the defining polynomial's sign.
+root, bisection (on integer numerators over one denominator) and
+``point_sign`` read the defining polynomial's sign.
 
 Most intervals handed to root isolation hold no root.  ``descartes_bound``
 maps (lo, hi) onto (0, oo) by t -> (hi + lo·t)/(1 + t), built from two
@@ -318,10 +325,29 @@ def _exact_div_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _gcd_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd of nonzero a and b by a primitive remainder sequence."""
+    """Primitive gcd of nonzero a and b by a primitive remainder sequence,
+    after an integer certificate that most pairs are coprime.
+
+    The certificate (as in the heuristic gcd of Char, Geddes & Gonnet 1989):
+    let M = min(‖a‖₁·2^deg a, ‖b‖₁·2^deg b) and X = 2^(bits(M) + 2) > 4M.
+    A factor g of f in Z[x] has ‖g‖∞ ≤ 2^deg f·‖f‖₂ ≤ ‖f‖₁·2^deg f
+    (Mignotte), so a common factor g of degree k ≥ 1 has ‖g‖∞ ≤ M < X/4 and
+    |g(X)| ≥ X^k − (X/4)(X^k − 1)/(X − 1) > X^k/2 ≥ X/2.  It divides a(X)
+    and b(X), one of which is nonzero (the f attaining M has ‖f‖∞ < X/2),
+    so gcd(a(X), b(X)) ≥ |g(X)| > X/2.  Hence gcd(a(X), b(X)) ≤ X/2
+    proves a and b coprime; otherwise the remainder sequence decides.
+    """
     a, b = _primitive_ints(a), _primitive_ints(b)
     if len(a) < len(b):
         a, b = b, a
+    if len(b) > 1:
+        bound = min(
+            sum(map(abs, a)) << (len(a) - 1), sum(map(abs, b)) << (len(b) - 1)
+        )
+        s = bound.bit_length() + 2
+        common = math.gcd(_value_at_power_of_two(a, s), _value_at_power_of_two(b, s))
+        if common <= 1 << (s - 1):
+            return [1]
     while len(b) > 1:
         r = _pseudo_rem(a, b)
         if not r:
@@ -338,6 +364,33 @@ def _homogeneous_value(a: Sequence[int], n: int, d: int) -> int:
         acc = acc * n + c * dk
         dk *= d
     return acc
+
+
+def _value_at_power_of_two(a: Sequence[int], s: int) -> int:
+    """a(2^s), by Horner on shifts."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << s) + c
+    return acc
+
+
+def _balanced_digits(v: int, s: int, bound: int) -> list[int]:
+    """The integer polynomial a with a(2^s) = v and every |a_i| ≤ bound,
+    where 2·bound < 2^s: v's base-2^s digits in [−2^(s−1), 2^(s−1)),
+    constant term first.  Such digits are unique, so a is exact when its
+    coefficients are known to be bounded; a larger digit means the bound
+    did not hold."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        if abs(d) > bound:
+            raise ArithmeticError("coefficient bound exceeded")
+        out.append(d)
+        v = (v - d) >> s
+    return out
 
 
 def _sign_at(a: Sequence[int], x: Fraction) -> int:
@@ -496,16 +549,27 @@ def _bisect(
     ``defining``, until it is no wider than ``width``.  Returns (lo, hi, mid)
     when a midpoint hits the root and (lo, hi, None) otherwise.  A midpoint
     with ``defining``'s sign above the root has the root on its left.
+
+    The ends are integer numerators ln, hn over one denominator d, which
+    starts as the lcm of the two ends' denominators and doubles at each
+    halving; no ``Fraction`` is built until the ends are returned.
     """
     a = defining.ints
     above = _sign_above_root(a, lo, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sign = _sign_at(a, mid)
+    d = math.lcm(lo.denominator, hi.denominator)
+    ln = lo.numerator * (d // lo.denominator)
+    hn = hi.numerator * (d // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    while (hn - ln) * wd > wn * d:
+        mid, d = ln + hn, 2 * d
+        sign = _homogeneous_value(a, mid, d)
         if sign == 0:
-            return lo, hi, mid
-        lo, hi = (lo, mid) if sign == above else (mid, hi)
-    return lo, hi, None
+            return Fraction(2 * ln, d), Fraction(2 * hn, d), Fraction(mid, d)
+        if (sign > 0) == (above > 0):
+            ln, hn = 2 * ln, mid
+        else:
+            ln, hn = mid, 2 * hn
+    return Fraction(ln, d), Fraction(hn, d), None
 
 
 def simplest_fraction_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -911,11 +975,15 @@ def solve_linear(
 
 
 def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a polynomial matrix by fraction-free (Bareiss)
-    elimination on integer coefficients.
+    """Determinant of a polynomial matrix, by Kronecker substitution into one
+    integer fraction-free (Bareiss) elimination.
 
     Each row is first scaled by the lcm of its denominators, which scales
     the determinant by the product of those lcms; it is divided back out.
+    Expanding along a row bounds the coefficient 1-norm of the determinant
+    of the integer rows by C = ∏ᵢ Σⱼ ‖eᵢⱼ‖₁, so at X = 2^(bits(C) + 2) every
+    coefficient lies below X/2 in magnitude and the integer det(X) holds
+    them as its balanced base-X digits.
     """
     rows = []
     scale = 1
@@ -923,38 +991,39 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         den = math.lcm(*(e.den for e in row))
         scale *= den
         rows.append([[c * (den // e.den) for c in e.ints] for e in row])
-    sign = _bareiss_eliminate(rows)
-    return _poly([sign * c for c in rows[-1][-1]] if sign else [], scale)
+    bound = math.prod(sum(abs(c) for e in row for c in e) for row in rows)
+    s = bound.bit_length() + 2
+    m = [[_value_at_power_of_two(e, s) for e in row] for row in rows]
+    sign = _bareiss_forward(m, len(m))
+    return _poly(_balanced_digits(sign * m[-1][-1], s, bound), scale)
 
 
-def _bareiss_eliminate(a: list[list[list[int]]]) -> int:
-    """Fraction-free forward elimination, in place, of an n-row matrix of
-    integer polynomials with n or more columns; columns past the n-th ride
-    along.  Each division by the previous pivot is exact in Z[x] by
-    Sylvester's identity, and afterwards a[k][k] is the leading principal
-    minor of order k+1 of the row-permuted matrix.  Returns the sign of the
-    permutation, or 0 when the leading n columns are singular."""
-    n = len(a)
+def _bareiss_forward(m: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of an n-row
+    integer matrix with n or more columns; columns past the n-th ride
+    along.  Each division by the previous pivot is exact by Sylvester's
+    identity, and afterwards m[k][k] is the leading principal minor of order
+    k+1 of the row-permuted matrix.  Returns the sign of the permutation, or
+    0 when the leading n columns are singular."""
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot is None:
                 return 0
-            a[k], a[pivot] = a[pivot], a[k]
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        row_k = a[k]
+        row_k = m[k]
         akk = row_k[k]
         for i in range(k + 1, n):
-            row_i = a[i]
+            row_i = m[i]
             aik = row_i[k]
             for j in range(k + 1, len(row_i)):
-                cross = _sub_ints(_mul_ints(akk, row_i[j]), _mul_ints(aik, row_k[j]))
-                row_i[j] = _exact_div_ints(cross, prev)
-            row_i[k] = []
+                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
         prev = akk
-    return sign if a[n - 1][n - 1] else 0
+    return sign
 
 
 def bareiss_solve(
@@ -963,31 +1032,17 @@ def bareiss_solve(
     """Solve a square integer system by fraction-free (Bareiss) elimination.
 
     Returns (x, d) with d > 0 and a.x == d.b, so x / d is the solution; d is
-    |det a|.  Each division by the previous pivot is exact by Sylvester's
-    identity, and back-substitution yields det(a).x, which is integral by
+    |det a|.  ``_bareiss_forward`` leaves det(a) up to sign as the last
+    pivot, and back-substitution yields det(a).x, which is integral by
     Cramer's rule.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("matrix/vector shapes do not match")
     m = [list(row) + [bi] for row, bi in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            m[k], m[pivot] = m[pivot], m[k]
-        row_k = m[k]
-        akk = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            aik = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    det = prev
+    if not _bareiss_forward(m, n):
+        raise SingularMatrixError("matrix is singular")
+    det = m[n - 1][n - 1] if n else 1
     x = [0] * n
     for i in range(n - 1, -1, -1):
         row = m[i]
@@ -1006,38 +1061,42 @@ def value_rational_function(
     """Per-state stationary value of a decision rule as a function of the
     discount factor, in reduced form.
 
-    One fraction-free solve of (I - a*P) v = r over Z[a]: each row of the
-    augmented system is scaled by the lcm of its denominators, Bareiss
-    elimination brings it to triangular form with det(I - a*P) up to a
-    constant as the last pivot, and back-substitution gives det·v, whose
-    divisions are exact in Z[a] by Cramer's rule.  Numerator and denominator
-    degrees are bounded by the state count.
+    The system is (L·I − a·L·P) v = L·r with L = ``mdp.integer_table``'s
+    scale, solved once on integers at a = X = 2^s (Kronecker substitution)
+    by ``bareiss_solve``.  Row i has coefficient 1-norm nᵢ = L + Σⱼ L·P(i, j)
+    (2L for a stochastic row), and putting L·rᵢ in place of one of its
+    entries gives at most nᵢ + |L·rᵢ|.  Expanding each determinant along its
+    rows then bounds every coefficient of det and of each Cramer numerator
+    det·vₓ by C = ∏ᵢ (nᵢ + |L·rᵢ|).  With s = bits(C) + 2 they all lie below
+    X/2 in magnitude, so the integers |det(X)| and |det(X)|·vₓ(X) the solve
+    returns hold them, up to one common sign, as balanced base-X digits,
+    which are unique; a digit above C would mean the bound failed, and
+    raises.  The common sign and the power of L cancel in the reduced
+    ``RationalFunction``.  Numerator and denominator degrees are bounded by
+    the state count.
     """
     m = mdp.m
-    p = mdp.transition_matrix(rule)
-    r = mdp.reward_vector(rule)
+    table = mdp.integer_table
+    scale = table.scale
+    cells = [
+        (table.rows[i][k], table.rewards[i][k]) for i, k in enumerate(rule.choices)
+    ]
+    bound = math.prod(
+        scale + sum(abs(lp) for _, lp in row) + abs(reward) for row, reward in cells
+    )
+    s = bound.bit_length() + 2
     rows = []
-    for i in range(m):
-        den = math.lcm(r[i].denominator, *(x.denominator for x in p[i]))
-        ints = [x.numerator * (den // x.denominator) for x in (*p[i], r[i])]
-        row = [[0, -v] if v else [] for v in ints[:m]]
-        row[i] = _sub_ints([den], [0, ints[i]])
-        row.append([ints[m]] if ints[m] else [])
-        rows.append(row)
-    if not _bareiss_eliminate(rows):
-        raise SingularMatrixError("I - a*P is singular")
-    det = rows[-1][m - 1]
-    x: list[list[int]] = [[]] * m
-    for i in range(m - 1, -1, -1):
-        row = rows[i]
-        s = _mul_ints(det, row[m])
-        for j in range(i + 1, m):
-            s = _sub_ints(s, _mul_ints(row[j], x[j]))
-        x[i] = _exact_div_ints(s, row[i])
-    det_poly = _poly(det)
+    for i, (row, _) in enumerate(cells):
+        ints = [0] * m
+        for j, lp in row:
+            ints[j] = -lp << s
+        ints[i] += scale
+        rows.append(ints)
+    nums, det = bareiss_solve(rows, [reward for _, reward in cells])
+    det_poly = _poly(_balanced_digits(det, s, bound))
     out = []
-    for xi in x:
-        rf = RationalFunction(_poly(xi), det_poly)
+    for num in nums:
+        rf = RationalFunction(_poly(_balanced_digits(num, s, bound)), det_poly)
         if rf.num.degree > m or rf.den.degree > m:
             raise AssertionError(
                 "value function degree exceeded the state count; kernel bug"

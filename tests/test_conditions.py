@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from exactmdp import conditions
 from exactmdp.conditions import (
     NotIrregularError,
     boundedness_verdict,
@@ -61,6 +62,23 @@ class TestDerivativeDifference:
         inf_d = derivative_difference(mdp0, phi1, phi2, pre, F(2, 3), None)
         fin_d = derivative_difference(mdp0, phi1, phi2, pre, F(2, 3), 30)
         assert abs(inf_d[0] - fin_d[0]) < F(1, 1000)
+
+    def test_tail_value_function_is_solved_once(self, monkeypatch):
+        solved = []
+        original = conditions.value_rational_function
+
+        def counting(mdp, rule):
+            solved.append(rule)
+            return original(mdp, rule)
+
+        monkeypatch.setattr(conditions, "value_rational_function", counting)
+        fx = build_example("ex5")
+        mdp0 = fx.mdp.with_terminal([F(0), F(0)])
+        phi1, phi2 = phi(0, 0), phi(1, 0)
+        pre = MarkovPrefix((phi1, phi2), tail=phi2)
+        d = derivative_difference(mdp0, phi1, phi2, pre, F(2, 3), None)
+        assert d[0] == F(9, 2) * (1 - F(2, 3) ** 2)
+        assert solved == [phi2]
 
 
 class TestConditionA:

@@ -186,6 +186,34 @@ def test_sign_bisection_matches_the_sturm_reference(seed):
     p, lo, hi = one_root_brackets(rng)
     for width in (F(1, 8), F(1, 1000), F(1, 10**9)):
         assert _bisect(p, lo, hi, width) == sturm_bisect(p, lo, hi, width)
+    widths = (F(2, 7), F(1, 3 * 10**5), F(5, 10**9 + 7))
+    # ends from a refined bracket, at widths that are not powers of two
+    first = _bisect(p, lo, hi, (hi - lo) * F(2, 7))
+    if first[2] is None:
+        root = IsolatedRoot(lo, hi, p).refined((hi - lo) * F(2, 7))
+        assert (root.lo, root.hi) == first[:2]
+        for width in widths:
+            assert _bisect(p, root.lo, root.hi, width) == sturm_bisect(
+                p, root.lo, root.hi, width
+            )
+    # non-dyadic ends over one shared denominator
+    q = rng.randint(3, 40)
+    for j in range(q):
+        a, b = F(j, q), F(j + 1, q)
+        if lo <= a and b <= hi and count_roots_open(p, a, b) == 1:
+            for width in widths:
+                assert _bisect(p, a, b, width) == sturm_bisect(p, a, b, width)
+    # a midpoint that lands on a rational root, between ends 1/3 and 2/5 or
+    # over a random shared denominator; the other factor's root is outside
+    a, b = (F(1, 3), F(2, 5)) if seed % 2 else (F(j := rng.randint(1, q - 2), q), F(j + 1, q))
+    t = rng.randint(1, 6)
+    mid = a + (b - a) * F(rng.randrange(1, 2**t, 2), 2**t)
+    hits = product([-mid.numerator, mid.denominator], [-3, 1])
+    for width in widths:
+        got = _bisect(hits, a, b, width)
+        assert got == sturm_bisect(hits, a, b, width)
+        if (b - a) / 2 ** (t - 1) > width:  # the bisection reaches mid
+            assert got[2] == mid
 
 
 @pytest.mark.parametrize("seed", range(60))
