@@ -36,10 +36,14 @@ Most intervals handed to root isolation hold no root.  ``descartes_bound``
 maps (lo, hi) onto (0, oo) by t -> (hi + lo·t)/(1 + t), built from two
 Taylor shifts and two scalings, and counts the sign variations of the
 transformed integer polynomial (Descartes' rule of signs;
-Collins & Akritas 1976, Rouillier & Zimmermann 2004).  A count of 0
-certifies the interval root-free at O(d²) integer cost, so ``isolate_roots``
-returns at once, before any gcd or Sturm chain; any other count falls
-through to the exact path unchanged.
+Collins & Akritas 1976, Rouillier & Zimmermann 2004).  The count exceeds
+the number of roots in the interval, counted with multiplicity, by an even
+number, so 0 and 1 are exact.  A count of 0 certifies the interval root-free
+at O(d²) integer cost, so ``isolate_roots`` returns at once, before any gcd
+or Sturm chain.  A count of 1 certifies exactly one simple root:
+``isolate_roots`` identifies it on the square-free part with multiplicity 1,
+and ``count_roots_open`` returns the count, with no Sturm chain and no
+multiplicity search.  Only a count of 2 or more reaches the Sturm path.
 
 The two point tests exit early the same way.  An ``IsolatedRoot``'s root
 lies strictly inside its open bracket, so ``polynomial_vanishes_at`` answers
@@ -524,6 +528,11 @@ def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
         raise ZeroPolynomialError("root counting on the zero polynomial")
     if lo >= hi:
         return 0
+    # Descartes' count exceeds the root count (with multiplicity) by an even
+    # number, so 0 and 1 are exact; a Sturm chain decides the rest
+    bound = descartes_bound(p.ints, lo, hi)
+    if bound <= 1:
+        return bound
     s = _squarefree_off_ends(p, lo, hi)
     if len(s) <= 1:
         return 0
@@ -701,12 +710,15 @@ def isolate_roots(
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0 or lo >= hi:
         return []
-    if descartes_bound(p.ints, lo, hi) == 0:
+    bound = descartes_bound(p.ints, lo, hi)
+    if bound == 0:
         return []
     s_ints = _squarefree_off_ends(p, lo, hi)
     if len(s_ints) <= 1:
         return []
     s = _poly(s_ints)
+    if bound == 1:  # exactly one root in (lo, hi), and it is simple
+        return [(_identify_rational(s, lo, hi), 1)]
     found: list[Point] = []
     # One Sturm chain per square-free polynomial on the stack; each entry
     # carries the chain's variations at its two ends (None where it vanishes).
@@ -863,10 +875,13 @@ class RationalFunction:
         )
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        # a negated canonical form is canonical: no gcd to take
+        return _rational(-self.num, self.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
+        return RationalFunction(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
@@ -884,6 +899,14 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
+
+
+def _rational(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num / den, already in canonical form, built without the gcd."""
+    f = object.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
 
 
 def values_at(

@@ -10,7 +10,8 @@ sets; both are computed here with exact arithmetic and told apart by one
 ``classify``.  Each such set -- D(alpha), D(alpha-), D(alpha+) or a first-step
 set D_n(alpha) -- is held as per-state action sets (``ActionSets``), and
 ``PartitionReport.sets_around`` and ``PiecewiseValue.sets_around`` read the
-one-sided sets at any rational point off the structure without solving again.
+one-sided sets at any rational point of [0, 1) off the structure without
+solving again.
 Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
 V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the stored value functions of D's smallest rule at
@@ -18,12 +19,19 @@ alpha, and one integer Q pass certifies both.  Irrational separation points
 are carried as isolating brackets, never as floats.
 
 Symbolic value iteration's inner loop runs on integers.  Each pair
-difference q_a - q_b and each tie test q_k - q_max is a positive integer
-multiple of the difference, left unreduced (``_diff``): root isolation and
-the vanishing test read only its signs and its primitive and square-free
-forms.  The argmax at a rational point compares homogenized integer values
-that share one positive factor (``_scaled_values``), with no ``Fraction``
-per Q value.
+difference q_a - q_b is a positive integer multiple of the difference, left
+unreduced (``_diff``): root isolation reads only its signs and its
+primitive and square-free forms.  The argmax at a rational point compares
+homogenized integer values that share one positive factor
+(``_scaled_values``), with no ``Fraction`` per Q value.
+
+The tie sets at irrational points come off the same pair isolation.  On
+each piece the step records which pairs (state, a, b) are identically zero,
+which vanish at the piece's left bound, and which produced each local
+point.  An irrational cut or left bound lies strictly inside the piece's
+open hull, so every pair root there has been isolated; the actions tied
+with the best one there are those whose pair with it is zero or recorded at
+that point (``_tie_set``), and no vanishing test runs.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import Sequence
 from .bellman import (
     ActionSets,
     OptSets,
+    _argmax,
     _integer_form,
     _q_nums,
     _sets_at_fixed_point,
@@ -100,8 +109,7 @@ class PartitionReport:
         """(D(alpha-), D(alpha), D(alpha+)), read off the partition: D is
         constant on each open interval, and a regular point's set is its
         interval's.  D(0-) has no rules by convention."""
-        if not (0 <= alpha < 1):
-            raise ValueError("discount factor must lie in [0, 1)")
+        _check_discount(alpha)
         for ip in self.irregular_points:
             if points_equal(ip.point, alpha):
                 return ip.d_left, ip.d_at, ip.d_right
@@ -126,6 +134,11 @@ class PartitionReport:
         return OptSets(_vector(nums, den, alpha, None), d_sets)
 
 
+def _check_discount(alpha: Fraction) -> None:
+    if not (0 <= alpha < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
+
+
 def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
     lo = point_position(lo_pt)[1]
     hi = point_position(hi_pt)[0]
@@ -134,18 +147,22 @@ def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
     return (lo + hi) / 2
 
 
-def _sorted_disjoint(points: list[Point]) -> list[Point]:
-    rationals = sorted({p for p in points if isinstance(p, Fraction)})
-    brackets = [p for p in points if isinstance(p, IsolatedRoot)]
+def _sorted_disjoint(points: list[Point], records: Sequence | None = None) -> list:
+    """The points in increasing order, each bracket refined until it
+    excludes every rational point and every other bracket.  With
+    ``records``, one per point and the points distinct, the result is
+    (point, record) pairs in that order instead."""
+    keyed = list(zip(points, [None] * len(points) if records is None else records))
+    rationals = sorted(dict((p, r) for p, r in keyed if isinstance(p, Fraction)).items())
+    refined = [(br, r) for br, r in keyed if isinstance(br, IsolatedRoot)]
     # brackets must exclude every rational point and each other
-    refined: list[IsolatedRoot] = []
-    for br in brackets:
-        for q in rationals:
+    for i, (br, r) in enumerate(refined):
+        for q, _ in rationals:
             br = br.excluding(q)
-        refined.append(br)
+        refined[i] = br, r
     for i in range(len(refined)):
         for j in range(i + 1, len(refined)):
-            a, b = refined[i], refined[j]
+            (a, ra), (b, rb) = refined[i], refined[j]
             while True:
                 a_lo, a_hi = a.position()
                 b_lo, b_hi = b.position()
@@ -153,9 +170,11 @@ def _sorted_disjoint(points: list[Point]) -> list[Point]:
                     break
                 a = a.refined((a.hi - a.lo) / 4)
                 b = b.refined((b.hi - b.lo) / 4)
-            refined[i], refined[j] = a, b
-    merged: list[Point] = list(rationals) + list(refined)
-    merged.sort(key=lambda p: point_position(p))
+            refined[i], refined[j] = (a, ra), (b, rb)
+    merged = rationals + refined
+    merged.sort(key=lambda item: point_position(item[0]))
+    if records is None:
+        return [p for p, _ in merged]
     return merged
 
 
@@ -233,12 +252,16 @@ def _optimal_at_root(
 ) -> ActionSets:
     """D at an irrational point, given a rule optimal there: action a is
     conserving at state s exactly when the rule switched to a at s keeps the
-    optimal value at pt, so sum |A(s)| value comparisons decide the sets."""
+    optimal value at pt, so sum |A(s)| value comparisons decide the sets.
+    Each comparison tests the unreduced numerator of the difference: the
+    factors that reduction would drop divide the two value functions'
+    denominators, and those divide det(I - aP), which has no root in
+    [0, 1)."""
 
     def conserving(s: int, a: int) -> bool:
         switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
-        diffs = (v - w for v, w in zip(vfun[rule], vfun[switched]))
-        return all(d.is_zero or polynomial_vanishes_at(d.num, pt) for d in diffs)
+        nums = (unreduced_difference(v, w) for v, w in zip(vfun[rule], vfun[switched]))
+        return all(not num or polynomial_vanishes_at(_poly(num), pt) for num in nums)
 
     return tuple(
         frozenset(a for a in range(mdp.action_count(s)) if conserving(s, a))
@@ -360,7 +383,9 @@ class PiecewiseValue:
 
     cuts are the retained interior points; pieces[i] is the per-state
     polynomial vector on the i-th open interval; interval_sets / point_sets
-    give the first-step-optimal action products (None at horizon 0).
+    give the first-step-optimal action products on the pieces and at the
+    cuts, and zero_sets the one at 0, the reward argmax (all None at
+    horizon 0).
     """
 
     horizon: int
@@ -368,6 +393,7 @@ class PiecewiseValue:
     pieces: tuple[tuple[Polynomial, ...], ...]
     interval_sets: tuple[ActionSets, ...] | None
     point_sets: tuple[ActionSets, ...] | None
+    zero_sets: ActionSets | None = None
 
     def bounds(self) -> list[Point]:
         return [Fraction(0), *self.cuts, Fraction(1)]
@@ -383,9 +409,14 @@ class PiecewiseValue:
         return len(self.cuts)
 
     def sets_around(self, alpha: Fraction) -> tuple[ActionSets, ActionSets, ActionSets]:
-        """(D_n(alpha-), D_n(alpha), D_n(alpha+)) as action products."""
+        """(D_n(alpha-), D_n(alpha), D_n(alpha+)) as action products.
+        D_n(0-) has no rules by convention."""
+        _check_discount(alpha)
         if self.interval_sets is None:
             raise ValueError("horizon 0 carries no first-step sets")
+        if alpha == 0:
+            first = self.interval_sets[0]
+            return (frozenset(),) * len(first), self.zero_sets, first
         for i, cut in enumerate(self.cuts):
             if isinstance(cut, Fraction) and cut == alpha:
                 return (
@@ -464,15 +495,13 @@ def _poly_eval_argmax(qs: Sequence[Polynomial], pt: Fraction) -> frozenset[int]:
     return frozenset(k for k, v in enumerate(vals) if v == best)
 
 
-def _argmax_at_bracket(
-    qs: Sequence[Polynomial], qmax: Polynomial, pt: IsolatedRoot
-) -> frozenset[int]:
-    out = set()
-    for k, q in enumerate(qs):
-        d = _diff(q, qmax)
-        if d.is_zero or polynomial_vanishes_at(d, pt):
-            out.add(k)
-    return frozenset(out)
+def _tie_set(i: int, count: int, best: int, ties: set) -> frozenset[int]:
+    """The actions of state i whose Q value ties with action best's, where
+    ``ties`` holds every pair (i, a, b), a < b, whose difference vanishes
+    at the point in question."""
+    return frozenset(
+        k for k in range(count) if k == best or (i, min(k, best), max(k, best)) in ties
+    )
 
 
 def _q_polynomials(mdp: Mdp, pvec: Sequence[Polynomial]) -> list[list[Polynomial]]:
@@ -505,73 +534,84 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         qs = _q_polynomials(mdp, pvec)
         hull_lo = point_position(bounds[idx])[0]
         hull_hi = point_position(bounds[idx + 1])[1]
+        # Each pair (i, a, b) whose difference is identically zero, or
+        # vanishes at the left bound, or at a raw point: the tie sets at the
+        # left bound and at the local cuts are read off these records.
+        zero: set[tuple[int, int, int]] = set()
+        at_left: set[tuple[int, int, int]] = set()
         raw: list[Point] = []
+        raw_pairs: list[set[tuple[int, int, int]]] = []
         for i in range(mdp.m):
             for a in range(mdp.action_count(i)):
                 for b in range(a + 1, mdp.action_count(i)):
                     d = _diff(qs[i][a], qs[i][b])
                     if d.is_zero:
+                        zero.add((i, a, b))
                         continue
                     for pt, _ in isolate_roots(d, hull_lo, hull_hi):
-                        if points_equal(pt, bounds[idx]) or points_equal(
-                            pt, bounds[idx + 1]
-                        ):
+                        if points_equal(pt, bounds[idx]):
+                            at_left.add((i, a, b))
                             continue
-                        if not any(points_equal(pt, seen) for seen in raw):
+                        if points_equal(pt, bounds[idx + 1]):
+                            continue
+                        seen = next(
+                            (j for j, q in enumerate(raw) if points_equal(pt, q)), None
+                        )
+                        if seen is None:
                             raw.append(pt)
-        local: list[Point] = []
-        for pt in _sorted_disjoint(raw):
+                            raw_pairs.append({(i, a, b)})
+                        else:
+                            raw_pairs[seen].add((i, a, b))
+        local: list[tuple[Point, set]] = []
+        for pt, pairs in _sorted_disjoint(raw, raw_pairs):
             settled = _settle_inside(pt, bounds, idx)
             if settled is not None:
-                local.append(settled)
-        local.sort(key=point_position)
+                local.append((settled, zero | pairs))
+        local.sort(key=lambda item: point_position(item[0]))
 
         # Point set at the boundary shared with the previous piece; the two
-        # sides agree in value there, so the current q's may be used.
+        # sides agree in value there, so the current q's may be used.  A
+        # root of a pair difference at an irrational boundary lies inside
+        # the open hull, so isolation has found it.
         if idx > 0:
             boundary = bounds[idx]
             if isinstance(boundary, Fraction):
-                pset = tuple(
-                    _poly_eval_argmax(qs[i], boundary) for i in range(mdp.m)
-                )
+                pset = tuple(_poly_eval_argmax(q, boundary) for q in qs)
             else:
                 mid_right = _rational_inside(
-                    boundary, local[0] if local else bounds[idx + 1]
+                    boundary, local[0][0] if local else bounds[idx + 1]
                 )
-                maxpolys = [qs[i][_first_argmax(qs[i], mid_right)] for i in range(mdp.m)]
+                ties = zero | at_left
                 pset = tuple(
-                    _argmax_at_bracket(qs[i], maxpolys[i], boundary)
-                    for i in range(mdp.m)
+                    _tie_set(i, len(q), _first_argmax(q, mid_right), ties)
+                    for i, q in enumerate(qs)
                 )
             cut_records.append(("bound", idx))
             psets.append(pset)
 
-        sub_bounds = [bounds[idx], *local, bounds[idx + 1]]
+        sub_bounds = [bounds[idx], *(pt for pt, _ in local), bounds[idx + 1]]
         for s in range(len(sub_bounds) - 1):
             mid = _rational_inside(sub_bounds[s], sub_bounds[s + 1])
-            piece_polys = []
-            piece_sets = []
-            for i in range(mdp.m):
-                best_poly = qs[i][_first_argmax(qs[i], mid)]
-                piece_polys.append(best_poly)
-                piece_sets.append(
-                    frozenset(k for k, q in enumerate(qs[i]) if q == best_poly)
+            best = [_first_argmax(q, mid) for q in qs]
+            piece_polys = tuple(q[k] for q, k in zip(qs, best))
+            pieces.append(piece_polys)
+            isets.append(
+                tuple(
+                    frozenset(k for k, p in enumerate(q) if p == best_poly)
+                    for q, best_poly in zip(qs, piece_polys)
                 )
+            )
             if s > 0:
-                cut = sub_bounds[s]
+                cut, ties = local[s - 1]
                 if isinstance(cut, Fraction):
-                    pset = tuple(
-                        _poly_eval_argmax(qs[i], cut) for i in range(mdp.m)
-                    )
+                    pset = tuple(_poly_eval_argmax(q, cut) for q in qs)
                 else:
                     pset = tuple(
-                        _argmax_at_bracket(qs[i], piece_polys[i], cut)
-                        for i in range(mdp.m)
+                        _tie_set(i, len(q), k, ties)
+                        for i, (q, k) in enumerate(zip(qs, best))
                     )
                 cut_records.append(("local", cut))
                 psets.append(pset)
-            pieces.append(tuple(piece_polys))
-            isets.append(tuple(piece_sets))
 
     cuts: list[Point] = [
         bounds[payload] if kind == "bound" else payload
@@ -606,6 +646,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         pieces=tuple(merged_pieces),
         interval_sets=tuple(merged_isets),
         point_sets=tuple(merged_psets),
+        zero_sets=_argmax(mdp.integer_table.rewards)[1],  # at 0, Q is the reward
     )
 
 
@@ -638,8 +679,12 @@ class FirstStepClassification:
 
 
 def first_step_classify(mdp: Mdp, alpha: Fraction, n: int) -> FirstStepClassification:
-    """Classify alpha for the horizon-n first-step-optimal map."""
+    """Classify alpha in [0, 1) for the horizon-n first-step-optimal map.
+    0 has no left side, so, as in ``canonical_partition``, it is classified
+    with its right side on both and can only be touching."""
     if n < 1:
         raise ValueError("horizon must be positive")
+    _check_discount(alpha)
     left, at, right = symbolic_value_iteration(mdp, n)[n].sets_around(alpha)
-    return FirstStepClassification(classify(left, at, right), left, at, right)
+    kind = classify(right if alpha == 0 else left, at, right)
+    return FirstStepClassification(kind, left, at, right)

@@ -1,12 +1,12 @@
 """Symbolic value iteration's inner loop runs on integers: pair differences
-and tie tests are positive integer multiples of q_a - q_b
-(`partition._diff`), the argmax compares homogenized integer values times
-one common positive factor (`partition._scaled_values`),
-`polynomial_vanishes_at` and `same_root` settle what Descartes' rule and
-disjoint brackets decide before any gcd, and `simplest_fraction_between`
-runs on integer numerators and denominators.  These tests keep the
-`Fraction` and gcd-first forms as references and require the same results,
-and pin the fast paths by counting the calls they avoid."""
+are positive integer multiples of q_a - q_b (`partition._diff`), the argmax
+compares homogenized integer values times one common positive factor
+(`partition._scaled_values`), `polynomial_vanishes_at` and `same_root`
+settle what Descartes' rule and disjoint brackets decide before any gcd,
+and `simplest_fraction_between` runs on integer numerators and
+denominators.  These tests keep the `Fraction` and gcd-first forms as
+references and require the same results, and pin the fast paths by counting
+the calls they avoid."""
 
 import math
 import random

@@ -228,7 +228,7 @@ class TestSymbolicValueIteration:
             levels = symbolic_value_iteration(mdp, 3)
             for n in range(1, 4):
                 pw = levels[n]
-                for k in range(1, 14):
+                for k in range(14):
                     alpha = F(k, 14)
                     _, at, _ = pw.sets_around(alpha)
                     exact = value_iteration(mdp, alpha, n)[n].first_step
@@ -249,7 +249,53 @@ def side_by_side(mdp: Mdp) -> Mdp:
     )
 
 
+def reward_tie_mdp() -> Mdp:
+    """s0 has a (stay) and b (move to s1), both paying 1; s1 is absorbing
+    at reward 0.  At 0 only rewards count, so a and b tie; just right of 0,
+    staying earns more."""
+    return Mdp(
+        ("s0", "s1"),
+        (("a", "b"), ("c",)),
+        (((F(1), F(0)), (F(0), F(1))), ((F(0), F(1)),)),
+        ((F(1), F(1)), (F(0),)),
+        (F(0), F(0)),
+    )
+
+
 class TestFirstStepClassification:
+    def test_zero_takes_the_reward_argmax(self):
+        from exactmdp.bellman import value_iteration
+
+        mdp = reward_tie_mdp()
+        none = (frozenset(), frozenset())
+        both = (frozenset({0, 1}), frozenset({0}))
+        stay = (frozenset({0}), frozenset({0}))
+        for n in (1, 2, 3):
+            cls = first_step_classify(mdp, F(0), n)
+            assert cls.at == value_iteration(mdp, F(0), n)[n].first_step == both
+            assert cls.left == none
+        # at horizon 1 the successor values are terminal zeros, so a and b
+        # tie on a whole piece; from horizon 2 on, b is optimal at 0 only
+        cls = first_step_classify(mdp, F(0), 1)
+        assert (cls.kind, cls.right) == ("regular", both)
+        cls = first_step_classify(mdp, F(0), 2)
+        assert (cls.kind, cls.right) == ("touching", stay)
+        # classified as the partition classifies 0
+        (ip,) = canonical_partition(mdp).irregular_points
+        assert (ip.point, ip.kind, ip.d_left, ip.d_at, ip.d_right) == (
+            F(0), cls.kind, cls.left, cls.at, cls.right
+        )
+
+    @pytest.mark.parametrize("alpha", [F(-1, 2), F(1), F(3, 2)])
+    def test_discount_outside_the_unit_interval_raises(self, alpha):
+        mdp = build_example("ex4").mdp
+        with pytest.raises(ValueError):
+            first_step_classify(mdp, alpha, 3)
+        with pytest.raises(ValueError):
+            symbolic_value_iteration(mdp, 2)[2].sets_around(alpha)
+        with pytest.raises(ValueError):
+            canonical_partition(mdp).sets_around(alpha)
+
     def test_twin_model_uses_the_partition_definition(self):
         # one rule per side, but four rules optimal at 2/3: mixing the two
         # copies' choices gives rules optimal only at the point itself

@@ -2,13 +2,15 @@
 
 ``descartes_bound`` counts the sign variations of (1+t)^d p((lo + hi t)/(1+t)),
 an upper bound of the same parity on the roots of p in (lo, hi) counted with
-multiplicity.  ``isolate_roots`` returns [] at once when it is 0, and
+multiplicity.  ``isolate_roots`` returns [] at once when it is 0 and
+identifies the one simple root without a Sturm chain when it is 1, and
 ``canonical_partition`` skips a candidate pair when every unreduced value
 difference is zero or root-free on the gap's hull.  A screened call must
 return exactly what the unscreened call returns.  The references below run
 the same functions with both screens switched off: ``descartes_bound``
-never clears an interval and the pair screen never clears a pair, which
-leaves the exact gcd and Sturm path to decide every interval.
+never decides an interval (it returns 2, which certifies neither 0 nor
+exactly 1 root) and the pair screen never clears a pair, which leaves the
+exact gcd and Sturm path to decide every interval.
 """
 
 import math
@@ -35,7 +37,9 @@ from exactmdp.partition import canonical_partition, symbolic_value_iteration
 
 @contextmanager
 def screens_off():
-    with mock.patch.object(exactarith, "descartes_bound", lambda a, lo, hi: 1):
+    # 2 is a count Descartes' rule leaves undecided (0 and 1 are exact), so
+    # every interval goes to the gcd and Sturm path
+    with mock.patch.object(exactarith, "descartes_bound", lambda a, lo, hi: 2):
         with mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False):
             yield
 
