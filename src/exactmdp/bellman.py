@@ -67,15 +67,13 @@ class OptSets:
     d_alpha_sets: ActionSets
 
 
-def rules_from_action_sets(sets: ActionSets) -> frozenset[DecisionRule]:
-    """The decision rules of the product; raises ``CapExceededError`` past
-    the enumeration cap."""
+def rules_from_action_sets(sets: ActionSets) -> list[DecisionRule]:
+    """The decision rules of the product in lexicographic order; raises
+    ``CapExceededError`` past the enumeration cap."""
     count, cap = count_rules(sets), enumeration_cap()
     if count > cap:
         raise CapExceededError("enumeration", count, cap)
-    return frozenset(
-        DecisionRule(choice) for choice in product(*(sorted(s) for s in sets))
-    )
+    return [DecisionRule(choice) for choice in product(*(sorted(s) for s in sets))]
 
 
 def smallest_rule(sets: ActionSets) -> DecisionRule:

@@ -107,8 +107,9 @@ def rule_json(mdp: Mdp, rule: DecisionRule) -> list[str]:
 
 
 def rules_json(mdp: Mdp, sets: ActionSets) -> list[list[str]]:
-    """The product's rules, sorted; raises CapExceededError past the cap."""
-    return [rule_json(mdp, r) for r in sorted(rules_from_action_sets(sets))]
+    """The product's rules, in lexicographic order; raises CapExceededError
+    past the cap."""
+    return [rule_json(mdp, r) for r in rules_from_action_sets(sets)]
 
 
 def point_json(pt):

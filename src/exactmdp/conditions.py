@@ -348,7 +348,7 @@ def _condition_b_verdicts(
     _, d_minus, d_at, d_plus, report = point
     vf = report.value_functions
     names = {"minus": "B-", "plus": "B+"}
-    rules_sorted = sorted(rules_from_action_sets(d_at))  # the prefixes' rules
+    rules_sorted = rules_from_action_sets(d_at)  # the prefixes' rules
     split = {}  # each side's rules and the other rules of D(alpha_star)
     verdicts: dict[str, ConditionVerdict] = {}
     pending = []  # sides still to settle

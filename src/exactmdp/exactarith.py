@@ -13,6 +13,12 @@ isolation, then a search for the one rational a narrow bracket can hold),
 and ``point_position``, ``point_sign`` and ``points_equal`` are the only
 helpers the rest of the package needs to order and compare points.
 
+Every sorted set of points (isolated roots, partition and step cuts,
+turnpike candidates) goes through ``separate_points``, which keeps one
+invariant: no bracket's closed hull holds a rational point of the set or
+meets another bracket's, so every gap between neighbours holds a rational.
+``clear_of`` keeps a bracket off other rationals, such as 0 and 1.
+
 ``Polynomial`` holds integer coefficients over one denominator and makes a
 ``Fraction`` only at its edges (the constructor, ``.coeffs``, ``leading``
 and a value); every operation runs on the integers.  gcds and square-free
@@ -642,9 +648,6 @@ class IsolatedRoot:
             root = root.refined((root.hi - root.lo) / 4)
         return root
 
-    def position(self) -> tuple[Fraction, Fraction]:
-        return self.lo, self.hi
-
 
 # A point of the discount interval: a rational as itself, an irrational root
 # as its bracket.  A rational root is never an ``IsolatedRoot``, so two
@@ -678,6 +681,46 @@ def points_equal(a: Point, b: Point) -> bool:
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return a == b
     return same_root(a, b)
+
+
+def clear_of(pt: Point, rationals: Sequence[Fraction]) -> Point:
+    """pt, with a bracket refined until its closed hull holds none of the
+    rationals; the root is irrational, so bisection leaves each behind."""
+    while isinstance(pt, IsolatedRoot) and any(pt.lo <= q <= pt.hi for q in rationals):
+        pt = pt.refined((pt.hi - pt.lo) / 4)
+    return pt
+
+
+def separate_points(points: Sequence[Point], records: Sequence | None = None) -> list:
+    """The points in increasing order, no two touching, so every gap between
+    neighbours holds a rational.  With ``records``, one per point and the
+    points distinct, the result is (point, record) pairs in that order.
+
+    Brackets are refined in three passes, in this order: out of each
+    rational's open interval, then pair by pair until the closed hulls are
+    disjoint (both brackets of a pair refined together), then until no
+    closed hull holds a rational.  The order fixes how far each bracket is
+    refined, and so its printed ends.
+    """
+    keyed = list(zip(points, [None] * len(points) if records is None else records))
+    rationals = sorted(dict((p, r) for p, r in keyed if isinstance(p, Fraction)).items())
+    cuts = [q for q, _ in rationals]
+    brackets = []
+    for br, r in keyed:
+        if isinstance(br, IsolatedRoot):
+            for q in cuts:
+                br = br.excluding(q)
+            brackets.append((br, r))
+    for i in range(len(brackets)):
+        for j in range(i + 1, len(brackets)):
+            (a, ra), (b, rb) = brackets[i], brackets[j]
+            while not (a.hi < b.lo or b.hi < a.lo):
+                a = a.refined((a.hi - a.lo) / 4)
+                b = b.refined((b.hi - b.lo) / 4)
+            brackets[i], brackets[j] = (a, ra), (b, rb)
+    merged = rationals + [(clear_of(br, cuts), r) for br, r in brackets]
+    merged.sort(key=lambda item: point_position(item[0]))
+    return merged if records is not None else [p for p, _ in merged]
 
 
 def _identify_rational(s: Polynomial, lo: Fraction, hi: Fraction) -> Point:
@@ -726,10 +769,7 @@ def isolate_roots(
     stack = [(lo, hi, s, chain, _variations(chain, lo), _variations(chain, hi))]
     while stack:
         a, b, q, chain, va, vb = stack.pop()
-        if va is None or vb is None:
-            count = count_roots_open(q, a, b)
-        else:
-            count = va - vb
+        count = va - vb
         if count == 0:
             continue
         if count == 1:
@@ -756,7 +796,7 @@ def isolate_roots(
                 p_gcd = poly_gcd(p, p.derivative())
             mults.append(_irrational_multiplicity(p_gcd, root))
     pairs = sorted(zip(found, mults), key=lambda rm: point_position(rm[0]))
-    return list(zip(_disjoin([r for r, _ in pairs]), (m for _, m in pairs)))
+    return separate_points([r for r, _ in pairs], [m for _, m in pairs])
 
 
 def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
@@ -766,20 +806,6 @@ def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
         mult += 1
         g = poly_gcd(g, g.derivative())
     return mult
-
-
-def _disjoin(roots: list[Point]) -> list[Point]:
-    """Refine brackets so that consecutive points do not overlap."""
-    out = list(roots)
-    for i in range(len(out) - 1):
-        a, b = out[i], out[i + 1]
-        while point_position(a)[1] >= point_position(b)[0]:
-            if isinstance(a, IsolatedRoot):
-                a = a.refined((a.hi - a.lo) / 4)
-            if isinstance(b, IsolatedRoot):
-                b = b.refined((b.hi - b.lo) / 4)
-        out[i], out[i + 1] = a, b
-    return out
 
 
 def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:

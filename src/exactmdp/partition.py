@@ -16,7 +16,9 @@ Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
 V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the stored value functions of D's smallest rule at
 alpha, and one integer Q pass certifies both.  Irrational separation points
-are carried as isolating brackets, never as floats.
+are carried as isolating brackets, never as floats, and every set of them
+is kept apart by ``exactarith.separate_points``; ``_settle_inside`` also
+refines a step's points against the previous horizon's cuts.
 
 Symbolic value iteration's inner loop runs on integers.  Each pair
 difference q_a - q_b is a positive integer multiple of the difference, left
@@ -62,6 +64,7 @@ from .exactarith import (
     _homogeneous_value,
     _poly,
     _sub_ints,
+    clear_of,
     descartes_bound,
     isolate_roots,
     point_position,
@@ -69,6 +72,7 @@ from .exactarith import (
     points_equal,
     poly_gcd,
     polynomial_vanishes_at,
+    separate_points,
     unreduced_difference,
     value_rational_function,
     values_at,
@@ -147,66 +151,13 @@ def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
     return (lo + hi) / 2
 
 
-def _sorted_disjoint(points: list[Point], records: Sequence | None = None) -> list:
-    """The points in increasing order, each bracket refined until it
-    excludes every rational point and every other bracket.  With
-    ``records``, one per point and the points distinct, the result is
-    (point, record) pairs in that order instead."""
-    keyed = list(zip(points, [None] * len(points) if records is None else records))
-    rationals = sorted(dict((p, r) for p, r in keyed if isinstance(p, Fraction)).items())
-    refined = [(br, r) for br, r in keyed if isinstance(br, IsolatedRoot)]
-    # brackets must exclude every rational point and each other
-    for i, (br, r) in enumerate(refined):
-        for q, _ in rationals:
-            br = br.excluding(q)
-        refined[i] = br, r
-    for i in range(len(refined)):
-        for j in range(i + 1, len(refined)):
-            (a, ra), (b, rb) = refined[i], refined[j]
-            while True:
-                a_lo, a_hi = a.position()
-                b_lo, b_hi = b.position()
-                if a_hi < b_lo or b_hi < a_lo:
-                    break
-                a = a.refined((a.hi - a.lo) / 4)
-                b = b.refined((b.hi - b.lo) / 4)
-            refined[i], refined[j] = (a, ra), (b, rb)
-    merged = rationals + refined
-    merged.sort(key=lambda item: point_position(item[0]))
-    if records is None:
-        return [p for p, _ in merged]
-    return merged
-
-
-def _clear_of_ends(pt: Point) -> Point:
-    """Refine a bracket until it lies strictly inside (0, 1), so the gaps it
-    makes with the bounds 0 and 1 are not empty; the root lies in the open
-    interval, so this ends."""
-    while isinstance(pt, IsolatedRoot) and (pt.lo <= 0 or pt.hi >= 1):
-        pt = pt.refined((pt.hi - pt.lo) / 4)
-    return pt
-
-
 def _add_point(points: list[Point], new: Point) -> bool:
-    """Insert a new point, keeping every bracket's closed hull clear of the
-    rational points, so no gap between neighbours is empty."""
-    new = _clear_of_ends(new)
-    for p in points:
-        if points_equal(p, new):
-            return False
-    points.append(new)
-    points[:] = _sorted_disjoint(points)
-    rationals = [p for p in points if isinstance(p, Fraction)]
-    points[:] = [_clear_of(pt, rationals) for pt in points]
+    """Insert a new point, clear of 0 and 1, and separate the set again."""
+    new = clear_of(new, (Fraction(0), Fraction(1)))
+    if any(points_equal(p, new) for p in points):
+        return False
+    points[:] = separate_points(points + [new])
     return True
-
-
-def _clear_of(pt: Point, rationals: Sequence[Fraction]) -> Point:
-    """Refine a bracket until its closed hull holds none of the rationals;
-    the root is irrational, so bisection leaves each rational behind."""
-    while isinstance(pt, IsolatedRoot) and any(pt.lo <= q <= pt.hi for q in rationals):
-        pt = pt.refined((pt.hi - pt.lo) / 4)
-    return pt
 
 
 def _root_free_on(
@@ -563,7 +514,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
                         else:
                             raw_pairs[seen].add((i, a, b))
         local: list[tuple[Point, set]] = []
-        for pt, pairs in _sorted_disjoint(raw, raw_pairs):
+        for pt, pairs in separate_points(raw, raw_pairs):
             settled = _settle_inside(pt, bounds, idx)
             if settled is not None:
                 local.append((settled, zero | pairs))

@@ -46,15 +46,20 @@ from .bellman import (
 )
 from .limits import CapExceededError
 from .mdp import DecisionRule, Mdp, balance
-from .exactarith import IsolatedRoot, Point, point_position, points_equal
+from .exactarith import (
+    IsolatedRoot,
+    Point,
+    clear_of,
+    point_position,
+    points_equal,
+    separate_points,
+)
 from .partition import (
     PartitionReport,
     PiecewiseValue,
     canonical_partition,
     classify,
     symbolic_value_iteration,
-    _clear_of,
-    _sorted_disjoint,
 )
 
 
@@ -237,7 +242,7 @@ def _candidate_points(
     pts: list[Point] = []
 
     def _push(pt: Point):
-        pt = _clear_of(pt, (query_lo, query_hi))
+        pt = clear_of(pt, (query_lo, query_hi))
         plo, phi = point_position(pt)
         if phi >= lo_pad and plo <= hi_pad and not any(points_equal(pt, q) for q in pts):
             pts.append(pt)
@@ -249,9 +254,7 @@ def _candidate_points(
             left, right = level.interval_sets[i], level.interval_sets[i + 1]
             if classify(left, level.point_sets[i], right) != "regular":
                 _push(cut)
-    pts = _sorted_disjoint(pts)
-    rationals = [p for p in pts if isinstance(p, Fraction)]
-    return [_clear_of(p, rationals) for p in pts]
+    return separate_points(pts)
 
 
 def turnpike_intervals(

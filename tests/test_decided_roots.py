@@ -24,6 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mdpgen, random_mdp
+from frozen_separation import _disjoin, _sorted_disjoint
 from test_irrational_points import irrational_break_mdp
 from exactmdp import docio, exactarith, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
@@ -99,7 +100,7 @@ def reference_isolate_roots(p, lo=F(0), hi=F(1)):
         for root in found
     ]
     pairs = sorted(zip(found, mults), key=lambda rm: exactarith.point_position(rm[0]))
-    return list(zip(exactarith._disjoin([r for r, _ in pairs]), (m for _, m in pairs)))
+    return list(zip(_disjoin([r for r, _ in pairs]), (m for _, m in pairs)))
 
 
 def reference_argmax_at_bracket(qs, qmax, pt):
@@ -139,7 +140,7 @@ def reference_step(mdp, pw):
                         if not any(P.points_equal(pt, seen) for seen in raw):
                             raw.append(pt)
         local = []
-        for pt in P._sorted_disjoint(raw):
+        for pt in _sorted_disjoint(raw):
             settled = P._settle_inside(pt, bounds, idx)
             if settled is not None:
                 local.append(settled)

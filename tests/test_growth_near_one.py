@@ -64,13 +64,11 @@ class TestClimbingTurnpike:
         mdp = climbing_mdp()
         part = canonical_partition(mdp)
         assert part.irregular_points == ()
-        assert rules_from_action_sets(part.intervals[0].d_set) == frozenset(
-            {phi(1, 0, 0, 0)}
-        )
+        assert rules_from_action_sets(part.intervals[0].d_set) == [phi(1, 0, 0, 0)]
         for k in (1, 5, 9, 13):
             alpha = F(k, 14)
             d = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
-            assert d == frozenset({phi(1, 0, 0, 0)})
+            assert d == [phi(1, 0, 0, 0)]
 
     def test_stepwise_climb(self):
         # N = 2n+1 between consecutive roots of 2a^(2n) + a - 1

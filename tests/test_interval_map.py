@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mdpgen, random_mdp
+from frozen_separation import _sorted_disjoint
 from exactmdp import docio
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
@@ -28,7 +29,6 @@ from exactmdp.exactarith import (
 from exactmdp.partition import (
     PartitionReport,
     PiecewiseValue,
-    _sorted_disjoint,
     canonical_partition,
     classify,
     symbolic_value_iteration,

@@ -22,7 +22,7 @@ def exhaustive_d(mdp, alpha):
     rules = enumerate_decision_rules(mdp)
     values = {r: evaluate_deterministic(mdp, r, alpha).values for r in rules}
     best = tuple(max(values[r][i] for r in rules) for i in range(mdp.m))
-    return frozenset(r for r in rules if values[r] == best)
+    return [r for r in rules if values[r] == best]
 
 
 def dense_check(mdp, denominator=97):
@@ -54,7 +54,7 @@ def rational_points_checked(mdp):
             assert exhaustive_d(mdp, ip.point - eps) == left
             inside += 1
         assert exhaustive_d(mdp, ip.point + eps) == right
-        assert (left != right) or (at != left | right)
+        assert (left != right) or (set(at) != set(left) | set(right))
     return inside
 
 
@@ -109,14 +109,14 @@ def all_rules_d_at(mdp, part, ip):
     rule optimal just left of the point."""
     vfun = part.value_functions
     vstar = vfun[min(rules_from_action_sets(ip.d_left))]
-    return frozenset(
+    return [
         rule
         for rule in enumerate_decision_rules(mdp)
         if all(
             d.is_zero or polynomial_vanishes_at(d.num, ip.point)
             for d in (vstar[x] - vfun[rule][x] for x in range(mdp.m))
         )
-    )
+    ]
 
 
 def irrational_points_checked(mdp):

@@ -23,6 +23,7 @@ from exactmdp.exactarith import (
     _variations,
     count_roots_open,
     isolate_roots,
+    point_position,
     point_sign,
     squarefree_part,
     sturm_chain,
@@ -69,15 +70,15 @@ def test_refined_with_defining_zero_at_lo():
     assert root.refined(F(1, 16)) == IsolatedRoot(
         F(11, 16), F(3, 4), product(HALF, SQRT_HALF)
     )
-    assert root.refined(F(1, 1000)).position() == (F(181, 256), F(725, 1024))
-    assert root.excluding(F(3, 4)).position() == (F(5, 8), F(3, 4))
-    assert root.excluding(F(7, 10)).position() == (F(45, 64), F(91, 128))
+    assert point_position(root.refined(F(1, 1000))) == (F(181, 256), F(725, 1024))
+    assert point_position(root.excluding(F(3, 4))) == (F(5, 8), F(3, 4))
+    assert point_position(root.excluding(F(7, 10))) == (F(45, 64), F(91, 128))
 
 
 def test_refined_with_defining_zero_at_hi():
     root = IsolatedRoot(F(0), F(1, 2), product(HALF, SQRT_EIGHTH))
-    assert root.refined(F(1, 16)).position() == (F(5, 16), F(3, 8))
-    assert root.refined(F(1, 1000)).position() == (F(181, 512), F(363, 1024))
+    assert point_position(root.refined(F(1, 16))) == (F(5, 16), F(3, 8))
+    assert point_position(root.refined(F(1, 1000))) == (F(181, 512), F(363, 1024))
     # 3/4 and 7/10 lie outside the bracket, so nothing needs refining
     assert root.excluding(F(3, 4)) == root
     assert root.excluding(F(7, 10)) == root

@@ -23,7 +23,7 @@ class TestFiltration:
         rep = policy_filtration(mdp)
         assert rep.l_value == 0
         assert rep.h_value == 0
-        assert rules_from_action_sets(rep.rules_at(0)) == frozenset({phi(0)})
+        assert rules_from_action_sets(rep.rules_at(0)) == [phi(0)]
 
     def test_example_immediate_separation(self):
         fx = build_example("ex6")
@@ -32,14 +32,14 @@ class TestFiltration:
         assert rep.c_chain == (F(2),)
         assert rep.delta == F(1, 2)
         assert rep.delta_tilde == F(1, 2)
-        assert rules_from_action_sets(rep.rules_at(0)) == frozenset({phi(1, 0, 0)})
+        assert rules_from_action_sets(rep.rules_at(0)) == [phi(1, 0, 0)]
 
     def test_chain_example_stabilizes_late(self):
         for m in (3, 4, 6):
             fx = build_example("ex3", m=m)
             rep = policy_filtration(fx.mdp)
             assert rep.l_value == m - 1
-            assert rules_from_action_sets(rep.rules_at(rep.l_value)) == frozenset({phi(*([1] + [0] * (m - 1)))})
+            assert rules_from_action_sets(rep.rules_at(rep.l_value)) == [phi(*([1] + [0] * (m - 1)))]
 
     def test_chain_is_nested_and_strict_at_jumps(self, rng):
         for _ in range(10):
@@ -118,14 +118,14 @@ class TestConstants:
             rep = policy_filtration(mdp)
             for li in rep.jump_indices:
                 radius = rep.delta_at(li)
-                f_li = rules_from_action_sets(rep.rules_at(li))
+                f_li = set(rules_from_action_sets(rep.rules_at(li)))
                 for i in (1, 7, 13, 19):
                     alpha = radius * F(i, 20)
                     if alpha == 0:
                         continue
                     steps = value_iteration(mdp, alpha, li + 3)
                     for step in steps[li + 1 :]:
-                        assert rules_from_action_sets(step.first_step) <= f_li
+                        assert set(rules_from_action_sets(step.first_step)) <= f_li
 
     def test_optimal_sets_funnel_into_filtration(self, rng):
         for _ in range(5):
@@ -133,12 +133,12 @@ class TestConstants:
             rep = policy_filtration(mdp)
             for li in rep.jump_indices:
                 radius = rep.delta_tilde_at(li)
-                f_li = rules_from_action_sets(rep.rules_at(li))
+                f_li = set(rules_from_action_sets(rep.rules_at(li)))
                 for i in (1, 7, 13, 19):
                     alpha = radius * F(i, 20)
                     if alpha == 0:
                         continue
-                    d = rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets)
+                    d = set(rules_from_action_sets(optimal_set(mdp, alpha).d_alpha_sets))
                     assert d <= f_li
 
     def test_deterministic_distinct_rewards_two_iterations(self, rng):
@@ -237,7 +237,7 @@ class TestPowerProductIdentity:
         checked = 0
         for mdp in candidates:
             rep = policy_filtration(mdp)
-            stable = sorted(rules_from_action_sets(rep.rules_at(rep.l_value)))
+            stable = rules_from_action_sets(rep.rules_at(rep.l_value))
             if len(stable) < 2:
                 continue
             checked += 1

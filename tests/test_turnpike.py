@@ -220,9 +220,9 @@ class TestTurnpikeIntervals:
         part = canonical_partition(fx.mdp)
         for p in tmap.d_all:
             n_at = tmap.point_values[p]
-            d_interval = rules_from_action_sets(part.intervals[0].d_set)
+            d_interval = set(rules_from_action_sets(part.intervals[0].d_set))
             steps = value_iteration(fx.mdp, p, n_at - 1)
-            dn = rules_from_action_sets(steps[n_at - 1].first_step)
+            dn = set(rules_from_action_sets(steps[n_at - 1].first_step))
             assert dn & d_interval
             assert dn - d_interval
 
