@@ -321,7 +321,8 @@ def check_condition_B(
     derivatives come from a table built level by level (`_derivative_levels`):
     level K + 1 extends each prefix of level K by one rule, so a new prefix
     costs one matrix-vector and at most one matrix product, and a level is
-    built only after the prefix cap has admitted its size.
+    built only after the prefix cap has admitted its size.  A side that no
+    K settles, as with an empty `k_range`, is inconclusive.
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
@@ -345,6 +346,7 @@ def _condition_b_verdicts(
     depend only on the infinite-horizon value functions, which terminal
     rewards do not affect, so they equal those of the zeroed model."""
     mdp0 = mdp.with_terminal([Fraction(0)] * mdp.m)
+    k_range = tuple(k_range)  # read once: max() below needs it again
     _, d_minus, d_at, d_plus, report = point
     vf = report.value_functions
     names = {"minus": "B-", "plus": "B+"}
@@ -426,7 +428,7 @@ def _condition_b_verdicts(
             alpha_star,
             None,
             "finite-horizon-threshold",
-            horizon_used=max(k_range),
+            horizon_used=max(k_range, default=None),
         )
     return verdicts
 

@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision rational arithmetic over the discount
 variable: dense polynomials, reduced rational functions, fraction-free linear
-solves, Sturm-based real-root isolation on subintervals of (0, 1), and sign
-classification.  No floating point enters at any stage.
+solves, real-root isolation on subintervals of (0, 1) by Descartes
+bisection, and sign classification.  No floating point enters at any stage.
 
 A point of the discount interval (``Point``) has one representation: a
 rational is a ``Fraction`` and an irrational root is an ``IsolatedRoot``, a
@@ -23,8 +23,8 @@ meets another bracket's, so every gap between neighbours holds a rational.
 ``Fraction`` only at its edges (the constructor, ``.coeffs``, ``leading``
 and a value); every operation runs on the integers.  gcds and square-free
 parts come from a primitive polynomial remainder sequence (Brown 1971;
-Collins 1967), Sturm chains from the same integer pseudo-remainders, values
-and signs at a rational a/b from homogenized integer Horner evaluation.
+Collins 1967), values and signs at a rational a/b from homogenized integer
+Horner evaluation.
 Determinants and value functions are Kronecker substitutions (Schönhage
 1982): the matrix is evaluated at a = X = 2^s, with s chosen so that every
 coefficient of the result lies below X/2 in magnitude, one integer Bareiss
@@ -33,9 +33,8 @@ the balanced base-X digits of the integer result.  ``bareiss_solve`` and
 ``poly_det`` share that one elimination kernel.  Before its remainder
 sequence, a gcd evaluates both inputs at a power of two above a Mignotte
 bound on any common factor, and an integer gcd of at most X/2 certifies
-the pair coprime (Char, Geddes & Gonnet 1989).  Sturm chains count roots
-while ``isolate_roots`` splits an interval; in a bracket with one simple
-root, bisection (on integer numerators over one denominator) and
+the pair coprime (Char, Geddes & Gonnet 1989).  In a bracket with one
+simple root, bisection (on integer numerators over one denominator) and
 ``point_sign`` read the defining polynomial's sign.
 
 Most intervals handed to root isolation hold no root.  ``descartes_bound``
@@ -45,19 +44,25 @@ transformed integer polynomial (Descartes' rule of signs;
 Collins & Akritas 1976, Rouillier & Zimmermann 2004).  The count exceeds
 the number of roots in the interval, counted with multiplicity, by an even
 number, so 0 and 1 are exact.  A count of 0 certifies the interval root-free
-at O(d²) integer cost, so ``isolate_roots`` returns at once, before any gcd
-or Sturm chain.  A count of 1 certifies exactly one simple root:
-``isolate_roots`` identifies it on the square-free part with multiplicity 1,
-and ``count_roots_open`` returns the count, with no Sturm chain and no
-multiplicity search.  Only a count of 2 or more reaches the Sturm path.
+at O(d²) integer cost, so ``isolate_roots`` returns at once, before any gcd.
+A count of 1 certifies exactly one simple root, which ``isolate_roots``
+identifies on the square-free part with multiplicity 1.  Past that screen,
+``isolate_roots`` bisects the square-free part on the same counts: a piece
+with count 0 is dropped, one with count 1 holds one root, any other is
+halved, and a root at a midpoint is recorded and divided out.  No end of a
+piece is then a root, so the halving stops (Vincent's theorem; Collins &
+Akritas 1976); the two-circle theorem (Krandick & Mehlhorn 2006) says a
+count above the true one needs a non-real root within about the piece's
+width.  ``count_roots_open`` is the length of that isolation, and no root
+question builds a Sturm chain.
 
-The two point tests exit early the same way.  An ``IsolatedRoot``'s root
-lies strictly inside its open bracket, so ``polynomial_vanishes_at`` answers
-no when Descartes' rule finds p root-free on the bracket, and ``same_root``
-answers no when the two open brackets are disjoint; only the other cases
-reach the gcd.  ``simplest_fraction_between``, which names the one rational
-a narrow bracket can hold, runs its continued-fraction recursion on integer
-numerators and denominators.
+The two point tests exit early.  An ``IsolatedRoot``'s root lies strictly
+inside its open bracket, so ``polynomial_vanishes_at`` answers no when
+Descartes' rule finds p root-free on the bracket, and ``same_root`` answers
+no when the two open brackets are disjoint; otherwise each counts the roots
+of one gcd on one interval.  ``simplest_fraction_between``, which names the
+one rational a narrow bracket can hold, runs its continued-fraction
+recursion on integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -257,12 +262,6 @@ def _primitive_ints(a: Sequence[int]) -> list[int]:
     """a divided by its content, leading coefficient positive."""
     g = _signed_content(a)
     return [c // g for c in a]
-
-
-def _positive_part(a: Sequence[int]) -> tuple[int, ...]:
-    """a divided by its positive content only, keeping its sign pattern."""
-    g = math.gcd(*a)
-    return tuple(c // g for c in a)
 
 
 def _derivative_ints(a: Sequence[int]) -> list[int]:
@@ -485,7 +484,19 @@ def root_multiplicity(p: Polynomial, root: Fraction) -> int:
     return mult
 
 
-# -- Sturm machinery ------------------------------------------------------------
+# -- Sturm chains: a reference only ----------------------------------------------
+#
+# No root question in this module builds a Sturm chain: Descartes counts
+# decide them all.  ``sturm_chain``, ``_variations`` and ``_positive_part``
+# stay as the independent count that the tests' references use, and
+# ``sturm_chain`` is one of the benchmark's trace targets.
+
+
+def _positive_part(a: Sequence[int]) -> tuple[int, ...]:
+    """a divided by its positive content only, keeping its sign pattern."""
+    g = math.gcd(*a)
+    return tuple(c // g for c in a)
+
 
 SturmChain = tuple[tuple[int, ...], ...]
 
@@ -532,18 +543,7 @@ def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi)."""
     if p.is_zero:
         raise ZeroPolynomialError("root counting on the zero polynomial")
-    if lo >= hi:
-        return 0
-    # Descartes' count exceeds the root count (with multiplicity) by an even
-    # number, so 0 and 1 are exact; a Sturm chain decides the rest
-    bound = descartes_bound(p.ints, lo, hi)
-    if bound <= 1:
-        return bound
-    s = _squarefree_off_ends(p, lo, hi)
-    if len(s) <= 1:
-        return 0
-    chain = sturm_chain(s)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return len(isolate_roots(p, lo, hi))
 
 
 def _sign_above_root(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
@@ -632,6 +632,8 @@ class IsolatedRoot:
     defining: Polynomial
 
     def refined(self, max_width: Fraction) -> "IsolatedRoot":
+        if max_width <= 0:  # no bracket around an irrational root is that narrow
+            raise ValueError(f"bracket width must be positive, got {max_width}")
         if self.hi - self.lo <= max_width:
             return self
         lo, hi, hit = _bisect(self.defining, self.lo, self.hi, max_width)
@@ -759,33 +761,29 @@ def isolate_roots(
     s_ints = _squarefree_off_ends(p, lo, hi)
     if len(s_ints) <= 1:
         return []
-    s = _poly(s_ints)
     if bound == 1:  # exactly one root in (lo, hi), and it is simple
-        return [(_identify_rational(s, lo, hi), 1)]
+        return [(_identify_rational(_poly(s_ints), lo, hi), 1)]
     found: list[Point] = []
-    # One Sturm chain per square-free polynomial on the stack; each entry
-    # carries the chain's variations at its two ends (None where it vanishes).
-    chain = sturm_chain(s_ints)
-    stack = [(lo, hi, s, chain, _variations(chain, lo), _variations(chain, hi))]
+    # Bisection on Descartes counts of the square-free part q.  No end of a
+    # piece is a root of q, so the halving stops (Vincent's theorem).
+    stack = [(lo, hi, s_ints)]
     while stack:
-        a, b, q, chain, va, vb = stack.pop()
-        count = va - vb
+        a, b, q = stack.pop()
+        count = descartes_bound(q, a, b)
         if count == 0:
             continue
         if count == 1:
-            found.append(_identify_rational(q, a, b))
+            found.append(_identify_rational(_poly(q), a, b))
             continue
         mid = (a + b) / 2
-        vm = _variations(chain, mid)
-        if vm is None:
+        if _sign_at(q, mid) == 0:
             found.append(mid)
-            q = q.divmod(Polynomial([-mid, 1]))[0]  # mid is a root of q
-            if q.degree <= 0:
+            # q is primitive, so the quotient is exact over the integers
+            q = _exact_div_ints(q, [-mid.numerator, mid.denominator])
+            if len(q) <= 1:
                 continue
-            chain = sturm_chain(q.ints)
-            va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
-        stack.append((a, mid, q, chain, va, vm))
-        stack.append((mid, b, q, chain, vm, vb))
+        stack.append((a, mid, q))
+        stack.append((mid, b, q))
     p_gcd = None  # gcd(p, p'), shared by every irrational root
     mults = []
     for root in found:
@@ -817,31 +815,22 @@ def polynomial_vanishes_at(p: Polynomial, root: IsolatedRoot) -> bool:
     if descartes_bound(p.ints, root.lo, root.hi) == 0:
         return False
     g = poly_gcd(p, root.defining)
-    if g.degree <= 0:
-        return False
-    return count_roots_open(g, root.lo, root.hi) > 0
+    return g.degree > 0 and count_roots_open(g, root.lo, root.hi) > 0
 
 
 def same_root(a: IsolatedRoot, b: IsolatedRoot) -> bool:
-    """Are the two irrational roots one number?  Disjoint open brackets
-    hold different roots, which needs no gcd."""
-    if max(a.lo, b.lo) >= min(a.hi, b.hi):
+    """Are the two irrational roots one number?  Yes exactly when
+    g = gcd(a.defining, b.defining) has a root in the open overlap of the
+    brackets.  Such a root is a root of a.defining inside a's bracket,
+    which holds only a's root, and likewise b's, so it is both.  Conversely,
+    equal roots lie in both open brackets, hence in the overlap, and are a
+    common root of the two defining polynomials, hence a root of g.
+    Disjoint brackets hold different roots, which needs no gcd."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo >= hi:
         return False
     g = poly_gcd(a.defining, b.defining)
-    if g.degree <= 0:
-        return False
-    while True:
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        if lo >= hi:
-            return False
-        if count_roots_open(g, lo, hi) > 0 and (
-            count_roots_open(a.defining, lo, hi) == 1
-            and count_roots_open(b.defining, lo, hi) == 1
-        ):
-            return True
-        a = a.refined((a.hi - a.lo) / 4)
-        b = b.refined((b.hi - b.lo) / 4)
+    return g.degree > 0 and count_roots_open(g, lo, hi) > 0
 
 
 # -- rational functions -----------------------------------------------------------

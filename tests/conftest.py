@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,3 +61,27 @@ def random_mdp(
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+# Every test finishes in under 10 s (``--durations``: the slowest takes about
+# 6 s on 2 cores).  A test still running after this many seconds fails, so a
+# loop that never ends cannot stall the run or use up the machine's memory;
+# ``faulthandler_timeout`` in pyproject.toml dumps its stacks at 120 s first.
+TEST_TIME_LIMIT_S = 300
+
+
+def _over_time_limit(signum, frame):
+    # pytest.fail raises a BaseException, which no `except Exception` in the
+    # code under test can swallow
+    pytest.fail(f"test ran longer than {TEST_TIME_LIMIT_S} s", pytrace=True)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _over_time_limit)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,6 +9,11 @@ iteration's step; ``_clear_of_ends`` in the partition's point insertion;
 and ``_disjoin`` in ``isolate_roots``.  The copies below are those helpers
 as they were, and the functions after them are their callers' earlier
 forms, for tests that compare against the old behaviour.
+
+The last section holds the root tests as they were before Descartes
+bisection replaced the Sturm path in ``exactarith``: ``count_roots_open``
+with a Sturm chain past a Descartes count of 2, ``polynomial_vanishes_at``
+on that count, and ``same_root`` with its refinement loop.
 """
 
 from fractions import Fraction
@@ -120,3 +125,52 @@ def use_frozen_separation(patch) -> None:
     patch.setattr(partition, "separate_points", _sorted_disjoint)
     patch.setattr(partition, "_add_point", add_point)
     patch.setattr(turnpike, "_candidate_points", candidate_points)
+
+
+# -- the root tests before Descartes bisection --------------------------------------
+
+
+def count_roots_open(p, lo: Fraction, hi: Fraction) -> int:
+    if p.is_zero:
+        raise exactarith.ZeroPolynomialError("root counting on the zero polynomial")
+    if lo >= hi:
+        return 0
+    bound = exactarith.descartes_bound(p.ints, lo, hi)
+    if bound <= 1:
+        return bound
+    s = exactarith._squarefree_off_ends(p, lo, hi)
+    if len(s) <= 1:
+        return 0
+    chain = exactarith.sturm_chain(s)
+    return exactarith._variations(chain, lo) - exactarith._variations(chain, hi)
+
+
+def polynomial_vanishes_at(p, root: IsolatedRoot) -> bool:
+    if p.is_zero:
+        return True
+    if exactarith.descartes_bound(p.ints, root.lo, root.hi) == 0:
+        return False
+    g = exactarith.poly_gcd(p, root.defining)
+    if g.degree <= 0:
+        return False
+    return count_roots_open(g, root.lo, root.hi) > 0
+
+
+def same_root(a: IsolatedRoot, b: IsolatedRoot) -> bool:
+    if max(a.lo, b.lo) >= min(a.hi, b.hi):
+        return False
+    g = exactarith.poly_gcd(a.defining, b.defining)
+    if g.degree <= 0:
+        return False
+    while True:
+        lo = max(a.lo, b.lo)
+        hi = min(a.hi, b.hi)
+        if lo >= hi:
+            return False
+        if count_roots_open(g, lo, hi) > 0 and (
+            count_roots_open(a.defining, lo, hi) == 1
+            and count_roots_open(b.defining, lo, hi) == 1
+        ):
+            return True
+        a = a.refined((a.hi - a.lo) / 4)
+        b = b.refined((b.hi - b.lo) / 4)

@@ -97,3 +97,39 @@ def test_corpus_verdicts_match_one_sided(example_id):
             report = boundedness_verdict(mdp, ip.point)
             want = one_sided(mdp, ip.point, range(0, 13))
             assert (report.b_left, report.b_right) == (want["minus"], want["plus"])
+
+
+# -- the horizon range is read once -------------------------------------------------
+
+
+@pytest.mark.parametrize("example_id, alpha", [("ex5", F(2, 3)), ("ex6", F(1, 2))])
+def test_empty_horizon_range_leaves_open_sides_inconclusive(example_id, alpha):
+    # both sides settle at some K in range(0, 13); with no K to try they
+    # stay open, which is inconclusive, not a ValueError from max()
+    mdp = build_example(example_id).mdp
+    report = boundedness_verdict(mdp, alpha, k_range_b=[])
+    for side, got in (("minus", report.b_left), ("plus", report.b_right)):
+        assert check_condition_B(mdp, alpha, side, k_range=[]) == got
+        assert got.holds is None and got.horizon_used is None
+        assert got.method == "finite-horizon-threshold"
+        assert check_condition_B(mdp, alpha, side).holds is True
+
+
+@pytest.mark.parametrize("example_id, alpha", [("ex5", F(2, 3)), ("ex6", F(1, 2)), ("ex4", F(1, 2))])
+def test_horizon_range_may_be_an_iterator(example_id, alpha):
+    mdp = build_example(example_id).mdp
+    for k_range in (range(0, 3), range(0, 13)):
+        for side in ("minus", "plus"):
+            want = check_condition_B(mdp, alpha, side, k_range=k_range)
+            assert check_condition_B(mdp, alpha, side, k_range=iter(k_range)) == want
+        want = boundedness_verdict(mdp, alpha, k_range_b=k_range)
+        assert boundedness_verdict(mdp, alpha, k_range_b=iter(k_range)) == want
+
+
+def test_empty_horizon_range_keeps_tangency():
+    # ex4 at 1/2 is decided by tangency before any horizon is tried
+    mdp = build_example("ex4").mdp
+    for side in ("minus", "plus"):
+        verdict = check_condition_B(mdp, F(1, 2), side, k_range=[])
+        assert verdict == check_condition_B(mdp, F(1, 2), side)
+        assert verdict.method == "tangency" and verdict.holds is False

@@ -1,21 +1,23 @@
-"""Descartes' rule decides root counts of 0 and 1, and symbolic value
-iteration reads its tie sets off its own pair isolation.
+"""Descartes' rule decides root counts, and symbolic value iteration reads
+its tie sets off its own pair isolation.
 
 The sign-variation count of ``descartes_bound`` exceeds the number of roots
 in (lo, hi), counted with multiplicity, by an even number, so a count of 1
-is exactly one simple root: ``isolate_roots`` and ``count_roots_open`` then
-build no Sturm chain.  ``_step_piecewise`` records, for each pair of actions
-on a piece, whether its difference is zero, vanishes at the left bound, or
-produced a local point, and takes the tie set at an irrational cut or bound
-from those records instead of one vanishing test per action.
-``RationalFunction`` negation takes no gcd, subtraction normalises once,
-and ``_optimal_at_root`` tests unreduced differences.
+is exactly one simple root, and ``isolate_roots`` bisects on those counts:
+it and ``count_roots_open`` build no Sturm chain.  ``_step_piecewise``
+records, for each pair of actions on a piece, whether its difference is
+zero, vanishes at the left bound, or produced a local point, and takes the
+tie set at an irrational cut or bound from those records instead of one
+vanishing test per action.  ``RationalFunction`` negation takes no gcd,
+subtraction normalises once, and ``_optimal_at_root`` tests unreduced
+differences.
 
 The references below are the earlier forms: Sturm-only counting and
-isolation, the step that tested each action at a bracket
-(``reference_step``), the conserving test on reduced ``RationalFunction``
-differences, and negation and subtraction through the reducing
-constructor.  Every partition, level, isolation and count must be equal.
+isolation, the vanishing and same-root tests of ``frozen_separation``, the
+step that tested each action at a bracket (``reference_step``), the
+conserving test on reduced ``RationalFunction`` differences, and negation
+and subtraction through the reducing constructor.  Every partition, level,
+isolation, count, vanishing answer and same-root answer must be equal.
 """
 
 import random
@@ -24,6 +26,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mdpgen, random_mdp
+import frozen_separation
 from frozen_separation import _disjoin, _sorted_disjoint
 from test_irrational_points import irrational_break_mdp
 from exactmdp import docio, exactarith, partition
@@ -208,6 +211,9 @@ def use_references(patch):
     patch.setattr(exactarith, "count_roots_open", reference_count_roots_open)
     patch.setattr(exactarith, "isolate_roots", reference_isolate_roots)
     patch.setattr(partition, "isolate_roots", reference_isolate_roots)
+    patch.setattr(exactarith, "same_root", frozen_separation.same_root)
+    for owner in (exactarith, partition):
+        patch.setattr(owner, "polynomial_vanishes_at", frozen_separation.polynomial_vanishes_at)
     patch.setattr(partition, "_step_piecewise", reference_step)
     patch.setattr(partition, "_optimal_at_root", reference_optimal_at_root)
     patch.setattr(RationalFunction, "__neg__", lambda f: RationalFunction(-f.num, f.den))
@@ -283,14 +289,22 @@ def recorder(patch, owners, name, calls):
 @pytest.mark.parametrize("model_id", MODEL_IDS)
 def test_equal_to_references(monkeypatch, model_id):
     mdp = model(model_id)
-    isolations, counts = {}, {}
+    isolations, counts, vanishing, pairs = {}, {}, {}, {}
     with monkeypatch.context() as patch:
         recorder(patch, (exactarith, partition), "isolate_roots", isolations)
         recorder(patch, (exactarith,), "count_roots_open", counts)
+        recorder(patch, (exactarith, partition), "polynomial_vanishes_at", vanishing)
+        recorder(patch, (exactarith,), "same_root", pairs)
         part = canonical_partition(mdp)
         levels = symbolic_value_iteration(mdp, HORIZON)
     got = [isolate_roots(*args) for args in isolations]
     got_counts = [exactarith.count_roots_open(*args) for args in counts]
+    assert [exactarith.polynomial_vanishes_at(*args) for args in vanishing] == [
+        frozen_separation.polynomial_vanishes_at(*args) for args in vanishing
+    ]
+    assert [exactarith.same_root(*args) for args in pairs] == [
+        frozen_separation.same_root(*args) for args in pairs
+    ]
     with monkeypatch.context() as patch:
         use_references(patch)
         # equality covers every bracket and defining polynomial
@@ -298,6 +312,7 @@ def test_equal_to_references(monkeypatch, model_id):
         assert symbolic_value_iteration(mdp, HORIZON) == levels
         assert got == [reference_isolate_roots(*args) for args in isolations]
         assert got_counts == [reference_count_roots_open(*args) for args in counts]
+        assert got_counts == [frozen_separation.count_roots_open(*args) for args in counts]
 
 
 def test_watcher_ties_at_an_irrational_left_bound():
@@ -399,10 +414,9 @@ def test_one_variation_builds_no_sturm_chain(monkeypatch):
     chains = counter(monkeypatch, exactarith, "sturm_chain")
     assert isolate_roots(Polynomial([-1, 0, 2]))[0][1] == 1
     assert exactarith.count_roots_open(product(F(1, 3)), F(0), F(1)) == 1
-    assert chains == []
-    # two variations still go to the Sturm path
+    # two variations go to Descartes bisection, not to a Sturm chain
     assert len(isolate_roots(product(F(1, 3), F(2, 3)))) == 2
-    assert chains
+    assert chains == []
 
 
 def test_benchmark_family_builds_no_sturm_chain(monkeypatch):

@@ -2,15 +2,16 @@
 
 ``descartes_bound`` counts the sign variations of (1+t)^d p((lo + hi t)/(1+t)),
 an upper bound of the same parity on the roots of p in (lo, hi) counted with
-multiplicity.  ``isolate_roots`` returns [] at once when it is 0 and
-identifies the one simple root without a Sturm chain when it is 1, and
-``canonical_partition`` skips a candidate pair when every unreduced value
-difference is zero or root-free on the gap's hull.  A screened call must
-return exactly what the unscreened call returns.  The references below run
-the same functions with both screens switched off: ``descartes_bound``
-never decides an interval (it returns 2, which certifies neither 0 nor
-exactly 1 root) and the pair screen never clears a pair, which leaves the
-exact gcd and Sturm path to decide every interval.
+multiplicity.  ``isolate_roots`` returns [] at once when it is 0,
+identifies the one simple root when it is 1, and bisects on the same counts
+otherwise; ``canonical_partition`` skips a candidate pair when every
+unreduced value difference is zero or root-free on the gap's hull.  A
+screened call must return exactly what the unscreened call returns.  The
+references below run the same functions with both screens switched off:
+root isolation and counting are the Sturm-only ``reference_isolate_roots``
+and ``reference_count_roots_open`` of ``test_decided_roots``, which never
+read a Descartes count, and the pair screen never clears a pair, which
+leaves the exact gcd and Sturm path to decide every interval.
 """
 
 import math
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mdp
+from test_decided_roots import reference_count_roots_open, reference_isolate_roots
 from exactmdp import exactarith, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
@@ -37,11 +39,13 @@ from exactmdp.partition import canonical_partition, symbolic_value_iteration
 
 @contextmanager
 def screens_off():
-    # 2 is a count Descartes' rule leaves undecided (0 and 1 are exact), so
-    # every interval goes to the gcd and Sturm path
-    with mock.patch.object(exactarith, "descartes_bound", lambda a, lo, hi: 2):
-        with mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False):
-            yield
+    # isolation and counting by Sturm chains alone, so every interval goes
+    # to the gcd and Sturm path
+    with mock.patch.object(exactarith, "isolate_roots", reference_isolate_roots), \
+            mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
+            mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
+            mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False):
+        yield
 
 
 def integer_coeffs(p: Polynomial) -> list[int]:
@@ -151,7 +155,7 @@ def test_known_counts(coeffs, lo, hi, expected):
 
 def test_variations_may_exceed_the_root_count():
     # (x - 1/2)^2 + 1/100 has no real root, yet two variations on (0, 1):
-    # the screen then leaves the interval to the exact path
+    # the screen then leaves the interval to bisection
     p = [26, -100, 100]
     assert count_roots_open(Polynomial(p), F(0), F(1)) == 0
     assert descartes_bound(p, F(0), F(1)) == 2
