@@ -29,8 +29,7 @@ from itertools import product
 from typing import Sequence
 
 from .exactarith import bareiss_solve
-from .limits import CapExceededError, enumeration_cap
-from .mdp import DecisionRule, IntegerTable, MarkovPrefix, Mdp, count_rules
+from .mdp import DecisionRule, IntegerTable, MarkovPrefix, Mdp, capped_rule_count
 
 ActionSets = tuple[frozenset[int], ...]
 
@@ -70,9 +69,7 @@ class OptSets:
 def rules_from_action_sets(sets: ActionSets) -> list[DecisionRule]:
     """The decision rules of the product in lexicographic order; raises
     ``CapExceededError`` past the enumeration cap."""
-    count, cap = count_rules(sets), enumeration_cap()
-    if count > cap:
-        raise CapExceededError("enumeration", count, cap)
+    capped_rule_count(sets)
     return [DecisionRule(choice) for choice in product(*(sorted(s) for s in sets))]
 
 

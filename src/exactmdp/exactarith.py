@@ -53,8 +53,9 @@ halved, and a root at a midpoint is recorded and divided out.  No end of a
 piece is then a root, so the halving stops (Vincent's theorem; Collins &
 Akritas 1976); the two-circle theorem (Krandick & Mehlhorn 2006) says a
 count above the true one needs a non-real root within about the piece's
-width.  ``count_roots_open`` is the length of that isolation, and no root
-question builds a Sturm chain.
+width.  ``count_roots_open`` counts the same bisection's pieces and
+midpoint hits without identifying a root, and no root question builds a
+Sturm chain.
 
 The two point tests exit early.  An ``IsolatedRoot``'s root lies strictly
 inside its open bracket, so ``polynomial_vanishes_at`` answers no when
@@ -70,7 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .mdp import DecisionRule, Mdp
 
@@ -540,10 +541,20 @@ def _squarefree_off_ends(p: Polynomial, lo: Fraction, hi: Fraction) -> list[int]
 
 
 def count_roots_open(p: Polynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi)."""
+    """Number of distinct real roots of p in the open interval (lo, hi): the
+    pieces and midpoint hits of ``isolate_roots``' bisection, counted
+    without identifying any root."""
     if p.is_zero:
         raise ZeroPolynomialError("root counting on the zero polynomial")
-    return len(isolate_roots(p, lo, hi))
+    if p.degree == 0 or lo >= hi:
+        return 0
+    bound = descartes_bound(p.ints, lo, hi)
+    if bound <= 1:  # 0 and 1 are exact counts
+        return bound
+    s_ints = _squarefree_off_ends(p, lo, hi)
+    if len(s_ints) <= 1:
+        return 0
+    return sum(1 for _ in _descartes_bisection(s_ints, lo, hi))
 
 
 def _sign_above_root(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
@@ -764,26 +775,12 @@ def isolate_roots(
     if bound == 1:  # exactly one root in (lo, hi), and it is simple
         return [(_identify_rational(_poly(s_ints), lo, hi), 1)]
     found: list[Point] = []
-    # Bisection on Descartes counts of the square-free part q.  No end of a
-    # piece is a root of q, so the halving stops (Vincent's theorem).
-    stack = [(lo, hi, s_ints)]
-    while stack:
-        a, b, q = stack.pop()
-        count = descartes_bound(q, a, b)
-        if count == 0:
-            continue
-        if count == 1:
+    for hit in _descartes_bisection(s_ints, lo, hi):
+        if isinstance(hit, Fraction):
+            found.append(hit)
+        else:
+            a, b, q = hit
             found.append(_identify_rational(_poly(q), a, b))
-            continue
-        mid = (a + b) / 2
-        if _sign_at(q, mid) == 0:
-            found.append(mid)
-            # q is primitive, so the quotient is exact over the integers
-            q = _exact_div_ints(q, [-mid.numerator, mid.denominator])
-            if len(q) <= 1:
-                continue
-        stack.append((a, mid, q))
-        stack.append((mid, b, q))
     p_gcd = None  # gcd(p, p'), shared by every irrational root
     mults = []
     for root in found:
@@ -795,6 +792,33 @@ def isolate_roots(
             mults.append(_irrational_multiplicity(p_gcd, root))
     pairs = sorted(zip(found, mults), key=lambda rm: point_position(rm[0]))
     return separate_points([r for r, _ in pairs], [m for _, m in pairs])
+
+
+def _descartes_bisection(s_ints: list[int], lo: Fraction, hi: Fraction) -> Iterator:
+    """Bisection on Descartes counts of the primitive square-free s, which
+    has no root at lo or hi: yields each root a midpoint hits, as a
+    ``Fraction``, and (a, b, q) for each piece (a, b) that holds exactly one
+    root of q, the factor of s left after the hits so far are divided out.
+    No end of a piece is a root of q, so the halving stops (Vincent's
+    theorem)."""
+    stack = [(lo, hi, s_ints)]
+    while stack:
+        a, b, q = stack.pop()
+        count = descartes_bound(q, a, b)
+        if count == 0:
+            continue
+        if count == 1:
+            yield a, b, q
+            continue
+        mid = (a + b) / 2
+        if _sign_at(q, mid) == 0:
+            yield mid
+            # q is primitive, so the quotient is exact over the integers
+            q = _exact_div_ints(q, [-mid.numerator, mid.denominator])
+            if len(q) <= 1:
+                continue
+        stack.append((a, mid, q))
+        stack.append((mid, b, q))
 
 
 def _irrational_multiplicity(g: Polynomial, root: IsolatedRoot) -> int:
@@ -1097,21 +1121,46 @@ def value_rational_function(
     mdp: Mdp, rule: DecisionRule
 ) -> tuple[RationalFunction, ...]:
     """Per-state stationary value of a decision rule as a function of the
-    discount factor, in reduced form.
+    discount factor, in reduced form: ``_value_solve``'s N_x / Δ for each
+    state x, reduced by a gcd.  Numerator and denominator degrees are
+    bounded by the state count."""
+    return _reduced_values(mdp.m, *_value_solve(mdp, rule))
 
-    The system is (L·I − a·L·P) v = L·r with L = ``mdp.integer_table``'s
-    scale, solved once on integers at a = X = 2^s (Kronecker substitution)
-    by ``bareiss_solve``.  Row i has coefficient 1-norm nᵢ = L + Σⱼ L·P(i, j)
-    (2L for a stochastic row), and putting L·rᵢ in place of one of its
-    entries gives at most nᵢ + |L·rᵢ|.  Expanding each determinant along its
-    rows then bounds every coefficient of det and of each Cramer numerator
-    det·vₓ by C = ∏ᵢ (nᵢ + |L·rᵢ|).  With s = bits(C) + 2 they all lie below
-    X/2 in magnitude, so the integers |det(X)| and |det(X)|·vₓ(X) the solve
-    returns hold them, up to one common sign, as balanced base-X digits,
-    which are unique; a digit above C would mean the bound failed, and
-    raises.  The common sign and the power of L cancel in the reduced
-    ``RationalFunction``.  Numerator and denominator degrees are bounded by
-    the state count.
+
+def _reduced_values(
+    m: int, nums: Sequence[list[int]], det: list[int]
+) -> tuple[RationalFunction, ...]:
+    """The reduced ``RationalFunction`` N_x / Δ for each of ``_value_solve``'s
+    numerators N_x."""
+    det_poly = _poly(det)
+    out = []
+    for num in nums:
+        rf = RationalFunction(_poly(num), det_poly)
+        if rf.num.degree > m or rf.den.degree > m:
+            raise AssertionError(
+                "value function degree exceeded the state count; kernel bug"
+            )
+        out.append(rf)
+    return tuple(out)
+
+
+def _value_solve(mdp: Mdp, rule: DecisionRule) -> tuple[list[list[int]], list[int]]:
+    """(N, Δ), integer coefficient lists (constant term first) with
+    Δ = det(L·I − a·L·P) and the rule's value at state x equal to N_x / Δ,
+    where L = ``mdp.integer_table``'s scale.  Δ(0) = L^m > 0 and Δ has no
+    root in [0, 1), so Δ > 0 there.
+
+    The system (L·I − a·L·P) v = L·r is solved once on integers at
+    a = X = 2^s (Kronecker substitution) by ``bareiss_solve``.  Row i has
+    coefficient 1-norm nᵢ = L + Σⱼ L·P(i, j) (2L for a stochastic row), and
+    putting L·rᵢ in place of one of its entries gives at most nᵢ + |L·rᵢ|.
+    Expanding each determinant along its rows then bounds every coefficient
+    of det and of each Cramer numerator det·vₓ by C = ∏ᵢ (nᵢ + |L·rᵢ|).
+    With s = bits(C) + 2 they all lie below X/2 in magnitude, so the
+    integers |det(X)| and |det(X)|·vₓ(X) the solve returns hold them, up to
+    one common sign, as balanced base-X digits, which are unique; a digit
+    above C would mean the bound failed, and raises.  The sign is then
+    fixed by Δ(0) > 0.
     """
     m = mdp.m
     table = mdp.integer_table
@@ -1131,13 +1180,8 @@ def value_rational_function(
         ints[i] += scale
         rows.append(ints)
     nums, det = bareiss_solve(rows, [reward for _, reward in cells])
-    det_poly = _poly(_balanced_digits(det, s, bound))
-    out = []
-    for num in nums:
-        rf = RationalFunction(_poly(_balanced_digits(num, s, bound)), det_poly)
-        if rf.num.degree > m or rf.den.degree > m:
-            raise AssertionError(
-                "value function degree exceeded the state count; kernel bug"
-            )
-        out.append(rf)
-    return tuple(out)
+    det_ints = _balanced_digits(det, s, bound)
+    if det_ints[0] < 0:  # Δ(0) = L^m
+        nums = [-v for v in nums]
+        det_ints = [-c for c in det_ints]
+    return [_balanced_digits(v, s, bound) for v in nums], det_ints

@@ -229,12 +229,19 @@ def count_rules(per_state: Sequence[Sized]) -> int:
     return math.prod(len(s) for s in per_state)
 
 
+def capped_rule_count(per_state: Sequence[Sized]) -> int:
+    """``count_rules(per_state)``; raises ``CapExceededError`` past the
+    enumeration cap."""
+    count, cap = count_rules(per_state), enumeration_cap()
+    if count > cap:
+        raise CapExceededError("enumeration", count, cap)
+    return count
+
+
 def enumerate_decision_rules(mdp: Mdp) -> list[DecisionRule]:
     """All decision rules in lexicographic order of per-state action indices."""
     ranges = [range(mdp.action_count(i)) for i in range(mdp.m)]
-    total, cap = count_rules(ranges), enumeration_cap()
-    if total > cap:
-        raise CapExceededError("enumeration", total, cap)
+    capped_rule_count(ranges)
     return [DecisionRule(choices) for choices in product(*ranges)]
 
 

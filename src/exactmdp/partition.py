@@ -12,10 +12,23 @@ set D_n(alpha) -- is held as per-state action sets (``ActionSets``), and
 ``PartitionReport.sets_around`` and ``PiecewiseValue.sets_around`` read the
 one-sided sets at any rational point of [0, 1) off the structure without
 solving again.
+The partition's refinement loop settles most gaps from one rule.  With
+pi* the smallest rule optimal at a gap's sample point, the advantage
+numerators L·Delta·A(s, a) of every state and action over pi*'s values
+N / Delta (one Kronecker solve, ``_advantage_numerators``) have the
+advantages' signs on [0, 1).  When Descartes' rule finds none of the
+nonzero ones with a root on the gap's hull, pi* stays optimal there with
+the same conserving actions, so D is constant on the gap and it is final
+(``_break_free``; Hordijk, Dekker & Kallenberg 1985).  Only a gap that
+fails this certificate goes to the search over classes of rules with equal
+value functions.  ``PartitionReport.value_functions`` is a mapping over
+every rule, in ``enumerate_decision_rules`` order, that solves a rule on
+first lookup; the classes, which need every rule, are built only when some
+gap fails the certificate.
 Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
 V*(alpha) without policy iteration: D is the set of alpha's cell or
-irregular point, V* the stored value functions of D's smallest rule at
-alpha, and one integer Q pass certifies both.  Irrational separation points
+irregular point, V* the value functions of D's smallest rule at alpha, and
+one integer Q pass certifies both.  Irrational separation points
 are carried as isolating brackets, never as floats, and every set of them
 is kept apart by ``exactarith.separate_points``; ``_settle_inside`` also
 refines a step's points against the previous horizon's cuts.
@@ -39,10 +52,12 @@ that point (``_tie_set``), and no vanishing test runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 from .bellman import (
     ActionSets,
@@ -63,7 +78,9 @@ from .exactarith import (
     RationalFunction,
     _homogeneous_value,
     _poly,
+    _reduced_values,
     _sub_ints,
+    _value_solve,
     clear_of,
     descartes_bound,
     isolate_roots,
@@ -74,11 +91,10 @@ from .exactarith import (
     polynomial_vanishes_at,
     separate_points,
     unreduced_difference,
-    value_rational_function,
     values_at,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
-from .mdp import DecisionRule, Mdp, count_rules, enumerate_decision_rules
+from .mdp import DecisionRule, Mdp, capped_rule_count, count_rules
 
 @dataclass(frozen=True)
 class IrregularPoint:
@@ -101,7 +117,7 @@ class PartitionReport:
     irregular_points: tuple[IrregularPoint, ...]
     intervals: tuple[PartitionInterval, ...]
     blackwell_point: Point
-    value_functions: dict[DecisionRule, tuple[RationalFunction, ...]]
+    value_functions: Mapping[DecisionRule, tuple[RationalFunction, ...]]
 
     def interval_containing(self, alpha: Fraction) -> PartitionInterval:
         for iv in self.intervals:
@@ -181,6 +197,90 @@ def _root_free_on(
     return True
 
 
+class _ValueFunctions(Mapping):
+    """Every decision rule's reduced value functions, in the order of
+    ``enumerate_decision_rules``, each solved on first lookup.
+
+    A rule's values and its advantages come from one unreduced solve."""
+
+    def __init__(self, mdp: Mdp):
+        self._mdp = mdp
+        self._ranges = [range(mdp.action_count(s)) for s in range(mdp.m)]
+        self._len = capped_rule_count(self._ranges)
+        self._values: dict[DecisionRule, tuple[RationalFunction, ...]] = {}
+        self._solves: dict[DecisionRule, tuple[list[list[int]], list[int]]] = {}
+        self._advantages: dict[DecisionRule, list[list[list[int]]]] = {}
+
+    def __getitem__(self, rule: DecisionRule) -> tuple[RationalFunction, ...]:
+        if rule not in self._values:
+            if not (
+                isinstance(rule, DecisionRule)
+                and len(rule.choices) == len(self._ranges)
+                and all(a in r for a, r in zip(rule.choices, self._ranges))
+            ):
+                raise KeyError(rule)
+            self._values[rule] = _reduced_values(self._mdp.m, *self._solve(rule))
+        return self._values[rule]
+
+    def __iter__(self) -> Iterator[DecisionRule]:
+        return map(DecisionRule, product(*self._ranges))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def advantages(self, rule: DecisionRule) -> list[list[list[int]]]:
+        """``_advantage_numerators`` of the rule's values, the identically
+        zero ones left out."""
+        if rule not in self._advantages:
+            self._advantages[rule] = [
+                [num for num in row if num]
+                for row in _advantage_numerators(self._mdp, *self._solve(rule))
+            ]
+        return self._advantages[rule]
+
+    def _solve(self, rule: DecisionRule) -> tuple[list[list[int]], list[int]]:
+        if rule not in self._solves:
+            self._solves[rule] = _value_solve(self._mdp, rule)
+        return self._solves[rule]
+
+
+def _advantage_numerators(
+    mdp: Mdp, nums: Sequence[list[int]], det: list[int]
+) -> list[list[list[int]]]:
+    """L·Δ·A(s, a) for each state s and action a, as integer coefficients in
+    alpha, where A(s, a) = r(s, a) + alpha·Σⱼ P(s, a, j)·vⱼ − v_s is the
+    advantage of a at s over the rule whose values v are nums / det = N / Δ
+    (from ``_value_solve``): L·r(s, a)·Δ + alpha·Σⱼ L·P(s, a, j)·Nⱼ − L·N_s.
+    Δ > 0 on [0, 1), so each has its advantage's sign there."""
+    table = mdp.integer_table
+    width = max(len(det), 1 + max(map(len, nums)))
+    out = []
+    for s, (rewards, rows) in enumerate(zip(table.rewards, table.rows)):
+        row_out = []
+        for reward, row in zip(rewards, rows):
+            acc = [0] * width
+            for t, c in enumerate(det):
+                acc[t] += reward * c
+            for j, w in row:
+                for t, c in enumerate(nums[j], 1):
+                    acc[t] += w * c
+            for t, c in enumerate(nums[s]):
+                acc[t] -= table.scale * c
+            while acc and not acc[-1]:
+                acc.pop()
+            row_out.append(acc)
+        out.append(row_out)
+    return out
+
+
+def _break_free(
+    advantages: Sequence[Sequence[list[int]]], lo: Fraction, hi: Fraction
+) -> bool:
+    """True when Descartes' rule certifies that none of the nonzero
+    advantage numerators has a root in the open interval (lo, hi)."""
+    return all(descartes_bound(num, lo, hi) == 0 for row in advantages for num in row)
+
+
 def classify(left: ActionSets, at: ActionSets, right: ActionSets) -> str:
     """'regular', 'break', 'touching' or 'break+touching' for a point whose
     optimal sets are ``left`` just left of it, ``at`` at it, ``right`` just
@@ -199,7 +299,7 @@ def classify(left: ActionSets, at: ActionSets, right: ActionSets) -> str:
 
 
 def _optimal_at_root(
-    mdp: Mdp, vfun: dict, rule: DecisionRule, pt: IsolatedRoot
+    mdp: Mdp, vfun: Mapping, rule: DecisionRule, pt: IsolatedRoot
 ) -> ActionSets:
     """D at an irrational point, given a rule optimal there: action a is
     conserving at state s exactly when the rule switched to a at s keeps the
@@ -223,14 +323,21 @@ def _optimal_at_root(
 def canonical_partition(mdp: Mdp) -> PartitionReport:
     """Exact decomposition of [0, 1) by the optimal-policy map.
 
-    Stationary values are computed symbolically per rule; cut candidates are
-    grown by sampling optimal sets at interval midpoints, isolating
-    sign-change roots of value differences against the locally optimal value,
-    and adding common-vanishing points (where some other policy's whole value
-    vector meets the optimum).  The loop stabilizes in finitely many rounds,
-    after which the set map is provably constant between consecutive points.
+    Cut candidates are grown gap by gap: D is sampled at a rational inside
+    the gap and pi* is its smallest rule.  When no nonzero advantage
+    numerator of pi* has a root on the gap's hull, D is constant there and
+    the gap adds nothing.  Otherwise stationary values are solved
+    symbolically for every rule, once, and the gap gets the sign-change
+    roots of each class's value differences against pi*'s, and the
+    common-vanishing points (where another class's whole value vector meets
+    the optimum).  A gap that passes the certificate is one this search
+    would leave without a candidate: an odd root would mean some rule beats
+    pi* inside it, and a common root that some rule's values equal pi*'s.
+    The loop stabilizes in finitely many rounds, after which the set map is
+    provably constant between consecutive points.  Value functions are
+    solved when first read from the report.
     """
-    rules = enumerate_decision_rules(mdp)
+    vfun = _ValueFunctions(mdp)
     solved: dict[Fraction, ActionSets] = {}
 
     def sets_at(alpha: Fraction) -> ActionSets:
@@ -239,12 +346,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             solved[alpha] = optimal_set(mdp, alpha).d_alpha_sets
         return solved[alpha]
 
-    vfun = {rule: value_rational_function(mdp, rule) for rule in rules}
-    classes: dict[tuple, list[DecisionRule]] = {}
-    for rule in rules:
-        classes.setdefault(vfun[rule], []).append(rule)
-    class_reps = [(members[0], vfun[members[0]]) for members in classes.values()]
-
+    classes: list[tuple[RationalFunction, ...]] | None = None  # built on demand
     points: list[Point] = []
     while True:
         bounds: list[Point] = [Fraction(0)] + points + [Fraction(1)]
@@ -254,10 +356,16 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             lo_pt, hi_pt = bounds[i], bounds[i + 1]
             mid = _rational_inside(lo_pt, hi_pt)
             gap_sets.append(sets_at(mid))
-            vstar = vfun[smallest_rule(gap_sets[-1])]
+            best = smallest_rule(gap_sets[-1])
             hull_lo = point_position(lo_pt)[0]
             hull_hi = point_position(hi_pt)[1]
-            for _, vec in class_reps:
+            if _break_free(vfun.advantages(best), hull_lo, hull_hi):
+                continue  # D is constant on the hull: no candidate point
+            if classes is None:
+                # one representative vector per class, in rule order
+                classes = list(dict.fromkeys(vfun.values()))
+            vstar = vfun[best]
+            for vec in classes:
                 if _root_free_on(vstar, vec, hull_lo, hull_hi):
                     continue  # no difference has a root on the gap
                 diffs = [vstar[x] - vec[x] for x in range(mdp.m)]

@@ -2,10 +2,10 @@
 
 ``isolate_roots`` bisects the square-free part on Descartes counts: a piece
 with count 0 is dropped, one with count 1 holds one root, any other is
-halved, and a root at a midpoint is divided out.  ``count_roots_open`` is
-the length of that isolation, and ``polynomial_vanishes_at`` and
-``same_root`` count the roots of one gcd, so no solve path builds a Sturm
-chain.  The references are the Sturm-only ``reference_isolate_roots`` and
+halved, and a root at a midpoint is divided out.  ``count_roots_open``
+counts that bisection's pieces and midpoint hits, and
+``polynomial_vanishes_at`` and ``same_root`` count the roots of one gcd, so
+no solve path builds a Sturm chain.  The references are the Sturm-only ``reference_isolate_roots`` and
 ``reference_count_roots_open`` of ``test_decided_roots`` and the root tests
 as they were before (``frozen_separation``): every isolation (roots,
 brackets, ``defining``, multiplicities), count, vanishing answer and

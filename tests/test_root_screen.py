@@ -5,13 +5,15 @@ an upper bound of the same parity on the roots of p in (lo, hi) counted with
 multiplicity.  ``isolate_roots`` returns [] at once when it is 0,
 identifies the one simple root when it is 1, and bisects on the same counts
 otherwise; ``canonical_partition`` skips a candidate pair when every
-unreduced value difference is zero or root-free on the gap's hull.  A
-screened call must return exactly what the unscreened call returns.  The
-references below run the same functions with both screens switched off:
-root isolation and counting are the Sturm-only ``reference_isolate_roots``
-and ``reference_count_roots_open`` of ``test_decided_roots``, which never
-read a Descartes count, and the pair screen never clears a pair, which
-leaves the exact gcd and Sturm path to decide every interval.
+unreduced value difference is zero or root-free on the gap's hull, and a
+whole gap when no advantage numerator of its optimal rule has a root on the
+hull.  A screened call must return exactly what the unscreened call
+returns.  The references below run the same functions with every screen
+switched off: root isolation and counting are the Sturm-only
+``reference_isolate_roots`` and ``reference_count_roots_open`` of
+``test_decided_roots``, which never read a Descartes count, the pair screen
+never clears a pair, and no gap is certified break-free, which leaves the
+exact gcd and Sturm path to decide every interval.
 """
 
 import math
@@ -40,11 +42,13 @@ from exactmdp.partition import canonical_partition, symbolic_value_iteration
 @contextmanager
 def screens_off():
     # isolation and counting by Sturm chains alone, so every interval goes
-    # to the gcd and Sturm path
+    # to the gcd and Sturm path; no gap is certified break-free, so every
+    # gap goes to the class path
     with mock.patch.object(exactarith, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
             mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
-            mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False):
+            mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False), \
+            mock.patch.object(partition, "_break_free", lambda advantages, lo, hi: False):
         yield
 
 
