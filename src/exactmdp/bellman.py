@@ -18,6 +18,12 @@ integer, so argmaxes and ties are integer comparisons, and the next value is
 the row maxima over L*q*den reduced by one gcd.  A policy's value solves
 (qL*I - p*L*P_pi) x = q*L*r_pi by fraction-free elimination.  Values become
 ``Fraction`` only where a public function returns them.
+
+Policy iteration (``_policy_iteration``) takes its start rule from the
+caller: ``optimal_set`` starts from the reward-greedy rule, and
+``turnpike.turnpike_integer`` from the smallest rule of value iteration's
+horizon-3 first-step set.  Each round is one exact solve; V* and D are
+unique, so the start changes only how many rounds run.
 """
 
 from __future__ import annotations
@@ -239,17 +245,20 @@ def evaluate_markov(
     return v
 
 
-def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
-    """Infinite-horizon value and the set of optimal decision rules.
+def _reward_greedy_rule(form: _IntegerForm) -> DecisionRule:
+    """Per state, the lowest-index action of largest L*r: the smallest
+    first-step-optimal rule of horizon 1 with zero terminal reward."""
+    return DecisionRule(tuple(row.index(max(row)) for row in form.table.rewards))
 
-    Runs exact policy iteration from the lexicographically smallest rule with
-    lexicographic tie-breaking, verifies the optimality equation, and reads
-    the optimal set off the per-state argmax.
-    """
-    if not (0 <= alpha < 1):
-        raise ValueError("discount factor must lie in [0, 1)")
-    form = _integer_form(mdp, alpha)
-    rule = DecisionRule(tuple(0 for _ in range(mdp.m)))
+
+def _policy_iteration(
+    mdp: Mdp, alpha: Fraction, form: _IntegerForm, rule: DecisionRule
+) -> OptSets:
+    """Exact policy iteration from ``rule``: one evaluation per round, each
+    non-conserving action replaced by the lowest-index maximiser, until no
+    action changes; then the optimality equation is verified and the optimal
+    set read off the per-state argmax.  Any start reaches the same unique
+    V* and D."""
     while True:
         v = evaluate_deterministic(mdp, rule, alpha, form)
         nums, den = _ints_of(v.values)
@@ -268,6 +277,21 @@ def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
     if d_sets is None:
         raise AssertionError("policy iteration ended on a non-fixed point")
     return OptSets(v, d_sets)
+
+
+def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
+    """Infinite-horizon value and the set of optimal decision rules.
+
+    Runs exact policy iteration from the reward-greedy rule (per state, the
+    lowest-index action of largest reward, the horizon-1 rule of zero
+    terminal reward, which costs no pass), with lexicographic tie-breaking,
+    verifies the optimality equation, and reads the optimal set off the
+    per-state argmax.
+    """
+    if not (0 <= alpha < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
+    form = _integer_form(mdp, alpha)
+    return _policy_iteration(mdp, alpha, form, _reward_greedy_rule(form))
 
 
 def rolling_horizon_policy(mdp: Mdp, alpha: Fraction, n: int) -> MarkovPrefix:

@@ -710,10 +710,13 @@ def separate_points(points: Sequence[Point], records: Sequence | None = None) ->
     points distinct, the result is (point, record) pairs in that order.
 
     Brackets are refined in three passes, in this order: out of each
-    rational's open interval, then pair by pair until the closed hulls are
-    disjoint (both brackets of a pair refined together), then until no
-    closed hull holds a rational.  The order fixes how far each bracket is
-    refined, and so its printed ends.
+    rational's open interval, then pair by pair, in (i, j) order, until the
+    closed hulls are disjoint (both brackets of a pair refined together),
+    then until no closed hull holds a rational.  The order fixes how far
+    each bracket is refined, and so its printed ends.  Refining only shrinks
+    a bracket, so a pair whose hulls are apart when the pair pass starts
+    stays apart; one sort on ``lo`` finds the pairs that meet, and only
+    those are visited.
     """
     keyed = list(zip(points, [None] * len(points) if records is None else records))
     rationals = sorted(dict((p, r) for p, r in keyed if isinstance(p, Fraction)).items())
@@ -724,13 +727,20 @@ def separate_points(points: Sequence[Point], records: Sequence | None = None) ->
             for q in cuts:
                 br = br.excluding(q)
             brackets.append((br, r))
-    for i in range(len(brackets)):
-        for j in range(i + 1, len(brackets)):
-            (a, ra), (b, rb) = brackets[i], brackets[j]
-            while not (a.hi < b.lo or b.hi < a.lo):
-                a = a.refined((a.hi - a.lo) / 4)
-                b = b.refined((b.hi - b.lo) / 4)
-            brackets[i], brackets[j] = (a, ra), (b, rb)
+    by_lo = sorted(range(len(brackets)), key=lambda k: brackets[k][0].lo)
+    meeting = []
+    for pos, i in enumerate(by_lo):
+        hi = brackets[i][0].hi
+        for j in by_lo[pos + 1 :]:
+            if brackets[j][0].lo > hi:
+                break
+            meeting.append((min(i, j), max(i, j)))
+    for i, j in sorted(meeting):
+        (a, ra), (b, rb) = brackets[i], brackets[j]
+        while not (a.hi < b.lo or b.hi < a.lo):
+            a = a.refined((a.hi - a.lo) / 4)
+            b = b.refined((b.hi - b.lo) / 4)
+        brackets[i], brackets[j] = (a, ra), (b, rb)
     merged = rationals + [(clear_of(br, cuts), r) for br, r in brackets]
     merged.sort(key=lambda item: point_position(item[0]))
     return merged if records is not None else [p for p, _ in merged]

@@ -24,12 +24,19 @@ D(alpha) and V*(alpha) come from exact policy iteration, except where the
 caller holds the canonical partition: the interval maps, the cover, ``sweep``,
 the condition checks and the small-discount checks pass it, and D and V* are
 read off it and certified by one Q pass (``PartitionReport.optimal_at``).
+On the pointwise path (no partition) value iteration runs its
+first three horizons before policy iteration, which starts from the smallest
+rule of D_3, the horizon-3 first-step set: a rolling-horizon rule, optimal
+from horizon N on, so it often needs fewer exact solves than a cold start.
+The turnpike loop then reads horizons 1-3 from those same steps.  D and V*
+are unique, so the start changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .bellman import (
     ActionSets,
@@ -37,6 +44,7 @@ from .bellman import (
     _IntegerForm,
     _integer_form,
     _ints_of,
+    _policy_iteration,
     _q_nums,
     _step,
     optimal_set,
@@ -61,6 +69,17 @@ from .partition import (
     classify,
     symbolic_value_iteration,
 )
+
+
+# Value-iteration horizons run before policy iteration on the pointwise path:
+# D_3's smallest rule is the start, and the turnpike loop reuses the steps.
+# Longer prefixes save few policy rounds for their extra steps; inside
+# ``optimal_set`` alone, which has no loop to reuse them, even these cost
+# more than they save on small models.
+_WARM_HORIZONS = 3
+
+# one value-iteration step: the next (nums, den) and the argmax sets
+_Step = tuple[tuple[list[int], int], ActionSets]
 
 
 class AllRulesOptimalError(ValueError):
@@ -114,6 +133,9 @@ def turnpike_integer(
 
     Given ``part``, the canonical partition of mdp, D(alpha) and V*(alpha)
     are read off it (``PartitionReport.optimal_at``) instead of solved.
+    Without it, policy iteration starts from the smallest rule of value
+    iteration's horizon-3 first-step set, and the loop below reuses those
+    three steps.
 
     K uses the balanced spreads R1* and R2*, which ``spreads`` gives for the
     model as it stands.  Nothing else depends on balancing: shifting rewards
@@ -130,12 +152,26 @@ def turnpike_integer(
     """
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    opt = optimal_set(mdp, alpha) if part is None else part.optimal_at(mdp, alpha)
-    return _turnpike_at(mdp, opt)
+    if part is not None:
+        return _turnpike_at(mdp, part.optimal_at(mdp, alpha))
+    form = _integer_form(mdp, alpha)
+    steps, (nums, den) = [], _ints_of(mdp.terminal)
+    for _ in range(_WARM_HORIZONS):
+        (nums, den), sets = _step(form, nums, den)
+        steps.append(((nums, den), sets))
+    opt = _policy_iteration(mdp, alpha, form, smallest_rule(steps[-1][1]))
+    return _turnpike_at(mdp, opt, steps)
 
 
-def _turnpike_at(mdp: Mdp, opt: OptSets) -> TurnpikeResult:
-    """`turnpike_integer` at the discount of opt, given D and V* there."""
+def _turnpike_at(
+    mdp: Mdp, opt: OptSets, steps: Sequence[_Step] = ()
+) -> TurnpikeResult:
+    """`turnpike_integer` at the discount of opt, given D and V* there.
+
+    ``steps`` holds the value-iteration steps of horizons 1, 2, ... that the
+    caller has already taken from the terminal vector; the loop reads them
+    in place of recomputing them.
+    """
     alpha = opt.v_alpha.alpha
     if alpha == 0:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
@@ -164,7 +200,10 @@ def _turnpike_at(mdp: Mdp, opt: OptSets) -> TurnpikeResult:
         diff = [x * e - v * den for x, v in zip(nums, v_star)]
         if p * (max(diff) - min(diff)) * g_den < g_num * q * den * e:
             break
-        (nums, den), sets = _step(form, nums, den)
+        if horizon < len(steps):
+            (nums, den), sets = steps[horizon]
+        else:
+            (nums, den), sets = _step(form, nums, den)
         horizon += 1
         if not product_subset(sets, opt.d_alpha_sets):
             n_value, failed_sets = horizon + 1, sets

@@ -10,6 +10,10 @@ and ``_disjoin`` in ``isolate_roots``.  The copies below are those helpers
 as they were, and the functions after them are their callers' earlier
 forms, for tests that compare against the old behaviour.
 
+``all_pairs_separate_points`` is ``separate_points`` as it was before it
+visited only the bracket pairs whose hulls meet: its pair pass checks every
+pair.
+
 The last section holds the root tests as they were before Descartes
 bisection replaced the Sturm path in ``exactarith``: ``count_roots_open``
 with a Sturm chain past a Descartes count of 2, ``polynomial_vanishes_at``
@@ -73,6 +77,28 @@ def _disjoin(roots: list[Point]) -> list[Point]:
                 b = b.refined((b.hi - b.lo) / 4)
         out[i], out[i + 1] = a, b
     return out
+
+
+def all_pairs_separate_points(points: Sequence[Point], records: Sequence | None = None) -> list:
+    keyed = list(zip(points, [None] * len(points) if records is None else records))
+    rationals = sorted(dict((p, r) for p, r in keyed if isinstance(p, Fraction)).items())
+    cuts = [q for q, _ in rationals]
+    brackets = []
+    for br, r in keyed:
+        if isinstance(br, IsolatedRoot):
+            for q in cuts:
+                br = br.excluding(q)
+            brackets.append((br, r))
+    for i in range(len(brackets)):
+        for j in range(i + 1, len(brackets)):
+            (a, ra), (b, rb) = brackets[i], brackets[j]
+            while not (a.hi < b.lo or b.hi < a.lo):
+                a = a.refined((a.hi - a.lo) / 4)
+                b = b.refined((b.hi - b.lo) / 4)
+            brackets[i], brackets[j] = (a, ra), (b, rb)
+    merged = rationals + [(exactarith.clear_of(br, cuts), r) for br, r in brackets]
+    merged.sort(key=lambda item: point_position(item[0]))
+    return merged if records is not None else [p for p, _ in merged]
 
 
 # -- the callers' earlier forms ---------------------------------------------------

@@ -117,8 +117,14 @@ def ref_evaluate_deterministic(mdp: Mdp, rule: DecisionRule, alpha: F) -> ValueV
     return v
 
 
-def ref_optimal_set(mdp: Mdp, alpha: F, visited=None) -> OptSets:
-    rule = DecisionRule(tuple(0 for _ in range(mdp.m)))
+def ref_reward_greedy_rule(mdp: Mdp) -> DecisionRule:
+    """Per state, the lowest-index action of largest reward."""
+    return DecisionRule(tuple(row.index(max(row)) for row in mdp.rewards))
+
+
+def ref_optimal_set(mdp: Mdp, alpha: F, visited=None, start=None) -> OptSets:
+    """Policy iteration from ``start``, by default the rule of all zeros."""
+    rule = DecisionRule(tuple(0 for _ in range(mdp.m))) if start is None else start
     while True:
         if visited is not None:
             visited.append(rule)
@@ -261,9 +267,7 @@ class TestSeededRandom:
                 assert_same_turnpike(mdp, alpha)
 
 
-def test_policy_iteration_visits_the_same_rules(monkeypatch):
-    """Same start rule and tie-break (lowest index among the maximisers):
-    one evaluation per round, of the same rules in the same order."""
+def recorded_evaluations(monkeypatch) -> list:
     original = bellman.evaluate_deterministic
     seen = []
 
@@ -272,13 +276,39 @@ def test_policy_iteration_visits_the_same_rules(monkeypatch):
         return original(mdp, rule, alpha, form)
 
     monkeypatch.setattr(bellman, "evaluate_deterministic", recording)
+    return seen
+
+
+def test_policy_iteration_visits_the_same_rules(monkeypatch):
+    """Same start rule (the reward-greedy one) and tie-break (lowest index
+    among the maximisers): one evaluation per round, of the same rules in
+    the same order."""
+    seen = recorded_evaluations(monkeypatch)
     mdps = [build_example(ex).mdp for ex in EXAMPLE_IDS] + seeded_mdps()
     for mdp in mdps:
+        start = ref_reward_greedy_rule(mdp)
         for alpha in RANDOM_ALPHAS:
             seen.clear()
             expected = []
             optimal_set(mdp, alpha)
-            ref_optimal_set(mdp, alpha, visited=expected)
+            ref_optimal_set(mdp, alpha, visited=expected, start=start)
+            assert seen == expected
+
+
+def test_turnpike_policy_iteration_starts_from_the_horizon_3_rule(monkeypatch):
+    """``turnpike_integer`` starts policy iteration from the smallest rule of
+    value iteration's horizon-3 first-step set, and evaluates the same rules
+    in the same order as the reference started there."""
+    seen = recorded_evaluations(monkeypatch)
+    mdps = [build_example(ex).mdp for ex in EXAMPLE_IDS] + seeded_mdps()
+    for mdp in mdps:
+        for alpha in RANDOM_ALPHAS:
+            d3 = ref_value_iteration(mdp, alpha, 3)[3].first_step
+            start = DecisionRule(tuple(min(s) for s in d3))
+            seen.clear()
+            expected = []
+            turnpike_integer(mdp, alpha)
+            ref_optimal_set(mdp, alpha, visited=expected, start=start)
             assert seen == expected
 
 

@@ -245,3 +245,69 @@ def test_equal_to_earlier_helpers_on_seeded_models(monkeypatch, den):
     # symbolic levels and in the interval map built on them
     assert failed == ({120: 2, 155: 2} if den == 2 else {})
 
+
+
+# -- differential: the all-pairs pair pass -----------------------------------------
+
+
+def overlapping_point_set(rng: random.Random) -> list:
+    """Rationals and irrational roots of a^2 - k/den whose brackets are
+    wide, so that most pairs of brackets meet."""
+    points = sorted({F(rng.randint(1, 31), 32) for _ in range(rng.randint(0, 3))})
+    squares = set()
+    for _ in range(rng.randint(2, 9)):
+        den = rng.choice([3, 5, 7, 11, 13])
+        num = rng.randint(1, den - 1)
+        if math.isqrt(num * den) ** 2 == num * den or F(num, den) in squares:
+            continue
+        squares.add(F(num, den))
+        root = IsolatedRoot(F(0), F(1), Polynomial([-num, 0, den]))
+        points.append(root.refined(F(1, rng.choice([1, 2, 3, 4]))))
+    rng.shuffle(points)
+    return points
+
+
+def isolated_point_records(rng: random.Random) -> tuple[list, list]:
+    """Distinct roots in (0, 1) of seeded integer polynomials, as
+    ``isolate_roots`` gives them, with their (polynomial, multiplicity)
+    records; brackets of different polynomials may meet."""
+    points, records = [], []
+    for index in range(rng.randint(2, 6)):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 6))]
+        if not any(coeffs[1:]):
+            continue
+        for pt, mult in isolate_roots(Polynomial(coeffs)):
+            if not any(exactarith.points_equal(pt, q) for q in points):
+                points.append(pt)
+                records.append((index, mult))
+    return points, records
+
+
+def test_equal_to_the_all_pairs_loop_on_overlapping_brackets():
+    rng = random.Random(22)
+    refined = 0
+    for _ in range(400):
+        points = overlapping_point_set(rng)
+        expected = frozen_separation.all_pairs_separate_points(points)
+        assert separate_points(points) == expected
+        records = list(range(len(points)))
+        assert separate_points(points, records) == (
+            frozen_separation.all_pairs_separate_points(points, records)
+        )
+        refined += sorted(points, key=point_position) != expected
+    assert refined > 100
+
+
+def test_equal_to_the_all_pairs_loop_on_isolated_roots():
+    rng = random.Random(2022)
+    brackets = meeting = 0
+    for _ in range(300):
+        points, records = isolated_point_records(rng)
+        expected = frozen_separation.all_pairs_separate_points(points, records)
+        assert separate_points(points, records) == expected
+        roots = [p for p in points if isinstance(p, IsolatedRoot)]
+        brackets += len(roots)
+        meeting += sum(
+            a.lo <= b.hi and b.lo <= a.hi for i, a in enumerate(roots) for b in roots[:i]
+        )
+    assert brackets > 200 and meeting > 20
