@@ -17,6 +17,8 @@ Every sorted set of points (isolated roots, partition and step cuts,
 turnpike candidates) goes through ``separate_points``, which keeps one
 invariant: no bracket's closed hull holds a rational point of the set or
 meets another bracket's, so every gap between neighbours holds a rational.
+``insert_point`` adds one point to such a set and leaves what
+``separate_points`` would, touching only the new point's neighbours.
 ``clear_of`` keeps a bracket off other rationals, such as 0 and 1.
 
 ``Polynomial`` holds integer coefficients over one denominator and makes a
@@ -45,6 +47,10 @@ Collins & Akritas 1976, Rouillier & Zimmermann 2004).  The count exceeds
 the number of roots in the interval, counted with multiplicity, by an even
 number, so 0 and 1 are exact.  A count of 0 certifies the interval root-free
 at O(d²) integer cost, so ``isolate_roots`` returns at once, before any gcd.
+``_excludes_roots`` is a cheaper, weaker certificate for the closed
+interval, O(d): the value at the midpoint beats the half-width times a
+bound on the derivative.  Only symbolic value iteration's step runs it,
+on each pair difference before isolation.
 A count of 1 certifies exactly one simple root, which ``isolate_roots``
 identifies on the square-free part with multiplicity 1.  Past that screen,
 ``isolate_roots`` bisects the square-free part on the same counts: a piece
@@ -69,6 +75,7 @@ recursion on integer numerators and denominators.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -453,6 +460,28 @@ def descartes_bound(a: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def _excludes_roots(a: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """True when nonzero a certainly has no root on the closed interval
+    [lo, hi], lo < hi, by an O(d) test; False says nothing.
+
+    With c the midpoint, h the half-width and M = max(|lo|, |hi|), every x
+    in [lo, hi] has |a(x) - a(c)| <= h·max|a'| <= h·Σ i·|a_i|·M^(i-1) by the
+    mean value theorem, so |a(c)| above that bound keeps a(x) off 0.  Over
+    the common denominator q of the ends, lo = l/q and hi = u/q, the test
+    is 2·|(2q)^d·a(c)| > (u - l)·2^d·q^(d-1)·Σ i·|a_i|·M^(i-1): one integer
+    comparison after two homogenized Horner passes, against the two O(d²)
+    Taylor shifts of ``descartes_bound``.
+    """
+    q = math.lcm(lo.denominator, hi.denominator)
+    l = lo.numerator * (q // lo.denominator)
+    u = hi.numerator * (q // hi.denominator)
+    centre = _homogeneous_value(a, l + u, 2 * q)
+    slope = _homogeneous_value(
+        [i * abs(c) for i, c in enumerate(a) if i], max(abs(l), abs(u)), q
+    )
+    return 2 * abs(centre) > ((u - l) * slope << (len(a) - 1))
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor, returned in primitive integer form."""
     if a.is_zero:
@@ -744,6 +773,52 @@ def separate_points(points: Sequence[Point], records: Sequence | None = None) ->
     merged = rationals + [(clear_of(br, cuts), r) for br, r in brackets]
     merged.sort(key=lambda item: point_position(item[0]))
     return merged if records is not None else [p for p, _ in merged]
+
+
+def _hi_of(pt: Point) -> Fraction:
+    return pt if isinstance(pt, Fraction) else pt.hi
+
+
+def _lo_of(pt: Point) -> Fraction:
+    return pt if isinstance(pt, Fraction) else pt.lo
+
+
+def insert_point(points: list[Point], new: Point) -> bool:
+    """Insert new into points, a list that ``separate_points`` returned,
+    leaving it as ``separate_points(points + [new])`` would, with no sort;
+    False, with points unchanged, when new equals one of them.
+
+    The points are already apart, in order, so only a pair with new can
+    meet, and only the points whose closed hulls meet new's (found by
+    bisection) take part; a point equal to new is one of them.  A rational
+    new is cleared from the one bracket holding it (moving it out of the
+    open bracket and then off its ends is the same bisection).  A bracket
+    runs the same passes in the same order: out of each of their rationals'
+    open intervals, left to right; refined together with each bracket that
+    still meets it, left to right; cleared of the rationals.  Every other
+    step of ``separate_points`` leaves a point that is already apart as it
+    is.
+    """
+    lo, hi = point_position(new)
+    near = range(bisect_left(points, lo, key=_hi_of), bisect_right(points, hi, key=_lo_of))
+    if any(points_equal(points[k], new) for k in near):
+        return False
+    if isinstance(new, Fraction):
+        for k in near:  # at most one bracket, as the hulls are apart
+            points[k] = clear_of(points[k], (new,))
+    else:
+        cuts = [points[k] for k in near if isinstance(points[k], Fraction)]
+        for q in cuts:
+            new = new.excluding(q)
+        for k in near:  # a bracket apart from new now stays apart
+            a = points[k]
+            while isinstance(a, IsolatedRoot) and not (a.hi < new.lo or new.hi < a.lo):
+                a = a.refined((a.hi - a.lo) / 4)
+                new = new.refined((new.hi - new.lo) / 4)
+            points[k] = a
+        new = clear_of(new, cuts)
+    points.insert(bisect_left(points, _lo_of(new), key=_lo_of), new)
+    return True
 
 
 def _identify_rational(s: Polynomial, lo: Fraction, hi: Fraction) -> Point:

@@ -33,12 +33,18 @@ are carried as isolating brackets, never as floats, and every set of them
 is kept apart by ``exactarith.separate_points``; ``_settle_inside`` also
 refines a step's points against the previous horizon's cuts.
 
-Symbolic value iteration's inner loop runs on integers.  Each pair
-difference q_a - q_b is a positive integer multiple of the difference, left
-unreduced (``_diff``): root isolation reads only its signs and its
-primitive and square-free forms.  The argmax at a rational point compares
-homogenized integer values that share one positive factor
-(``_scaled_values``), with no ``Fraction`` per Q value.
+Symbolic value iteration's inner loop runs on integers.  On each piece the
+Q values are raw integer numerators of one common length over one
+denominator (``_q_numerators``), so a pair difference q_a - q_b is a list
+subtraction, a positive integer multiple of the difference, left
+unreduced: root isolation reads only its signs and its primitive and
+square-free forms.  The argmax at a rational point compares the lists'
+homogenized values, which share one positive factor (``_values_at``), and
+an interval set compares lists.  A ``Polynomial`` is built only for each
+state's chosen Q, which the level stores, and for a pair difference that
+goes to ``isolate_roots``.  Before that, ``exactarith._excludes_roots``
+certifies most pair differences root-free on the piece's closed hull from
+a bound on the derivative at O(d) cost, and those pairs skip isolation.
 
 The tie sets at irrational points come off the same pair isolation.  On
 each piece the step records which pairs (state, a, b) are identically zero,
@@ -76,6 +82,7 @@ from .exactarith import (
     Point,
     Polynomial,
     RationalFunction,
+    _excludes_roots,
     _homogeneous_value,
     _poly,
     _reduced_values,
@@ -83,6 +90,7 @@ from .exactarith import (
     _value_solve,
     clear_of,
     descartes_bound,
+    insert_point,
     isolate_roots,
     point_position,
     point_sign,
@@ -168,12 +176,8 @@ def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
 
 
 def _add_point(points: list[Point], new: Point) -> bool:
-    """Insert a new point, clear of 0 and 1, and separate the set again."""
-    new = clear_of(new, (Fraction(0), Fraction(1)))
-    if any(points_equal(p, new) for p in points):
-        return False
-    points[:] = separate_points(points + [new])
-    return True
+    """Insert a new point, clear of 0 and 1, keeping the set apart."""
+    return insert_point(points, clear_of(new, (Fraction(0), Fraction(1))))
 
 
 def _root_free_on(
@@ -517,41 +521,17 @@ def _settle_inside(
             raise AssertionError("cannot separate coincident partition points")
 
 
-def _diff(a: Polynomial, b: Polynomial) -> Polynomial:
-    """A positive integer multiple of a - b, over 1: both cross-scaled to the
-    lcm of their denominators and subtracted, with no content reduction.
-    Root isolation and ``polynomial_vanishes_at`` read only its signs and
-    its primitive and square-free forms, which the multiple leaves alone."""
-    x, y = a.ints, b.ints
-    if a.den != b.den:
-        den = math.lcm(a.den, b.den)
-        x = [c * (den // a.den) for c in x]
-        y = [c * (den // b.den) for c in y]
-    return _poly(_sub_ints(x, y))
-
-
-def _scaled_values(qs: Sequence[Polynomial], pt: Fraction) -> list[int]:
-    """q(pt) for each q in qs, all times one positive factor d^top·M, where
-    pt = n/d, top is the largest degree and M the lcm of the denominators:
-    q's homogenized value at n/d times d^(top - deg q)·(M / q.den)."""
+def _values_at(qs: Sequence[Sequence[list[int]]], pt: Fraction) -> list[list[int]]:
+    """Each state's Q numerators at the rational pt, homogenized.  They all
+    have one length over one denominator, so every value carries the same
+    positive factor and the values compare as the Q values do."""
     n, d = pt.numerator, pt.denominator
-    top = max(q.degree for q in qs)
-    big = math.lcm(*(q.den for q in qs))
-    return [
-        _homogeneous_value(q.ints, n, d) * d ** (top - q.degree) * (big // q.den)
-        for q in qs
-    ]
+    return [[_homogeneous_value(c, n, d) for c in q] for q in qs]
 
 
-def _first_argmax(qs: Sequence[Polynomial], pt: Fraction) -> int:
-    vals = _scaled_values(qs, pt)
-    return max(range(len(vals)), key=vals.__getitem__)
-
-
-def _poly_eval_argmax(qs: Sequence[Polynomial], pt: Fraction) -> frozenset[int]:
-    vals = _scaled_values(qs, pt)
-    best = max(vals)
-    return frozenset(k for k, v in enumerate(vals) if v == best)
+def _first_best(qs: Sequence[Sequence[list[int]]], pt: Fraction) -> list[int]:
+    """The lowest-index maximiser of each state's Q values at pt."""
+    return [max(range(len(v)), key=v.__getitem__) for v in _values_at(qs, pt)]
 
 
 def _tie_set(i: int, count: int, best: int, ties: set) -> frozenset[int]:
@@ -563,23 +543,28 @@ def _tie_set(i: int, count: int, best: int, ties: set) -> frozenset[int]:
     )
 
 
-def _q_polynomials(mdp: Mdp, pvec: Sequence[Polynomial]) -> list[list[Polynomial]]:
+def _q_numerators(
+    mdp: Mdp, pvec: Sequence[Polynomial]
+) -> tuple[list[list[list[int]]], int]:
     """Q(i, k) = r(i, k) + alpha * sum_j P(i, k, j) * pvec[j] from the integer
-    table: with pvec[j] = nums[j] / d, its coefficients are L*r(i, k)*d, then
-    sum_j L*P(i, k, j) * nums[j] shifted up by one, over L*d."""
+    table, as raw integer numerators of one common length over one
+    denominator: with pvec[j] = nums[j] / d, Q(i, k)'s numerator is
+    L*r(i, k)*d plus sum_j L*P(i, k, j) * nums[j] shifted up by one, over
+    L*d."""
     table = mdp.integer_table
     d = math.lcm(*(v.den for v in pvec))
     nums = [[c * (d // v.den) for c in v.ints] for v in pvec]
     width = max(map(len, nums))
 
-    def q(r: int, row) -> Polynomial:
+    def q(r: int, row) -> list[int]:
         acc = [r * d] + [0] * width
         for j, w in row:
             for t, c in enumerate(nums[j], 1):
                 acc[t] += w * c
-        return _poly(acc, table.scale * d)
+        return acc
 
-    return [list(map(q, rs, acts)) for rs, acts in zip(table.rewards, table.rows)]
+    qs = [list(map(q, rs, acts)) for rs, acts in zip(table.rewards, table.rows)]
+    return qs, table.scale * d
 
 
 def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
@@ -590,7 +575,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
     psets: list[ActionSets] = []
 
     for idx, pvec in enumerate(pw.pieces):
-        qs = _q_polynomials(mdp, pvec)
+        qs, den = _q_numerators(mdp, pvec)
         hull_lo = point_position(bounds[idx])[0]
         hull_hi = point_position(bounds[idx + 1])[1]
         # Each pair (i, a, b) whose difference is identically zero, or
@@ -600,21 +585,25 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         at_left: set[tuple[int, int, int]] = set()
         raw: list[Point] = []
         raw_pairs: list[set[tuple[int, int, int]]] = []
-        for i in range(mdp.m):
-            for a in range(mdp.action_count(i)):
-                for b in range(a + 1, mdp.action_count(i)):
-                    d = _diff(qs[i][a], qs[i][b])
-                    if d.is_zero:
+        for i, q in enumerate(qs):
+            for a in range(len(q)):
+                for b in range(a + 1, len(q)):
+                    # a positive integer multiple of Q(i, a) - Q(i, b); root
+                    # isolation reads only its signs and primitive part
+                    diff = _sub_ints(q[a], q[b])
+                    if not diff:
                         zero.add((i, a, b))
                         continue
-                    for pt, _ in isolate_roots(d, hull_lo, hull_hi):
+                    if _excludes_roots(diff, hull_lo, hull_hi):
+                        continue  # isolation would find no root on the hull
+                    for pt, _ in isolate_roots(_poly(diff), hull_lo, hull_hi):
                         if points_equal(pt, bounds[idx]):
                             at_left.add((i, a, b))
                             continue
                         if points_equal(pt, bounds[idx + 1]):
                             continue
                         seen = next(
-                            (j for j, q in enumerate(raw) if points_equal(pt, q)), None
+                            (j for j, r in enumerate(raw) if points_equal(pt, r)), None
                         )
                         if seen is None:
                             raw.append(pt)
@@ -635,15 +624,15 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         if idx > 0:
             boundary = bounds[idx]
             if isinstance(boundary, Fraction):
-                pset = tuple(_poly_eval_argmax(q, boundary) for q in qs)
+                pset = _argmax(_values_at(qs, boundary))[1]
             else:
                 mid_right = _rational_inside(
                     boundary, local[0][0] if local else bounds[idx + 1]
                 )
                 ties = zero | at_left
                 pset = tuple(
-                    _tie_set(i, len(q), _first_argmax(q, mid_right), ties)
-                    for i, q in enumerate(qs)
+                    _tie_set(i, len(q), k, ties)
+                    for i, (q, k) in enumerate(zip(qs, _first_best(qs, mid_right)))
                 )
             cut_records.append(("bound", idx))
             psets.append(pset)
@@ -651,19 +640,18 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         sub_bounds = [bounds[idx], *(pt for pt, _ in local), bounds[idx + 1]]
         for s in range(len(sub_bounds) - 1):
             mid = _rational_inside(sub_bounds[s], sub_bounds[s + 1])
-            best = [_first_argmax(q, mid) for q in qs]
-            piece_polys = tuple(q[k] for q, k in zip(qs, best))
-            pieces.append(piece_polys)
+            best = _first_best(qs, mid)
+            pieces.append(tuple(_poly(q[k][:], den) for q, k in zip(qs, best)))
             isets.append(
                 tuple(
-                    frozenset(k for k, p in enumerate(q) if p == best_poly)
-                    for q, best_poly in zip(qs, piece_polys)
+                    frozenset(j for j, c in enumerate(q) if c == q[k])
+                    for q, k in zip(qs, best)
                 )
             )
             if s > 0:
                 cut, ties = local[s - 1]
                 if isinstance(cut, Fraction):
-                    pset = tuple(_poly_eval_argmax(q, cut) for q in qs)
+                    pset = _argmax(_values_at(qs, cut))[1]
                 else:
                     pset = tuple(
                         _tie_set(i, len(q), k, ties)
@@ -712,6 +700,8 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
 def symbolic_value_iteration(mdp: Mdp, n_max: int) -> list[PiecewiseValue]:
     """Value functions of horizons 0..n_max as piecewise polynomials in the
     discount factor, with the first-step partition at every horizon."""
+    if n_max < 0:
+        raise ValueError("horizon must be non-negative")
     cap = symbolic_horizon_cap()
     if n_max > cap:
         raise CapExceededError("symbolic-horizon", n_max, cap)

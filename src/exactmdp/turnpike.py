@@ -296,6 +296,11 @@ def _candidate_points(
     return separate_points(pts)
 
 
+def _check_n_cap(n_cap: int) -> None:
+    if n_cap < 1:
+        raise ValueError("n_cap must be at least 1")
+
+
 def turnpike_intervals(
     mdp: Mdp, lo: Fraction, hi: Fraction, n_cap: int = 16
 ) -> TurnpikeIntervalMap:
@@ -314,6 +319,7 @@ def turnpike_intervals(
     """
     if not (0 <= lo < hi < 1):
         raise ValueError("interval must satisfy 0 <= lo < hi < 1")
+    _check_n_cap(n_cap)
     part = canonical_partition(mdp)
     levels = symbolic_value_iteration(mdp, n_cap - 1)
     return _interval_map(mdp, lo, hi, n_cap, (hi - lo) / 8, part, levels)
@@ -466,6 +472,7 @@ def turnpike_cover(
         raise ValueError("eps must be positive")
     if not (0 <= lo < hi < 1):
         raise ValueError("interval must satisfy 0 <= lo < hi < 1")
+    _check_n_cap(n_cap)
     a, b = lo, hi
     loss = Fraction(0)
     if lo_open:

@@ -27,6 +27,7 @@ import pytest
 
 from conftest import mdpgen, random_mdp
 import frozen_separation
+import frozen_step as FS
 from frozen_separation import _disjoin, _sorted_disjoint
 from test_irrational_points import irrational_break_mdp
 from exactmdp import docio, exactarith, partition
@@ -110,29 +111,30 @@ def reference_argmax_at_bracket(qs, qmax, pt):
     return frozenset(
         k
         for k, q in enumerate(qs)
-        if (d := partition._diff(q, qmax)).is_zero
+        if (d := FS._diff(q, qmax)).is_zero
         or exactarith.polynomial_vanishes_at(d, pt)
     )
 
 
 def reference_step(mdp, pw):
     """The step that tests each action's difference to the best at every
-    irrational cut and bound."""
+    irrational cut and bound, on the Q polynomials, pair differences and
+    argmax of the frozen step in ``frozen_step``."""
     P = partition
     bounds = pw.bounds()
     cut_records, pieces, isets, psets = [], [], [], []
     zero_sets = None
     for idx, pvec in enumerate(pw.pieces):
-        qs = P._q_polynomials(mdp, pvec)
+        qs = FS._q_polynomials(mdp, pvec)
         if idx == 0:
-            zero_sets = tuple(P._poly_eval_argmax(q, F(0)) for q in qs)
+            zero_sets = tuple(FS._poly_eval_argmax(q, F(0)) for q in qs)
         hull_lo = P.point_position(bounds[idx])[0]
         hull_hi = P.point_position(bounds[idx + 1])[1]
         raw = []
         for i in range(mdp.m):
             for a in range(mdp.action_count(i)):
                 for b in range(a + 1, mdp.action_count(i)):
-                    d = P._diff(qs[i][a], qs[i][b])
+                    d = FS._diff(qs[i][a], qs[i][b])
                     if d.is_zero:
                         continue
                     for pt, _ in P.isolate_roots(d, hull_lo, hull_hi):
@@ -151,11 +153,11 @@ def reference_step(mdp, pw):
         if idx > 0:
             boundary = bounds[idx]
             if isinstance(boundary, F):
-                pset = tuple(P._poly_eval_argmax(q, boundary) for q in qs)
+                pset = tuple(FS._poly_eval_argmax(q, boundary) for q in qs)
             else:
                 mid_right = P._rational_inside(boundary, local[0] if local else bounds[idx + 1])
                 pset = tuple(
-                    reference_argmax_at_bracket(q, q[P._first_argmax(q, mid_right)], boundary)
+                    reference_argmax_at_bracket(q, q[FS._first_argmax(q, mid_right)], boundary)
                     for q in qs
                 )
             cut_records.append(idx)  # read after the loop: bounds refine in place
@@ -163,7 +165,7 @@ def reference_step(mdp, pw):
         sub_bounds = [bounds[idx], *local, bounds[idx + 1]]
         for s in range(len(sub_bounds) - 1):
             mid = P._rational_inside(sub_bounds[s], sub_bounds[s + 1])
-            polys = tuple(q[P._first_argmax(q, mid)] for q in qs)
+            polys = tuple(q[FS._first_argmax(q, mid)] for q in qs)
             pieces.append(polys)
             isets.append(
                 tuple(frozenset(k for k, p in enumerate(q) if p == b) for q, b in zip(qs, polys))
@@ -171,7 +173,7 @@ def reference_step(mdp, pw):
             if s > 0:
                 cut = sub_bounds[s]
                 if isinstance(cut, F):
-                    pset = tuple(P._poly_eval_argmax(q, cut) for q in qs)
+                    pset = tuple(FS._poly_eval_argmax(q, cut) for q in qs)
                 else:
                     pset = tuple(
                         reference_argmax_at_bracket(q, b, cut) for q, b in zip(qs, polys)

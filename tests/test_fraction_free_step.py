@@ -1,7 +1,9 @@
-"""Symbolic value iteration's inner loop runs on integers: pair differences
-are positive integer multiples of q_a - q_b (`partition._diff`), the argmax
-compares homogenized integer values times one common positive factor
-(`partition._scaled_values`), `polynomial_vanishes_at` and `same_root`
+"""Symbolic value iteration's inner loop runs on integers: in the frozen step
+of `frozen_step`, pair differences are positive integer multiples of
+q_a - q_b (`_diff`) and the argmax compares homogenized integer values
+times one common positive factor (`_scaled_values`); `partition`'s own step
+runs on raw integer Q numerators, and `frozen_step` is compared with it in
+`test_raw_q_step`.  `polynomial_vanishes_at` and `same_root`
 settle what Descartes' rule and disjoint brackets decide before any gcd,
 and `simplest_fraction_between` runs on integer numerators and
 denominators.  These tests keep the `Fraction` and gcd-first forms as
@@ -14,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import frozen_step
 from conftest import mdpgen, random_mdp
 from exactmdp import docio, exactarith, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
@@ -90,8 +93,9 @@ def reference_simplest_fraction_between(lo, hi):
 
 
 def use_references(patch, points_too):
-    patch.setattr(partition, "_diff", reference_diff)
-    patch.setattr(partition, "_scaled_values", reference_scaled_values)
+    frozen_step.use_frozen_step(patch)
+    patch.setattr(frozen_step, "_diff", reference_diff)
+    patch.setattr(frozen_step, "_scaled_values", reference_scaled_values)
     if points_too:
         patch.setattr(partition, "polynomial_vanishes_at", reference_polynomial_vanishes_at)
         patch.setattr(exactarith, "polynomial_vanishes_at", reference_polynomial_vanishes_at)
@@ -154,7 +158,7 @@ def test_levels_have_irrational_cuts_and_mixed_degrees():
         len({q.degree for q in qs})
         for level in symbolic_value_iteration(mdp, HORIZON)
         for piece in level.pieces
-        for qs in partition._q_polynomials(mdp, piece)
+        for qs in frozen_step._q_polynomials(mdp, piece)
     }
     assert max(degrees) > 1
 

@@ -154,6 +154,12 @@ class TestOneSided:
 
 
 class TestSymbolicValueIteration:
+    @pytest.mark.parametrize("n_max", [-1, -2])
+    def test_negative_horizon_raises(self, n_max):
+        # it returned horizon 0 alone
+        with pytest.raises(ValueError):
+            symbolic_value_iteration(build_example("ex1").mdp, n_max)
+
     def test_horizon_zero_single_piece(self):
         mdp = build_example("ex1").mdp
         levels = symbolic_value_iteration(mdp, 0)

@@ -1,18 +1,21 @@
-"""Symbolic value iteration builds each horizon's Q polynomials from the
-MDP's integer table (`partition._q_polynomials`): integer coefficients over
-L times the common denominator of the previous piece.  This test keeps the
-`Fraction` construction as the reference and requires every horizon to come
-out the same, cuts, pieces and first-step sets alike."""
+"""Symbolic value iteration builds each horizon's Q values from the MDP's
+integer table: integer coefficients over L times the common denominator of
+the previous piece, as raw numerators (`partition._q_numerators`) and, in
+the frozen step of `frozen_step`, as polynomials (`_q_polynomials`).  This
+test keeps the `Fraction` construction as the reference, requires the
+frozen step on it to give every horizon the same, cuts, pieces and
+first-step sets alike, and requires both integer forms to equal it."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import frozen_step
 from conftest import mdpgen, random_mdp
 from exactmdp import docio, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import Polynomial
+from exactmdp.exactarith import Polynomial, _poly
 from exactmdp.partition import symbolic_value_iteration
 
 HORIZON = 9
@@ -43,7 +46,8 @@ def reference_q_polynomials(mdp, pvec):
 def assert_same_as_reference(monkeypatch, mdp):
     got = symbolic_value_iteration(mdp, HORIZON)
     with monkeypatch.context() as patch:
-        patch.setattr(partition, "_q_polynomials", reference_q_polynomials)
+        frozen_step.use_frozen_step(patch)
+        patch.setattr(frozen_step, "_q_polynomials", reference_q_polynomials)
         want = symbolic_value_iteration(mdp, HORIZON)
     assert len(got) == len(want) == HORIZON + 1
     for level, ref in zip(got, want):
@@ -79,4 +83,8 @@ def test_one_step_from_mixed_denominators(example_id):
         Polynomial([F(j, j + 2), F(-2, 2 * j + 1), F(0), F(3, j + 4)])
         for j in range(1, mdp.m)
     ]
-    assert partition._q_polynomials(mdp, pvec) == reference_q_polynomials(mdp, pvec)
+    want = reference_q_polynomials(mdp, pvec)
+    assert frozen_step._q_polynomials(mdp, pvec) == want
+    nums, den = partition._q_numerators(mdp, pvec)
+    assert len({len(c) for q in nums for c in q}) == 1  # one common length
+    assert [[_poly(c[:], den) for c in q] for q in nums] == want

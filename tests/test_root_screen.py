@@ -7,12 +7,13 @@ identifies the one simple root when it is 1, and bisects on the same counts
 otherwise; ``canonical_partition`` skips a candidate pair when every
 unreduced value difference is zero or root-free on the gap's hull, and a
 whole gap when no advantage numerator of its optimal rule has a root on the
-hull.  A screened call must return exactly what the unscreened call
-returns.  The references below run the same functions with every screen
+hull; symbolic value iteration's step skips a pair whose difference
+``_excludes_roots`` certifies root-free on the piece's hull.  A screened
+call must return exactly what the unscreened call returns.  The references below run the same functions with every screen
 switched off: root isolation and counting are the Sturm-only
 ``reference_isolate_roots`` and ``reference_count_roots_open`` of
-``test_decided_roots``, which never read a Descartes count, the pair screen
-never clears a pair, and no gap is certified break-free, which leaves the
+``test_decided_roots``, which never read a Descartes count, the pair screens
+never clear a pair, and no gap is certified break-free, which leaves the
 exact gcd and Sturm path to decide every interval.
 """
 
@@ -43,10 +44,12 @@ from exactmdp.partition import canonical_partition, symbolic_value_iteration
 def screens_off():
     # isolation and counting by Sturm chains alone, so every interval goes
     # to the gcd and Sturm path; no gap is certified break-free, so every
-    # gap goes to the class path
+    # gap goes to the class path; no pair of symbolic value iteration's step
+    # is certified root-free, so every pair goes to isolation
     with mock.patch.object(exactarith, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
             mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
+            mock.patch.object(partition, "_excludes_roots", lambda a, lo, hi: False), \
             mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False), \
             mock.patch.object(partition, "_break_free", lambda advantages, lo, hi: False):
         yield

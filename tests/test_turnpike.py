@@ -129,6 +129,12 @@ class TestTurnpikeInteger:
 
 
 class TestTurnpikeIntervals:
+    @pytest.mark.parametrize("n_cap", [0, -5])
+    def test_cap_below_one_raises(self, n_cap):
+        # it returned a partial map with horizon_used n_cap
+        with pytest.raises(ValueError):
+            turnpike_intervals(build_example("ex5").mdp, F(0), F(9, 10), n_cap=n_cap)
+
     def test_example_single_span(self):
         fx = build_example("ex5")
         tmap = turnpike_intervals(fx.mdp, F(0), F(9, 10), n_cap=8)
@@ -228,6 +234,12 @@ class TestTurnpikeIntervals:
 
 
 class TestTurnpikeCover:
+    @pytest.mark.parametrize("n_cap", [0, -5])
+    def test_cap_below_one_raises(self, n_cap):
+        # n_cap = 0 raised CapExceededError: need 0, cap is 0
+        with pytest.raises(ValueError):
+            turnpike_cover(build_example("ex2").mdp, F(0), F(1, 2), F(1, 10), n_cap=n_cap)
+
     def test_no_irregular_points(self):
         fx = build_example("ex2")
         cov = turnpike_cover(fx.mdp, F(0), F(1, 2), F(1, 10), n_cap=8)
