@@ -192,6 +192,8 @@ def value_iteration(mdp: Mdp, alpha: Fraction, n_max: int) -> list[VIStep]:
     first-step-optimal action sets at every horizon >= 1."""
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
+    if n_max < 0:
+        raise ValueError("horizon must be non-negative")
     steps = [VIStep(0, terminal_value(mdp, alpha), None)]
     form = _integer_form(mdp, alpha)
     nums, den = _ints_of(mdp.terminal)
@@ -239,6 +241,8 @@ def evaluate_markov(
     mdp: Mdp, prefix: MarkovPrefix, alpha: Fraction, n: int
 ) -> ValueVector:
     """Exact n-horizon value of a Markov policy, terminal rewards included."""
+    if n < 0:
+        raise ValueError("horizon must be non-negative")
     v = terminal_value(mdp, alpha)
     for t in range(n - 1, -1, -1):
         v = apply_policy_operator(mdp, prefix.rule_at(t), alpha, v)

@@ -12,8 +12,9 @@ Two families of conditions are checked at an irregular discount factor:
   continuations drawn from the optimal set.  Verified with terminal
   rewards zeroed by comparing exact finite-horizon derivatives against an
   explicit tail bound; a tangency of value-function derivatives refutes
-  them outright.  The derivatives of all continuation prefixes are kept in
-  one table that grows a level per horizon: each prefix extends its
+  them outright (``exactarith.value_slopes`` differentiates each rule's
+  solve (N, Delta)).  The derivatives of all continuation prefixes are kept
+  in one table that grows a level per horizon: each prefix extends its
   parent's derivative and transition product by one step instead of
   rebuilding them from the identity.  A level holds integer numerators over
   one denominator, built from the MDP's integer table, so no step reduces a
@@ -45,7 +46,7 @@ from .bellman import (
     value_iteration,
 )
 from .equivalence import pushforwards_equal
-from .exactarith import value_rational_function
+from .exactarith import _value_solve, value_slopes, values_at
 from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
 from .partition import PartitionReport, canonical_partition, classify
@@ -105,6 +106,8 @@ def derivative_difference(
     """
     m = mdp.m
     if n is not None:
+        if n < 0:
+            raise ValueError("horizon must be non-negative")
         d1 = _finite_value_derivative(mdp, phi, prefix, alpha_star, n)
         d2 = _finite_value_derivative(mdp, psi, prefix, alpha_star, n)
         return tuple(a - b for a, b in zip(d1, d2))
@@ -123,12 +126,13 @@ def derivative_difference(
 
     c1, p1 = _symbolic(phi)
     c2, p2 = _symbolic(psi)
-    tail_v = value_rational_function(mdp, prefix.tail)
+    tail = _value_solve(mdp, prefix.tail)
     horizon = len(c1)
     out = []
     a = alpha_star
-    tail_vals = tuple(rf(a) for rf in tail_v)
-    tail_derivs = tuple(rf.derivative()(a) for rf in tail_v)
+    nums, den = values_at(tail, a)
+    tail_vals = tuple(Fraction(v, den) for v in nums)
+    tail_derivs = value_slopes(tail, a)
     for x in range(m):
         val = Fraction(0)
         for t in range(1, horizon):
@@ -369,10 +373,7 @@ def _condition_b_verdicts(
                 (phi, psi)
                 for phi in d_side
                 for psi in others
-                if all(
-                    (vf[phi][x] - vf[psi][x]).derivative()(alpha_star) == 0
-                    for x in range(mdp.m)
-                )
+                if value_slopes(vf[phi], alpha_star) == value_slopes(vf[psi], alpha_star)
             ),
             None,
         )

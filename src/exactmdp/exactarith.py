@@ -1,9 +1,9 @@
 """Exact univariate polynomial and rational-function kernel.
 
 Everything here is arbitrary-precision rational arithmetic over the discount
-variable: dense polynomials, reduced rational functions, fraction-free linear
-solves, real-root isolation on subintervals of (0, 1) by Descartes
-bisection, and sign classification.  No floating point enters at any stage.
+variable: dense polynomials, rule values and reduced rational functions,
+fraction-free linear solves, real-root isolation on subintervals of (0, 1)
+by Descartes bisection, and sign classification.  No floating point enters.
 
 A point of the discount interval (``Point``) has one representation: a
 rational is a ``Fraction`` and an irrational root is an ``IsolatedRoot``, a
@@ -70,6 +70,11 @@ no when the two open brackets are disjoint; otherwise each counts the roots
 of one gcd on one interval.  ``simplest_fraction_between``, which names the
 one rational a narrow bracket can hold, runs its continued-fraction
 recursion on integer numerators and denominators.
+
+A decision rule's values have one form, ``RuleValues``: its solve (N, Δ),
+with value N_x / Δ at state x and Δ > 0 on [0, 1).  ``values_at``,
+``value_difference`` and ``value_slopes`` read it with no gcd; only
+``value_rational_function`` reduces it to ``RationalFunction``s.
 """
 
 from __future__ import annotations
@@ -230,10 +235,13 @@ class Polynomial:
         return _poly(_primitive_ints(self.ints))
 
 
-def _store(p: Polynomial, ints: list[int], den: int) -> None:
-    """Store ints / den in p in canonical form; den is a nonzero int."""
-    while ints and ints[-1] == 0:
-        ints.pop()
+def _store(p: Polynomial, ints: Sequence[int], den: int) -> None:
+    """Store ints / den in p in canonical form; den is a nonzero int.  ints
+    is only read, so a caller may keep using it."""
+    end = len(ints)
+    while end and ints[end - 1] == 0:
+        end -= 1
+    ints = ints[:end]
     if not ints:
         den = 1
     elif den != 1:
@@ -247,7 +255,7 @@ def _store(p: Polynomial, ints: list[int], den: int) -> None:
     p.den = den
 
 
-def _poly(ints: list[int], den: int = 1) -> Polynomial:
+def _poly(ints: Sequence[int], den: int = 1) -> Polynomial:
     """The polynomial ints / den, built without the Fraction constructor."""
     p = object.__new__(Polynomial)
     _store(p, ints, den)
@@ -1000,7 +1008,10 @@ class RationalFunction:
 
     def __neg__(self) -> "RationalFunction":
         # a negated canonical form is canonical: no gcd to take
-        return _rational(-self.num, self.den)
+        f = object.__new__(RationalFunction)
+        object.__setattr__(f, "num", -self.num)
+        object.__setattr__(f, "den", self.den)
+        return f
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
@@ -1023,46 +1034,6 @@ class RationalFunction:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-
-def _rational(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num / den, already in canonical form, built without the gcd."""
-    f = object.__new__(RationalFunction)
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
-    return f
-
-
-def values_at(
-    fs: Sequence[RationalFunction], x: Fraction
-) -> tuple[list[int], int]:
-    """(nums, den) with f_i(x) = nums[i] / den over one positive denominator,
-    gcd(den, *nums) = 1, on integers: with k >= both degrees of f and
-    x = n/d, f(x) = d^k·num(x) / (d^k·den(x)), two homogenized values."""
-    n, d = x.numerator, x.denominator
-    pairs = []
-    for f in fs:
-        k = max(f.num.degree, f.den.degree)
-        top = _homogeneous_value(f.num.ints, n, d) * d ** (k - f.num.degree)
-        bottom = _homogeneous_value(f.den.ints, n, d) * d ** (k - f.den.degree)
-        bottom *= f.num.den  # the denominator polynomial is over 1
-        pairs.append((top, bottom) if bottom > 0 else (-top, -bottom))
-    den = math.lcm(*(b for _, b in pairs))
-    nums = [t * (den // b) for t, b in pairs]
-    g = math.gcd(den, *nums)
-    return [v // g for v in nums], den // g
-
-
-def unreduced_difference(f: RationalFunction, g: RationalFunction) -> list[int]:
-    """Integer coefficients of a positive multiple of f.num·g.den − g.num·f.den,
-    the numerator of f − g before any gcd reduction."""
-    fn, fs = f.num.ints, f.num.den
-    gn, gs = g.num.ints, g.num.den
-    # denominators are integer polynomials, so with num = ints / den,
-    # f − g = (fn·gs·g.den − gn·fs·f.den) / (fs·gs·f.den·g.den)
-    gd = [gs * c for c in g.den.ints]
-    fd = [fs * c for c in f.den.ints]
-    return _sub_ints(_mul_ints(fn, gd), _mul_ints(gn, fd))
 
 
 @dataclass(frozen=True)
@@ -1202,35 +1173,14 @@ def bareiss_solve(
     return x, det
 
 
-def value_rational_function(
-    mdp: Mdp, rule: DecisionRule
-) -> tuple[RationalFunction, ...]:
-    """Per-state stationary value of a decision rule as a function of the
-    discount factor, in reduced form: ``_value_solve``'s N_x / Δ for each
-    state x, reduced by a gcd.  Numerator and denominator degrees are
-    bounded by the state count."""
-    return _reduced_values(mdp.m, *_value_solve(mdp, rule))
+# -- a rule's value functions -------------------------------------------------------
+
+# (N, Δ): a rule's value at state x is N[x] / Δ (``_value_solve``)
+RuleValues = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-def _reduced_values(
-    m: int, nums: Sequence[list[int]], det: list[int]
-) -> tuple[RationalFunction, ...]:
-    """The reduced ``RationalFunction`` N_x / Δ for each of ``_value_solve``'s
-    numerators N_x."""
-    det_poly = _poly(det)
-    out = []
-    for num in nums:
-        rf = RationalFunction(_poly(num), det_poly)
-        if rf.num.degree > m or rf.den.degree > m:
-            raise AssertionError(
-                "value function degree exceeded the state count; kernel bug"
-            )
-        out.append(rf)
-    return tuple(out)
-
-
-def _value_solve(mdp: Mdp, rule: DecisionRule) -> tuple[list[list[int]], list[int]]:
-    """(N, Δ), integer coefficient lists (constant term first) with
+def _value_solve(mdp: Mdp, rule: DecisionRule) -> RuleValues:
+    """(N, Δ), integer coefficient tuples (constant term first) with
     Δ = det(L·I − a·L·P) and the rule's value at state x equal to N_x / Δ,
     where L = ``mdp.integer_table``'s scale.  Δ(0) = L^m > 0 and Δ has no
     root in [0, 1), so Δ > 0 there.
@@ -1269,4 +1219,48 @@ def _value_solve(mdp: Mdp, rule: DecisionRule) -> tuple[list[list[int]], list[in
     if det_ints[0] < 0:  # Δ(0) = L^m
         nums = [-v for v in nums]
         det_ints = [-c for c in det_ints]
-    return [_balanced_digits(v, s, bound) for v in nums], det_ints
+    return tuple(tuple(_balanced_digits(v, s, bound)) for v in nums), tuple(det_ints)
+
+
+def value_rational_function(mdp: Mdp, rule: DecisionRule) -> tuple[RationalFunction, ...]:
+    """Per-state stationary value of a decision rule as a function of the
+    discount factor, in reduced form: ``_value_solve``'s N_x / Δ for each
+    state x, reduced by a gcd, the one place a solve becomes
+    ``RationalFunction``s.  Degrees are bounded by the state count."""
+    nums, det = _value_solve(mdp, rule)
+    out = tuple(RationalFunction(_poly(num), _poly(det)) for num in nums)
+    if any(rf.num.degree > mdp.m or rf.den.degree > mdp.m for rf in out):
+        raise AssertionError("value function degree exceeded the state count; kernel bug")
+    return out
+
+
+def values_at(values: RuleValues, x: Fraction) -> tuple[list[int], int]:
+    """(nums, den) with V_i(x) = nums[i] / den over one positive denominator,
+    gcd(den, *nums) = 1, for a rule's values (N, Δ): with k the largest
+    degree among them and x = n/d, V_i(x) = d^k·N_i(x) / (d^k·Δ(x)), so
+    one homogenized value per numerator over the shared Δ."""
+    nums, det = values
+    n, d = x.numerator, x.denominator
+    width = max(len(det), *map(len, nums))
+    tops = [_homogeneous_value(a, n, d) * d ** (width - len(a)) for a in nums]
+    bottom = _homogeneous_value(det, n, d) * d ** (width - len(det))
+    if bottom < 0:
+        tops, bottom = [-t for t in tops], -bottom
+    g = math.gcd(bottom, *tops)
+    return [t // g for t in tops], bottom // g
+
+
+def value_difference(f: RuleValues, g: RuleValues, x: int) -> list[int]:
+    """N_x·Δ' − N'_x·Δ for f = (N, Δ) and g = (N', Δ'): V_f(x) − V_g(x)
+    times Δ·Δ', which is positive on [0, 1), so it has the difference's
+    sign and roots there.  No gcd is taken."""
+    return _sub_ints(_mul_ints(f[0][x], g[1]), _mul_ints(g[0][x], f[1]))
+
+
+def value_slopes(values: RuleValues, x: Fraction) -> tuple[Fraction, ...]:
+    """V_i'(x) for each state, by the quotient rule on (N, Δ):
+    (N_i'·Δ − N_i·Δ') / Δ² at x."""
+    det = _poly(values[1])
+    big, slope = det(x), det.derivative()(x)
+    nums = map(_poly, values[0])
+    return tuple((n.derivative()(x) * big - n(x) * slope) / (big * big) for n in nums)

@@ -21,10 +21,11 @@ nonzero ones with a root on the gap's hull, pi* stays optimal there with
 the same conserving actions, so D is constant on the gap and it is final
 (``_break_free``; Hordijk, Dekker & Kallenberg 1985).  Only a gap that
 fails this certificate goes to the search over classes of rules with equal
-value functions.  ``PartitionReport.value_functions`` is a mapping over
-every rule, in ``enumerate_decision_rules`` order, that solves a rule on
-first lookup; the classes, which need every rule, are built only when some
-gap fails the certificate.
+value functions (``_class_key``), built when first needed from
+``PartitionReport.value_functions``, which maps every rule, in
+``enumerate_decision_rules`` order, to its solve (N, Delta), solved on
+first lookup.  Descartes' rule screens a class's differences as
+N·Delta' - N'·Delta, which has their sign on [0, 1) (``_crossing_numerators``).
 Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
 V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the value functions of D's smallest rule at alpha, and
@@ -81,11 +82,13 @@ from .exactarith import (
     IsolatedRoot,
     Point,
     Polynomial,
-    RationalFunction,
+    RuleValues,
+    _exact_div_ints,
     _excludes_roots,
+    _gcd_ints,
     _homogeneous_value,
+    _mul_ints,
     _poly,
-    _reduced_values,
     _sub_ints,
     _value_solve,
     clear_of,
@@ -95,10 +98,9 @@ from .exactarith import (
     point_position,
     point_sign,
     points_equal,
-    poly_gcd,
     polynomial_vanishes_at,
     separate_points,
-    unreduced_difference,
+    value_difference,
     values_at,
 )
 from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
@@ -125,7 +127,7 @@ class PartitionReport:
     irregular_points: tuple[IrregularPoint, ...]
     intervals: tuple[PartitionInterval, ...]
     blackwell_point: Point
-    value_functions: Mapping[DecisionRule, tuple[RationalFunction, ...]]
+    value_functions: Mapping[DecisionRule, RuleValues]
 
     def interval_containing(self, alpha: Fraction) -> PartitionInterval:
         for iv in self.intervals:
@@ -180,51 +182,28 @@ def _add_point(points: list[Point], new: Point) -> bool:
     return insert_point(points, clear_of(new, (Fraction(0), Fraction(1))))
 
 
-def _root_free_on(
-    f: Sequence[RationalFunction],
-    g: Sequence[RationalFunction],
-    lo: Fraction,
-    hi: Fraction,
-) -> bool:
-    """True when Descartes' rule certifies that no f[x] - g[x] has a root in
-    the open interval (lo, hi), a subinterval of (0, 1).
-
-    The rule runs on each unreduced numerator.  Every value function's
-    denominator divides det(I - aP), which has no root in [0, 1), so the
-    unreduced and the reduced numerators have the same roots there, and any
-    common factor of the reduced ones has none of its own.
-    """
-    for fx, gx in zip(f, g):
-        num = unreduced_difference(fx, gx)
-        if num and descartes_bound(num, lo, hi):
-            return False
-    return True
-
-
 class _ValueFunctions(Mapping):
-    """Every decision rule's reduced value functions, in the order of
-    ``enumerate_decision_rules``, each solved on first lookup.
-
-    A rule's values and its advantages come from one unreduced solve."""
+    """Every decision rule's values (N, Δ), ``_value_solve``'s output, in the
+    order of ``enumerate_decision_rules``, each solved on first lookup.  A
+    rule's advantages come from the same solve."""
 
     def __init__(self, mdp: Mdp):
         self._mdp = mdp
         self._ranges = [range(mdp.action_count(s)) for s in range(mdp.m)]
         self._len = capped_rule_count(self._ranges)
-        self._values: dict[DecisionRule, tuple[RationalFunction, ...]] = {}
-        self._solves: dict[DecisionRule, tuple[list[list[int]], list[int]]] = {}
+        self._solves: dict[DecisionRule, RuleValues] = {}
         self._advantages: dict[DecisionRule, list[list[list[int]]]] = {}
 
-    def __getitem__(self, rule: DecisionRule) -> tuple[RationalFunction, ...]:
-        if rule not in self._values:
+    def __getitem__(self, rule: DecisionRule) -> RuleValues:
+        if rule not in self._solves:
             if not (
                 isinstance(rule, DecisionRule)
                 and len(rule.choices) == len(self._ranges)
                 and all(a in r for a, r in zip(rule.choices, self._ranges))
             ):
                 raise KeyError(rule)
-            self._values[rule] = _reduced_values(self._mdp.m, *self._solve(rule))
-        return self._values[rule]
+            self._solves[rule] = _value_solve(self._mdp, rule)
+        return self._solves[rule]
 
     def __iter__(self) -> Iterator[DecisionRule]:
         return map(DecisionRule, product(*self._ranges))
@@ -238,43 +217,72 @@ class _ValueFunctions(Mapping):
         if rule not in self._advantages:
             self._advantages[rule] = [
                 [num for num in row if num]
-                for row in _advantage_numerators(self._mdp, *self._solve(rule))
+                for row in _advantage_numerators(self._mdp, *self[rule])
             ]
         return self._advantages[rule]
 
-    def _solve(self, rule: DecisionRule) -> tuple[list[list[int]], list[int]]:
-        if rule not in self._solves:
-            self._solves[rule] = _value_solve(self._mdp, rule)
-        return self._solves[rule]
+
+def _class_key(values: RuleValues) -> RuleValues:
+    """(N, Δ) divided by the gcd of its m + 1 polynomials and by their
+    content, with Δ(0) > 0.  What is left is the lcm of the reduced value
+    functions' denominators and the numerators over it, so two rules have
+    equal keys exactly when their value vectors are equal."""
+    nums, det = values
+    g = reduce(_gcd_ints, filter(None, nums), det)
+    if len(g) > 1:
+        nums, det = [_exact_div_ints(num, g) for num in nums], _exact_div_ints(det, g)
+    c = math.gcd(*det, *(v for num in nums for v in num)) * (1 if det[0] > 0 else -1)
+    return tuple(tuple(v // c for v in num) for num in nums), tuple(v // c for v in det)
+
+
+def _crossing_numerators(
+    f: RuleValues, g: RuleValues, lo: Fraction, hi: Fraction
+) -> list[list[int]]:
+    """The nonzero differences V_f(x) - V_g(x) as numerators in lowest
+    terms, or [] when Descartes' rule finds none with a root in (lo, hi), a
+    subinterval of (0, 1).  The screen reads ``value_difference``, which has
+    each difference's roots on [0, 1) with no gcd; past it, dividing by the
+    gcd with Δ·Δ' leaves the reduced numerator up to a constant factor."""
+    diffs = [value_difference(f, g, x) for x in range(len(f[0]))]
+    if all(not u or not descartes_bound(u, lo, hi) for u in diffs):
+        return []
+    both = _mul_ints(f[1], g[1])
+    return [_exact_div_ints(u, _gcd_ints(u, both)) for u in diffs if u]
+
+
+def _q_lists(
+    table, nums: Sequence[Sequence[int]], den: Sequence[int]
+) -> list[list[list[int]]]:
+    """L·r(i, k)·den + alpha·Σⱼ L·P(i, k, j)·nums[j] for each state i and
+    action k, as integer coefficients in alpha, all of one length: the
+    numerators of Q(i, k) over L·den when the values are nums / den."""
+    width = max(len(den), 1 + max(map(len, nums)))
+
+    def q(r: int, row) -> list[int]:
+        acc = [0] * width
+        for t, c in enumerate(den):
+            acc[t] = r * c
+        for j, w in row:
+            for t, c in enumerate(nums[j], 1):
+                acc[t] += w * c
+        return acc
+
+    return [list(map(q, rs, acts)) for rs, acts in zip(table.rewards, table.rows)]
 
 
 def _advantage_numerators(
-    mdp: Mdp, nums: Sequence[list[int]], det: list[int]
+    mdp: Mdp, nums: Sequence[Sequence[int]], det: Sequence[int]
 ) -> list[list[list[int]]]:
     """L·Δ·A(s, a) for each state s and action a, as integer coefficients in
     alpha, where A(s, a) = r(s, a) + alpha·Σⱼ P(s, a, j)·vⱼ − v_s is the
     advantage of a at s over the rule whose values v are nums / det = N / Δ
-    (from ``_value_solve``): L·r(s, a)·Δ + alpha·Σⱼ L·P(s, a, j)·Nⱼ − L·N_s.
+    (from ``_value_solve``): the Q numerator of a over N / Δ less L·N_s.
     Δ > 0 on [0, 1), so each has its advantage's sign there."""
-    table = mdp.integer_table
-    width = max(len(det), 1 + max(map(len, nums)))
-    out = []
-    for s, (rewards, rows) in enumerate(zip(table.rewards, table.rows)):
-        row_out = []
-        for reward, row in zip(rewards, rows):
-            acc = [0] * width
-            for t, c in enumerate(det):
-                acc[t] += reward * c
-            for j, w in row:
-                for t, c in enumerate(nums[j], 1):
-                    acc[t] += w * c
-            for t, c in enumerate(nums[s]):
-                acc[t] -= table.scale * c
-            while acc and not acc[-1]:
-                acc.pop()
-            row_out.append(acc)
-        out.append(row_out)
-    return out
+    scale = mdp.integer_table.scale
+    return [
+        [_sub_ints(q, [scale * c for c in nums[s]]) for q in row]
+        for s, row in enumerate(_q_lists(mdp.integer_table, nums, det))
+    ]
 
 
 def _break_free(
@@ -308,14 +316,12 @@ def _optimal_at_root(
     """D at an irrational point, given a rule optimal there: action a is
     conserving at state s exactly when the rule switched to a at s keeps the
     optimal value at pt, so sum |A(s)| value comparisons decide the sets.
-    Each comparison tests the unreduced numerator of the difference: the
-    factors that reduction would drop divide the two value functions'
-    denominators, and those divide det(I - aP), which has no root in
-    [0, 1)."""
+    Each comparison tests ``value_difference``, which vanishes in [0, 1)
+    exactly where the difference does."""
 
     def conserving(s: int, a: int) -> bool:
         switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
-        nums = (unreduced_difference(v, w) for v, w in zip(vfun[rule], vfun[switched]))
+        nums = (value_difference(vfun[rule], vfun[switched], x) for x in range(mdp.m))
         return all(not num or polynomial_vanishes_at(_poly(num), pt) for num in nums)
 
     return tuple(
@@ -350,7 +356,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             solved[alpha] = optimal_set(mdp, alpha).d_alpha_sets
         return solved[alpha]
 
-    classes: list[tuple[RationalFunction, ...]] | None = None  # built on demand
+    keys: dict[DecisionRule, RuleValues] | None = None  # built on demand
     points: list[Point] = []
     while True:
         bounds: list[Point] = [Fraction(0)] + points + [Fraction(1)]
@@ -365,26 +371,23 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             hull_hi = point_position(hi_pt)[1]
             if _break_free(vfun.advantages(best), hull_lo, hull_hi):
                 continue  # D is constant on the hull: no candidate point
-            if classes is None:
-                # one representative vector per class, in rule order
-                classes = list(dict.fromkeys(vfun.values()))
-            vstar = vfun[best]
+            if keys is None:
+                keys = {rule: _class_key(values) for rule, values in vfun.items()}
+                classes = list(dict.fromkeys(keys.values()))  # in rule order
+            vstar = keys[best]
             for vec in classes:
-                if _root_free_on(vstar, vec, hull_lo, hull_hi):
-                    continue  # no difference has a root on the gap
-                diffs = [vstar[x] - vec[x] for x in range(mdp.m)]
-                nonzero = [d for d in diffs if not d.is_zero]
-                if not nonzero:
-                    continue  # same value function; optimal together
+                nums = _crossing_numerators(vstar, vec, hull_lo, hull_hi)
+                if not nums:
+                    continue  # no root on the gap, or the same value function
                 candidates: list[Point] = []
-                for d in nonzero:
-                    for root, mult in isolate_roots(d.num, hull_lo, hull_hi):
+                for num in nums:
+                    for root, mult in isolate_roots(_poly(num), hull_lo, hull_hi):
                         if mult % 2 == 1:
                             candidates.append(root)
-                common = reduce(poly_gcd, (d.num for d in nonzero))
-                if common.degree > 0:
+                common = reduce(_gcd_ints, nums)
+                if len(common) > 1:
                     candidates.extend(
-                        root for root, _ in isolate_roots(common, hull_lo, hull_hi)
+                        root for root, _ in isolate_roots(_poly(common), hull_lo, hull_hi)
                     )
                 for pt in candidates:
                     if points_equal(pt, lo_pt) or points_equal(pt, hi_pt):
@@ -548,23 +551,10 @@ def _q_numerators(
 ) -> tuple[list[list[list[int]]], int]:
     """Q(i, k) = r(i, k) + alpha * sum_j P(i, k, j) * pvec[j] from the integer
     table, as raw integer numerators of one common length over one
-    denominator: with pvec[j] = nums[j] / d, Q(i, k)'s numerator is
-    L*r(i, k)*d plus sum_j L*P(i, k, j) * nums[j] shifted up by one, over
-    L*d."""
-    table = mdp.integer_table
+    denominator: with pvec[j] = nums[j] / d, the ``_q_lists`` over L*d."""
     d = math.lcm(*(v.den for v in pvec))
     nums = [[c * (d // v.den) for c in v.ints] for v in pvec]
-    width = max(map(len, nums))
-
-    def q(r: int, row) -> list[int]:
-        acc = [r * d] + [0] * width
-        for j, w in row:
-            for t, c in enumerate(nums[j], 1):
-                acc[t] += w * c
-        return acc
-
-    qs = [list(map(q, rs, acts)) for rs, acts in zip(table.rewards, table.rows)]
-    return qs, table.scale * d
+    return _q_lists(mdp.integer_table, nums, [d]), mdp.integer_table.scale * d
 
 
 def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
@@ -641,7 +631,7 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         for s in range(len(sub_bounds) - 1):
             mid = _rational_inside(sub_bounds[s], sub_bounds[s + 1])
             best = _first_best(qs, mid)
-            pieces.append(tuple(_poly(q[k][:], den) for q, k in zip(qs, best)))
+            pieces.append(tuple(_poly(q[k], den) for q, k in zip(qs, best)))
             isets.append(
                 tuple(
                     frozenset(j for j, c in enumerate(q) if c == q[k])

@@ -178,6 +178,8 @@ def small_discount_checks(mdp: Mdp, grid: int = 20) -> SmallDiscountChecks:
     N(alpha) at each distinct grid point are computed once, with D and V*
     read off the canonical partition and certified there.
     """
+    if grid < 1:
+        raise ValueError("grid must have at least one point")
     rep = policy_filtration(mdp)
     part = canonical_partition(mdp)
     outcomes: list[CheckOutcome] = []

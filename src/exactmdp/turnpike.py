@@ -223,6 +223,8 @@ def _turnpike_at(
 def certificate_audit(mdp: Mdp, result: TurnpikeResult, extra: int = 5) -> bool:
     """Re-run exact value iteration past the certificate horizon and confirm
     no first-step set escapes the optimal set at or beyond N(alpha)."""
+    if extra < 0:
+        raise ValueError("extra horizons must be non-negative")
     bal, _ = balance(mdp)
     opt = optimal_set(bal, result.alpha)
     trace = value_iteration(bal, result.alpha, result.certificate_horizon + extra)

@@ -23,6 +23,7 @@ import pytest
 
 from conftest import mdpgen, random_mdp
 from test_decided_roots import product, reference_count_roots_open
+import frozen_values
 from exactmdp import cli, docio, exactarith, partition
 from exactmdp.bellman import evaluate_deterministic, optimal_set, smallest_rule
 from exactmdp.corpus import EXAMPLE_IDS, build_example
@@ -173,7 +174,10 @@ def test_value_functions_cover_every_rule_in_order(example_id):
     rules = enumerate_decision_rules(mdp)
     assert len(vf) == len(rules)
     assert list(vf) == rules
-    assert dict(vf) == {rule: value_rational_function(mdp, rule) for rule in rules}
+    assert dict(vf) == {rule: _value_solve(mdp, rule) for rule in rules}
+    assert {rule: frozen_values.reduced_values(mdp.m, *vf[rule]) for rule in rules} == {
+        rule: value_rational_function(mdp, rule) for rule in rules
+    }
 
 
 def test_value_functions_reject_foreign_rules():

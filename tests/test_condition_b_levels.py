@@ -26,6 +26,7 @@ from exactmdp.conditions import (
 )
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
+from exactmdp.exactarith import value_rational_function
 from exactmdp.limits import CapExceededError, prefix_cap
 from exactmdp.mdp import MarkovPrefix, enumerate_decision_rules, mat_vec, spreads
 from exactmdp.partition import canonical_partition
@@ -48,7 +49,7 @@ def reference_check_condition_B(mdp, alpha_star, side, k_range=range(0, 13)):
     if not others:
         return ConditionVerdict(name, alpha_star, True, "vacuous")
     r1_star = spreads(mdp0).r1_star
-    vf = report0.value_functions
+    vf = {rule: value_rational_function(mdp0, rule) for rule in d_at}
     for phi in sorted(d_side):
         for psi in sorted(others):
             dv = tuple(

@@ -65,13 +65,13 @@ class TestDerivativeDifference:
 
     def test_tail_value_function_is_solved_once(self, monkeypatch):
         solved = []
-        original = conditions.value_rational_function
+        original = conditions._value_solve
 
         def counting(mdp, rule):
             solved.append(rule)
             return original(mdp, rule)
 
-        monkeypatch.setattr(conditions, "value_rational_function", counting)
+        monkeypatch.setattr(conditions, "_value_solve", counting)
         fx = build_example("ex5")
         mdp0 = fx.mdp.with_terminal([F(0), F(0)])
         phi1, phi2 = phi(0, 0), phi(1, 0)

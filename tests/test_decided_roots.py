@@ -198,7 +198,12 @@ def reference_step(mdp, pw):
 def reference_optimal_at_root(mdp, vfun, rule, pt):
     def conserving(s, a):
         switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
-        diffs = (v - w for v, w in zip(vfun[rule], vfun[switched]))
+        diffs = (
+            v - w
+            for v, w in zip(
+                value_rational_function(mdp, rule), value_rational_function(mdp, switched)
+            )
+        )
         return all(
             d.is_zero or exactarith.polynomial_vanishes_at(d.num, pt) for d in diffs
         )

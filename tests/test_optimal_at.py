@@ -21,7 +21,6 @@ from exactmdp.bellman import optimal_set, smallest_rule
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
     Polynomial,
-    RationalFunction,
     point_position,
     simplest_fraction_between,
 )
@@ -125,11 +124,13 @@ def test_values_off_by_a_constant_fail(example_id):
     1), so only the fixed-point half of the check can object."""
     mdp = build_example(example_id).mdp
     part = canonical_partition(mdp)
-    one = RationalFunction(Polynomial.constant(1), Polynomial.constant(1))
     for iv, alpha in zip(part.intervals, interior_rationals(part)):
         rule = smallest_rule(iv.d_set)
         shifted = dict(part.value_functions)
-        shifted[rule] = tuple(v + one for v in shifted[rule])
+        nums, det = shifted[rule]
+        # V + 1 = (N + Δ) / Δ
+        plus_one = tuple((Polynomial(num) + Polynomial(det)).ints for num in nums)
+        shifted[rule] = (plus_one, det)
         broken = dataclasses.replace(part, value_functions=shifted)
         with pytest.raises(AssertionError):
             broken.optimal_at(mdp, alpha)

@@ -11,7 +11,11 @@ import pytest
 
 from exactmdp.bellman import evaluate_deterministic, rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import IsolatedRoot, polynomial_vanishes_at
+from exactmdp.exactarith import (
+    IsolatedRoot,
+    polynomial_vanishes_at,
+    value_rational_function,
+)
 from exactmdp.mdp import enumerate_decision_rules
 from exactmdp.partition import canonical_partition, point_position
 
@@ -107,14 +111,13 @@ def all_rules_d_at(mdp, part, ip):
     """D at an irrational irregular point by testing every rule: a rule is
     optimal there when its whole value vector meets that of the smallest
     rule optimal just left of the point."""
-    vfun = part.value_functions
-    vstar = vfun[min(rules_from_action_sets(ip.d_left))]
+    vstar = value_rational_function(mdp, min(rules_from_action_sets(ip.d_left)))
     return [
         rule
         for rule in enumerate_decision_rules(mdp)
         if all(
             d.is_zero or polynomial_vanishes_at(d.num, ip.point)
-            for d in (vstar[x] - vfun[rule][x] for x in range(mdp.m))
+            for d in (a - b for a, b in zip(vstar, value_rational_function(mdp, rule)))
         )
     ]
 

@@ -21,8 +21,9 @@ from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
     Polynomial,
     RationalFunction,
+    _poly,
     poly_det,
-    unreduced_difference,
+    value_difference,
     value_rational_function,
 )
 from exactmdp.mdp import enumerate_decision_rules
@@ -218,25 +219,44 @@ def test_rational_function_reduction(a, b, g, x):
     assert RationalFunction(num * common, den * common) == f
 
 
-@given(coeff_lists, coeff_lists, coeff_lists, coeff_lists)
+def test_poly_leaves_the_callers_list_alone():
+    # the canonical form trims trailing zeros off a copy, not off the input
+    lst = [1, 0]
+    p = _poly(lst)
+    assert lst == [1, 0]
+    assert (p.ints, p.den) == ((1,), 1)
+    lst = [4, 0, 6, 0, 0]
+    p = _poly(lst, 2)
+    assert lst == [4, 0, 6, 0, 0]
+    assert (p.ints, p.den) == ((2, 0, 3), 1)
+
+
+int_lists = st.lists(st.integers(-12, 12), max_size=5)
+
+
+@given(int_lists, int_lists, int_lists, int_lists)
 @settings(max_examples=200, deadline=None)
 def test_unreduced_difference_is_a_positive_multiple(a, b, c, d):
-    # f − g = U / (f.den·g.den) times a positive constant, U unreduced
-    num_f, den_f, num_g, den_g = map(Polynomial, (a, b, c, d))
-    if any(q.is_zero or q(F(0)) == 0 for q in (den_f, den_g)):
+    # for values f = (N, Δ) and g = (N', Δ') with Δ(0), Δ'(0) > 0,
+    # V_f − V_g = U / (Δ·Δ') with U = value_difference(f, g, x) unreduced
+    if not b or not d or b[0] <= 0 or d[0] <= 0:
         return
-    f, g = RationalFunction(num_f, den_f), RationalFunction(num_g, den_g)
-    u = Polynomial(unreduced_difference(f, g))
+    f, g = ((tuple(a),), tuple(b)), ((tuple(c),), tuple(d))
+    raw = value_difference(f, g, 0)
+    assert not raw or raw[-1] != 0  # no trailing zero
+    u = Polynomial(raw)
     assert_canonical(u)
     assert u.den == 1
-    diff = f - g
+    num_f, den_f, num_g, den_g = map(Polynomial, (a, b, c, d))
+    diff = RationalFunction(num_f, den_f) - RationalFunction(num_g, den_g)
     if diff.is_zero:
         assert u.is_zero
         return
     x = next(F(k, 7) for k in range(30) if diff(F(k, 7)) != 0 and u(F(k, 7)) != 0)
-    scale = RationalFunction(u, f.den * g.den)(x) / diff(x)
+    scale = RationalFunction(u, den_f * den_g)(x) / diff(x)
     assert scale > 0
-    assert RationalFunction(u, f.den * g.den) == diff * scale
+    assert scale == 1  # U / (Δ·Δ') is the difference itself
+    assert RationalFunction(u, den_f * den_g) == diff * scale
 
 
 def cofactor_det(matrix):

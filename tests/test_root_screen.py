@@ -4,8 +4,9 @@
 an upper bound of the same parity on the roots of p in (lo, hi) counted with
 multiplicity.  ``isolate_roots`` returns [] at once when it is 0,
 identifies the one simple root when it is 1, and bisects on the same counts
-otherwise; ``canonical_partition`` skips a candidate pair when every
-unreduced value difference is zero or root-free on the gap's hull, and a
+otherwise; ``canonical_partition`` skips a candidate class when every
+unreduced value difference (``value_difference``) is zero or root-free on
+the gap's hull, and a
 whole gap when no advantage numerator of its optimal rule has a root on the
 hull; symbolic value iteration's step skips a pair whose difference
 ``_excludes_roots`` certifies root-free on the piece's hull.  A screened
@@ -44,13 +45,15 @@ from exactmdp.partition import canonical_partition, symbolic_value_iteration
 def screens_off():
     # isolation and counting by Sturm chains alone, so every interval goes
     # to the gcd and Sturm path; no gap is certified break-free, so every
-    # gap goes to the class path; no pair of symbolic value iteration's step
-    # is certified root-free, so every pair goes to isolation
+    # gap goes to the class path, where no class's value differences are
+    # certified root-free (partition reads Descartes counts only in those two
+    # screens); no pair of symbolic value iteration's step is certified
+    # root-free, so every pair goes to isolation
     with mock.patch.object(exactarith, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
             mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(partition, "_excludes_roots", lambda a, lo, hi: False), \
-            mock.patch.object(partition, "_root_free_on", lambda f, g, lo, hi: False), \
+            mock.patch.object(partition, "descartes_bound", lambda a, lo, hi: 1), \
             mock.patch.object(partition, "_break_free", lambda advantages, lo, hi: False):
         yield
 
