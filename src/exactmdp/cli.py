@@ -32,6 +32,8 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 _DECIMAL = re.compile(r"[+-]?[0-9]*[.][0-9]+")
+# argparse takes "-1/2" for a flag, so main writes "--alpha -1/2" as "--alpha=-1/2"
+_RATIONAL_OPTIONS = ("--alpha", "--point", "--interval")
 
 
 class InputError(ValueError):
@@ -409,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _RATIONAL_OPTIONS and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

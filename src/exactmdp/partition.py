@@ -12,20 +12,21 @@ set D_n(alpha) -- is held as per-state action sets (``ActionSets``), and
 ``PartitionReport.sets_around`` and ``PiecewiseValue.sets_around`` read the
 one-sided sets at any rational point of [0, 1) off the structure without
 solving again.
-The partition's refinement loop settles most gaps from one rule.  With
-pi* the smallest rule optimal at a gap's sample point, the advantage
-numerators L·Delta·A(s, a) of every state and action over pi*'s values
-N / Delta (one Kronecker solve, ``_advantage_numerators``) have the
-advantages' signs on [0, 1).  When Descartes' rule finds none of the
-nonzero ones with a root on the gap's hull, pi* stays optimal there with
-the same conserving actions, so D is constant on the gap and it is final
-(``_break_free``; Hordijk, Dekker & Kallenberg 1985).  Only a gap that
-fails this certificate goes to the search over classes of rules with equal
-value functions (``_class_key``), built when first needed from
-``PartitionReport.value_functions``, which maps every rule, in
-``enumerate_decision_rules`` order, to its solve (N, Delta), solved on
-first lookup.  Descartes' rule screens a class's differences as
-N·Delta' - N'·Delta, which has their sign on [0, 1) (``_crossing_numerators``).
+The partition's refinement loop settles most gaps from one rule.  With pi*
+the smallest rule optimal at a gap's sample point, the advantage numerators
+L·Delta·A(s, a) over pi*'s values N / Delta (``_advantage_numerators``)
+have the advantages' signs on [0, 1).  When Descartes' rule clears every
+nonzero one on the gap's hull, D is constant on the gap and it is final
+(``_break_free``; Hordijk, Dekker & Kallenberg 1985).  Otherwise the loose
+actions, whose numerators it does not clear (``_loose_actions``), drive a
+search over classes of rules with equal values (``_class_key``), each rule
+solved as (N, Delta) on first lookup.  Any other advantage is <= 0 at the
+sample point and root-free on the open hull, so identically 0 or negative
+there.  As V_pi* - V_sigma = (I - alpha·P_sigma)^-1 (-A(., sigma(.))) with
+a nonnegative resolvent of positive diagonal, a rule sigma through no loose
+action gives no candidate: each value difference is identically 0 or
+positive there.  Likewise, where a rule is optimal, a is conserving at s
+exactly when A(s, a) vanishes (``_optimal_at_root``).
 Once a partition exists, ``PartitionReport.optimal_at`` gives D(alpha) and
 V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the value functions of D's smallest rule at alpha, and
@@ -62,7 +63,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -212,13 +213,9 @@ class _ValueFunctions(Mapping):
         return self._len
 
     def advantages(self, rule: DecisionRule) -> list[list[list[int]]]:
-        """``_advantage_numerators`` of the rule's values, the identically
-        zero ones left out."""
+        """``_advantage_numerators`` of the rule's values, built once."""
         if rule not in self._advantages:
-            self._advantages[rule] = [
-                [num for num in row if num]
-                for row in _advantage_numerators(self._mdp, *self[rule])
-            ]
+            self._advantages[rule] = _advantage_numerators(self._mdp, *self[rule])
         return self._advantages[rule]
 
 
@@ -290,7 +287,20 @@ def _break_free(
 ) -> bool:
     """True when Descartes' rule certifies that none of the nonzero
     advantage numerators has a root in the open interval (lo, hi)."""
-    return all(descartes_bound(num, lo, hi) == 0 for row in advantages for num in row)
+    return all(not num or descartes_bound(num, lo, hi) == 0 for row in advantages for num in row)
+
+
+def _loose_actions(advantages: Sequence[Sequence[list[int]]], lo, hi) -> list[set[int]]:
+    """Each state's actions whose advantage numerator is nonzero and has a
+    Descartes count above 0 on (lo, hi)."""
+    return [
+        {a for a, num in enumerate(row) if num and descartes_bound(num, lo, hi)}
+        for row in advantages
+    ]
+
+
+def _hull_within(hulls: list[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction) -> bool:
+    return any(a <= lo and hi <= b for a, b in hulls)
 
 
 def classify(left: ActionSets, at: ActionSets, right: ActionSets) -> str:
@@ -310,42 +320,27 @@ def classify(left: ActionSets, at: ActionSets, right: ActionSets) -> str:
     return "touching" if is_touch else "regular"
 
 
-def _optimal_at_root(
-    mdp: Mdp, vfun: Mapping, rule: DecisionRule, pt: IsolatedRoot
-) -> ActionSets:
-    """D at an irrational point, given a rule optimal there: action a is
-    conserving at state s exactly when the rule switched to a at s keeps the
-    optimal value at pt, so sum |A(s)| value comparisons decide the sets.
-    Each comparison tests ``value_difference``, which vanishes in [0, 1)
-    exactly where the difference does."""
-
-    def conserving(s: int, a: int) -> bool:
-        switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
-        nums = (value_difference(vfun[rule], vfun[switched], x) for x in range(mdp.m))
-        return all(not num or polynomial_vanishes_at(_poly(num), pt) for num in nums)
-
+def _optimal_at_root(advantages: Sequence[Sequence[list[int]]], pt: IsolatedRoot) -> ActionSets:
+    """D at an irrational point, from the advantage numerators of a rule
+    optimal there; a zero numerator vanishes everywhere."""
     return tuple(
-        frozenset(a for a in range(mdp.action_count(s)) if conserving(s, a))
-        for s in range(mdp.m)
+        frozenset(a for a, num in enumerate(row) if polynomial_vanishes_at(_poly(num), pt))
+        for row in advantages
     )
 
 
 def canonical_partition(mdp: Mdp) -> PartitionReport:
     """Exact decomposition of [0, 1) by the optimal-policy map.
 
-    Cut candidates are grown gap by gap: D is sampled at a rational inside
-    the gap and pi* is its smallest rule.  When no nonzero advantage
-    numerator of pi* has a root on the gap's hull, D is constant there and
-    the gap adds nothing.  Otherwise stationary values are solved
-    symbolically for every rule, once, and the gap gets the sign-change
-    roots of each class's value differences against pi*'s, and the
-    common-vanishing points (where another class's whole value vector meets
-    the optimum).  A gap that passes the certificate is one this search
-    would leave without a candidate: an odd root would mean some rule beats
-    pi* inside it, and a common root that some rule's values equal pi*'s.
-    The loop stabilizes in finitely many rounds, after which the set map is
-    provably constant between consecutive points.  Value functions are
-    solved when first read from the report.
+    Cut candidates are grown gap by gap from pi*, the smallest rule of D at
+    a rational inside the gap.  A gap that fails pi*'s certificate gets, for
+    each class of rules through a loose action, the odd roots of the class's
+    value differences against pi*'s and the common roots where its value
+    vector meets pi*'s.  A gap whose pi* was searched on a hull containing
+    the gap's hull is skipped: each root found there was added or was an end
+    of that gap, so inside this hull it can only be an end of this one.  The
+    loop stops in finitely many rounds, after which the set map is provably
+    constant between consecutive points.
     """
     vfun = _ValueFunctions(mdp)
     solved: dict[Fraction, ActionSets] = {}
@@ -356,7 +351,11 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             solved[alpha] = optimal_set(mdp, alpha).d_alpha_sets
         return solved[alpha]
 
-    keys: dict[DecisionRule, RuleValues] | None = None  # built on demand
+    @cache
+    def key(rule: DecisionRule) -> RuleValues:
+        return _class_key(vfun[rule])
+
+    runs: dict[DecisionRule, list[tuple[Fraction, Fraction]]] = {}  # class-path hulls
     points: list[Point] = []
     while True:
         bounds: list[Point] = [Fraction(0)] + points + [Fraction(1)]
@@ -367,33 +366,35 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
             mid = _rational_inside(lo_pt, hi_pt)
             gap_sets.append(sets_at(mid))
             best = smallest_rule(gap_sets[-1])
-            hull_lo = point_position(lo_pt)[0]
-            hull_hi = point_position(hi_pt)[1]
-            if _break_free(vfun.advantages(best), hull_lo, hull_hi):
+            hull_lo, hull_hi = point_position(lo_pt)[0], point_position(hi_pt)[1]
+            advantages = vfun.advantages(best)
+            if _break_free(advantages, hull_lo, hull_hi):
                 continue  # D is constant on the hull: no candidate point
-            if keys is None:
-                keys = {rule: _class_key(values) for rule, values in vfun.items()}
-                classes = list(dict.fromkeys(keys.values()))  # in rule order
-            vstar = keys[best]
+            hulls = runs.setdefault(best, [])
+            if _hull_within(hulls, hull_lo, hull_hi):
+                continue  # every candidate was passed on by an earlier run
+            hulls.append((hull_lo, hull_hi))
+            loose = _loose_actions(advantages, hull_lo, hull_hi)
+            classes = dict.fromkeys(  # in rule order
+                key(rule) for rule in vfun if any(a in s for a, s in zip(rule.choices, loose))
+            )
+            vstar = key(best)
             for vec in classes:
                 nums = _crossing_numerators(vstar, vec, hull_lo, hull_hi)
                 if not nums:
                     continue  # no root on the gap, or the same value function
-                candidates: list[Point] = []
-                for num in nums:
-                    for root, mult in isolate_roots(_poly(num), hull_lo, hull_hi):
-                        if mult % 2 == 1:
-                            candidates.append(root)
+                candidates = [
+                    root
+                    for num in nums
+                    for root, mult in isolate_roots(_poly(num), hull_lo, hull_hi)
+                    if mult % 2 == 1
+                ]
                 common = reduce(_gcd_ints, nums)
                 if len(common) > 1:
-                    candidates.extend(
-                        root for root, _ in isolate_roots(_poly(common), hull_lo, hull_hi)
-                    )
+                    candidates += [r for r, _ in isolate_roots(_poly(common), hull_lo, hull_hi)]
                 for pt in candidates:
-                    if points_equal(pt, lo_pt) or points_equal(pt, hi_pt):
-                        continue
-                    if _add_point(points, pt):
-                        added = True
+                    if not (points_equal(pt, lo_pt) or points_equal(pt, hi_pt)):
+                        added |= _add_point(points, pt)
         if not added:
             break
 
@@ -406,7 +407,7 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         if isinstance(pt, Fraction):
             d_at = sets_at(pt)
         else:
-            d_at = _optimal_at_root(mdp, vfun, smallest_rule(d_left), pt)
+            d_at = _optimal_at_root(vfun.advantages(smallest_rule(d_left)), pt)
         if not (product_subset(d_left, d_at) and product_subset(d_right, d_at)):
             raise AssertionError("upper hemicontinuity violated; kernel bug")
         kind = classify(d_left, d_at, d_right)
@@ -429,15 +430,8 @@ def canonical_partition(mdp: Mdp) -> PartitionReport:
         hi = points[i] if i < len(points) else Fraction(1)
         intervals.append(PartitionInterval(cursor, hi, gap_sets[i]))
         cursor = hi
-    blackwell: Point = Fraction(0)
-    if irregular:
-        blackwell = irregular[-1].point
-    return PartitionReport(
-        irregular_points=tuple(irregular),
-        intervals=tuple(intervals),
-        blackwell_point=blackwell,
-        value_functions=vfun,
-    )
+    blackwell: Point = irregular[-1].point if irregular else Fraction(0)
+    return PartitionReport(tuple(irregular), tuple(intervals), blackwell, vfun)
 
 
 # -- piecewise-symbolic value iteration -------------------------------------------

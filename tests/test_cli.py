@@ -80,6 +80,23 @@ class TestParsing:
         assert (code, out) == (2, "")
         assert err == f"error: discount factor {text!r} is outside [0, 1)\n"
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["solve", "--alpha", "-1/2"], "-1/2"),
+            (["conditions", "--point", "-1/2"], "-1/2"),
+            (["turnpike", "--interval", "-1/2,1/2"], "-1/2"),
+        ],
+    )
+    def test_negative_rational_after_an_option_is_its_value(self, capsys, tmp_path, argv, text):
+        # argparse reads "-1/2" as an option flag unless it is attached to
+        # the option, as "--alpha=-1/2" is; both spellings give the range error
+        command, option, value = argv
+        path = write_mdp(tmp_path, "ex1")
+        want = (2, "", f"error: discount factor {text!r} is outside [0, 1)\n")
+        assert run(capsys, command, path, option, value) == want
+        assert run(capsys, command, path, f"{option}={value}") == want
+
     def test_discount_range(self):
         with pytest.raises(cli.InputError):
             cli.parse_discount("5/4")

@@ -9,14 +9,14 @@ records, for each pair of actions on a piece, whether its difference is
 zero, vanishes at the left bound, or produced a local point, and takes the
 tie set at an irrational cut or bound from those records instead of one
 vanishing test per action.  ``RationalFunction`` negation takes no gcd,
-subtraction normalises once, and ``_optimal_at_root`` tests unreduced
-differences.
+subtraction normalises once, and ``_optimal_at_root`` tests the optimal
+rule's advantage numerators.
 
 The references below are the earlier forms: Sturm-only counting and
 isolation, the vanishing and same-root tests of ``frozen_separation``, the
 step that tested each action at a bracket (``reference_step``), the
-conserving test on reduced ``RationalFunction`` differences, and negation
-and subtraction through the reducing constructor.  Every partition, level,
+conserving test on reduced ``RationalFunction`` differences of switched
+rules, and negation and subtraction through the reducing constructor.  Every partition, level,
 isolation, count, vanishing answer and same-root answer must be equal.
 """
 
@@ -195,26 +195,36 @@ def reference_step(mdp, pw):
     )
 
 
-def reference_optimal_at_root(mdp, vfun, rule, pt):
-    def conserving(s, a):
-        switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
-        diffs = (
-            v - w
-            for v, w in zip(
-                value_rational_function(mdp, rule), value_rational_function(mdp, switched)
+def reference_optimal_at_root(mdp):
+    """``_optimal_at_root`` for mdp by single-state switches of the optimal
+    rule, each compared on reduced ``RationalFunction`` differences.  The
+    rule is the smallest optimal one on the left gap, so its action at each
+    state is the first whose advantage numerator is identically zero."""
+
+    def optimal_at_root(advantages, pt):
+        rule = DecisionRule(tuple(row.index([]) for row in advantages))
+
+        def conserving(s, a):
+            switched = DecisionRule(rule.choices[:s] + (a,) + rule.choices[s + 1 :])
+            diffs = (
+                v - w
+                for v, w in zip(
+                    value_rational_function(mdp, rule), value_rational_function(mdp, switched)
+                )
             )
+            return all(
+                d.is_zero or exactarith.polynomial_vanishes_at(d.num, pt) for d in diffs
+            )
+
+        return tuple(
+            frozenset(a for a in range(mdp.action_count(s)) if conserving(s, a))
+            for s in range(mdp.m)
         )
-        return all(
-            d.is_zero or exactarith.polynomial_vanishes_at(d.num, pt) for d in diffs
-        )
 
-    return tuple(
-        frozenset(a for a in range(mdp.action_count(s)) if conserving(s, a))
-        for s in range(mdp.m)
-    )
+    return optimal_at_root
 
 
-def use_references(patch):
+def use_references(patch, mdp):
     patch.setattr(exactarith, "count_roots_open", reference_count_roots_open)
     patch.setattr(exactarith, "isolate_roots", reference_isolate_roots)
     patch.setattr(partition, "isolate_roots", reference_isolate_roots)
@@ -222,7 +232,7 @@ def use_references(patch):
     for owner in (exactarith, partition):
         patch.setattr(owner, "polynomial_vanishes_at", frozen_separation.polynomial_vanishes_at)
     patch.setattr(partition, "_step_piecewise", reference_step)
-    patch.setattr(partition, "_optimal_at_root", reference_optimal_at_root)
+    patch.setattr(partition, "_optimal_at_root", reference_optimal_at_root(mdp))
     patch.setattr(RationalFunction, "__neg__", lambda f: RationalFunction(-f.num, f.den))
     patch.setattr(RationalFunction, "__sub__", lambda f, g: f + (-g))
 
@@ -313,7 +323,7 @@ def test_equal_to_references(monkeypatch, model_id):
         frozen_separation.same_root(*args) for args in pairs
     ]
     with monkeypatch.context() as patch:
-        use_references(patch)
+        use_references(patch, mdp)
         # equality covers every bracket and defining polynomial
         assert canonical_partition(mdp) == part
         assert symbolic_value_iteration(mdp, HORIZON) == levels
