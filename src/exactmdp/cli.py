@@ -87,6 +87,8 @@ def read_mdp(path: str) -> Mdp:
             return docio.mdp_from_document(docio.loads_document(fh.read()))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except docio.DocumentError as exc:
         raise InputError(f"{path}: {exc}")
 

@@ -6,7 +6,9 @@ Two families of conditions are checked at an irregular discount factor:
   point for every large horizon.  With singleton one-sided sets these are
   verified jointly through a finite pushforward-equality certificate on
   the value-iteration residual; otherwise only definition-window evidence
-  is reported.
+  is reported.  The certificate's pushforward kernel depends only on the
+  rule pair, so it is built once (``equivalence.same_pushforwards``) and
+  each horizon's residual is tested against it.
 - B-conditions: the one-side-optimal rules strictly dominate, to first
   order in the discount factor, every other optimal rule, uniformly over
   continuations drawn from the optimal set.  Verified with terminal
@@ -14,13 +16,14 @@ Two families of conditions are checked at an irregular discount factor:
   explicit tail bound; a tangency of value-function derivatives refutes
   them outright (``exactarith.value_slopes`` differentiates each rule's
   solve (N, Delta)).  The derivatives of all continuation prefixes are kept
-  in one table that grows a level per horizon: each prefix extends its
-  parent's derivative and transition product by one step instead of
-  rebuilding them from the identity.  A level holds integer numerators over
-  one denominator, built from the MDP's integer table, so no step reduces a
-  fraction.  Both sides draw their prefixes from
-  the same optimal set, so a boundedness verdict reads B- and B+ from one
-  table.
+  in one table that grows a level per horizon.  It is built from tail
+  vectors: a prefix (first, tail) has derivative P_first·U(tail), with
+  U = W + alpha·W' for the tail's value W, and putting a rule in front of a
+  tail updates W and U with one matrix-vector step each, so no transition
+  product is formed.  A level holds integer numerators over one
+  denominator, built from the MDP's integer table, so no step reduces a
+  fraction.  Both sides draw their prefixes from the same optimal set, so a
+  boundedness verdict reads B- and B+ from one table.
 
 A verdict reads D(alpha-), D(alpha), D(alpha+) off one canonical partition,
 and both sides of A share one value-iteration trace and certificate search.
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .bellman import (
     ActionSets,
@@ -45,7 +49,7 @@ from .bellman import (
     smallest_rule,
     value_iteration,
 )
-from .equivalence import pushforwards_equal
+from .equivalence import same_pushforwards
 from .exactarith import _value_solve, value_slopes, values_at
 from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
@@ -175,44 +179,57 @@ def _finite_value_derivative(
 
 def _derivative_levels(
     mdp0: Mdp, rules: list[DecisionRule], alpha: Fraction
-) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+) -> Iterator[tuple[list[list[list[int]]], int]]:
     """Yield the condition-B derivative table level by level, K = 0, 1, ...
 
-    Level K lists, for every (first, tail) with |tail| = K and rules drawn
-    from `rules`, in the lexicographic order of (first, *tail), the
-    derivative at alpha of the (K+1)-horizon value of playing first and then
-    tail; mdp0's terminal rewards must be zero.  Entry i's children are
-    entries n·i .. n·i + n-1 of the next level (n = len(rules)).  With
-    M = P_first·P_tail[0]···P_tail[K-1], the child (first, tail+(r,)) is the
-    parent plus (K+1)·alpha^K·M·r_r, and its product is M·P_r.  The products
-    of a level are formed only when the next level is requested, and only
-    the current level is held.
+    Level K holds, for every (first, tail) with |tail| = K and rules drawn
+    from `rules`, the derivative at alpha of the (K+1)-horizon value of
+    playing first and then tail; mdp0's terminal rewards must be zero.  It
+    is yielded state-major as (table, D): table[i][x] lists, over the tails
+    in lexicographic order, the numerators over D of state x's derivative
+    when first is rules[i].
 
-    A level is yielded as (numerators, D), integers over one denominator,
-    from the integer table (L*P, L*r) at alpha = p/q.  With M' = L^(K+1)·M,
-    a child is its parent times D_(K+1)/D_K plus (K+1)·p^K·M'·(L*r_r), over
-    D_(K+1) = L^(K+2)·q^K: D_0 = 1 (level 0 is zero), D_1 = L², then
-    D_(K+1) = D_K·L·q.
+    A tail t gives every derivative through its value W(t) and
+    U(t) = W(t) + alpha·W'(t): (first, t) has derivative P_first·U(t), and
+    putting rule r in front of t gives W(r·t) = r_r + alpha·P_r·W(t) and
+    U(r·t) = r_r + alpha·P_r·(U(t) + W(t)), from W = U = 0 at the empty
+    tail.  So no transition product is formed.  Over the integer table
+    (L*P, L*r) at alpha = p/q, W and U of the tails of length K are
+    numerators over (L·q)^K, a new tail's numerator being
+    q·(L·q)^K·(L*r_r) + p·(L*P_r)·(the old numerators), and the derivatives
+    are over D = L·(L·q)^K.  A level is built only when it is requested,
+    and only the current tails are held.
     """
-    m, n, table = mdp0.m, len(rules), mdp0.integer_table
+    m, table = mdp0.m, mdp0.integer_table
     p, q, scale = alpha.numerator, alpha.denominator, table.scale
     rows = [[table.rows[i][k] for i, k in enumerate(r.choices)] for r in rules]
-    trans = [[[dict(row).get(j, 0) for j in range(m)] for row in rs] for rs in rows]
     rewards = [[table.rewards[i][k] for i, k in enumerate(r.choices)] for r in rules]
-    derivs, den = [(0,) * m] * n, 1
-    prods = [_identity(m)]  # products of the parent level: the empty prefix
-    k = 0
+
+    def prepend(cols: list[list[int]], base: int) -> list[list[int]]:
+        # base·(L*r_r) + p·(L*P_r)·cols for each rule r in turn, state-major
+        out: list[list[int]] = [[] for _ in range(m)]
+        for rule_rows, reward in zip(rows, rewards):
+            for x, row in enumerate(rule_rows):
+                c = base * reward[x]
+                out[x] += [c + p * v for v in _combine(row, cols)]
+        return out
+
+    w = u = [[0] for _ in range(m)]  # W and U of the one empty tail
+    den = 1
     while True:
-        yield derivs, den
-        w, ratio = (k + 1) * p**k, scale * (q if k else scale)
-        prods = [_mat_mul(prods[i // n], trans[i % n], m) for i in range(len(derivs))]
-        derivs = [
-            tuple(d[x] * ratio + w * c[x] for x in range(m))
-            for d, prod in zip(derivs, prods)
-            for c in (mat_vec(prod, reward) for reward in rewards)
-        ]
-        den *= ratio
-        k += 1
+        yield [[_combine(row, u) for row in rs] for rs in rows], scale * den
+        s = [list(map(add, a, b)) for a, b in zip(w, u)]
+        w, u = prepend(w, q * den), prepend(s, q * den)
+        den *= scale * q
+
+
+def _combine(row: tuple[tuple[int, int], ...], cols: list[list[int]]) -> list[int]:
+    """The sum over (j, c) in `row` of c times the list cols[j]."""
+    (j, c), *rest = row
+    out = [c * v for v in cols[j]]
+    for j, c in rest:
+        out = [a + c * v for a, v in zip(out, cols[j])]
+    return out
 
 
 # An irregular point as the checks read it: its kind, D(alpha-), D(alpha),
@@ -253,7 +270,10 @@ def _condition_a_verdicts(
 ) -> dict[str, ConditionVerdict]:
     """`check_condition_A` for both sides, from one value-iteration trace
     and one certificate search: the certificate does not depend on the
-    side."""
+    side.  The search builds the pushforward kernel of (phi, psi) once and
+    tests w_k = V* - V_k against it from k = N - 1 up to A_HORIZON; the
+    first k that passes is the certificate horizon, exactly as a call of
+    `pushforwards_equal(mdp, phi, w_k, psi, w_k)` at each k would find."""
     kind, d_minus, _, d_plus, report = point
     certificate_k = None
     trace = value_iteration(mdp, alpha_star, A_HORIZON)
@@ -263,9 +283,9 @@ def _condition_a_verdicts(
         opt = report.optimal_at(mdp, alpha_star)
         n_val = _turnpike_at(mdp, opt).n_value
         v_inf = opt.v_alpha
+        in_kernel = same_pushforwards(mdp, phi, psi)
         for k in range(max(0, n_val - 1), A_HORIZON + 1):
-            w = tuple(v_inf[i] - trace[k].value[i] for i in range(mdp.m))
-            if pushforwards_equal(mdp, phi, w, psi, w):
+            if in_kernel([v - u for v, u in zip(v_inf.values, trace[k].value.values)]):
                 certificate_k = k
                 break
     verdicts = {}
@@ -322,10 +342,11 @@ def check_condition_B(
     them).  For each horizon K the supremum/infimum of the exact derivative
     over all continuation prefixes drawn from the optimal set is compared
     with the tail bound; the first conclusive K settles the condition.  The
-    derivatives come from a table built level by level (`_derivative_levels`):
-    level K + 1 extends each prefix of level K by one rule, so a new prefix
-    costs one matrix-vector and at most one matrix product, and a level is
-    built only after the prefix cap has admitted its size.  A side that no
+    derivatives come from a table built level by level (`_derivative_levels`)
+    from tail vectors: level K + 1 puts each rule in front of each tail of
+    level K, at the cost of sparse matrix-vector steps and no matrix
+    product, and a level is built only after the prefix cap has admitted
+    its size.  A side that no
     K settles, as with an empty `k_range`, is inconclusive.
     """
     if side not in ("minus", "plus"):
@@ -402,12 +423,7 @@ def _condition_b_verdicts(
             levels, depth = _derivative_levels(mdp0, rules_sorted, alpha_star), -1
         while depth < k:
             depth, (derivs, den) = depth + 1, next(levels)
-        # the continuations of each first rule, in the same tail order
-        size = len(rules_sorted) ** k
-        by_first = {
-            rule: derivs[i * size : (i + 1) * size]
-            for i, rule in enumerate(rules_sorted)
-        }
+        by_first = dict(zip(rules_sorted, derivs))
         for side in list(pending):
             extrema = _dominance_extrema(
                 mdp, side, *split[side], by_first, den, threshold
@@ -439,27 +455,25 @@ def _dominance_extrema(
     side: str,
     d_side: list[DecisionRule],
     others: list[DecisionRule],
-    by_first: dict[DecisionRule, list[tuple[int, ...]]],
+    by_first: dict[DecisionRule, list[list[int]]],
     den: int,
     threshold: Fraction,
 ) -> dict | None:
     """The extreme derivative difference of each (phi, psi) over the
     continuations in `by_first`, when every pair clears the threshold on
     `side`; None as soon as one pair does not.  Both rule lists are sorted,
-    and the derivatives are numerators over `den`."""
+    and `by_first` maps each rule to its level's state-major lists of
+    numerators over `den`, one list per state over the same tails."""
     extrema, bar = {}, threshold * den
     for phi in d_side:
         for psi in others:
-            per_state = [
-                [a[x] - b[x] for a, b in zip(by_first[phi], by_first[psi])]
-                for x in range(mdp.m)
-            ]
+            per_state = enumerate(zip(by_first[phi], by_first[psi]))
             if side == "plus":
-                best = [(min(vals), x) for x, vals in enumerate(per_state)]
+                best = [(min(map(sub, a, b)), x) for x, (a, b) in per_state]
                 ok = any(v > bar for v, _ in best)
                 extreme = max(best, key=lambda t: t[0])
             else:
-                best = [(max(vals), x) for x, vals in enumerate(per_state)]
+                best = [(max(map(sub, a, b)), x) for x, (a, b) in per_state]
                 ok = any(v < -bar for v, _ in best)
                 extreme = min(best, key=lambda t: t[0])
             if not ok:

@@ -65,6 +65,8 @@ def loads_document(text: str) -> dict:
         raise DocumentError(f"not valid JSON: line {exc.lineno}, column {exc.colno}")
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise DocumentError(f"not valid JSON: {exc}")
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply")
 
 
 def _typed(value, kind: type, where: str):

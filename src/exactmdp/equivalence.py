@@ -8,9 +8,11 @@ pushforward sequences up to min(G1, G2) - 1 certifies agreement for every t.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul, sub
 
 from .mdp import DecisionRule, Mdp, mat_vec
 
@@ -93,6 +95,52 @@ def pushforwards_equal(
         a = mat_vec(p1, a)
         b = mat_vec(p2, b)
     return True
+
+
+def same_pushforwards(
+    mdp: Mdp, rule1: DecisionRule, rule2: DecisionRule
+) -> Callable[[Sequence[Fraction]], bool]:
+    """The test w -> pushforwards_equal(mdp, rule1, w, rule2, w), built once
+    for the pair.
+
+    The set S = {w : P1^t w = P2^t w for every t} is the common kernel of
+    the rows of P1^t - P2^t for t = 1 .. m-1, since G <= m.  Indeed
+    pushforwards_equal(w, w) compares t < g with g = min(G1, G2) <= m, so
+    agreement for t < m makes it true.  Conversely, say g = G1 <= G2.  If
+    g < m, P1^(g-1) w is dependent on {1, w, ..., P1^(g-2) w}; if g = m,
+    those m vectors are a basis.  Either way
+    P1^(g-1) w = c·1 + sum_(i < g-1) c_i P1^i w.  Agreement for t < g carries
+    this relation to the P2 sequence, and P1 1 = P2 1 = 1, so applying P1^s
+    and P2^s shows that both sequences follow one recurrence from the same
+    start.  They then agree for every t, so w is in S.  The rows are kept
+    as the nonzero rows of (L*P1)^t - (L*P2)^t over the integer table, so a
+    test is integer dot products with w over a common denominator.
+    """
+    m, table = mdp.m, mdp.integer_table
+
+    def powers(rule: DecisionRule) -> Iterator[list[list[int]]]:
+        rows = [table.rows[i][k] for i, k in enumerate(rule.choices)]
+        power = [[int(i == j) for j in range(m)] for i in range(m)]
+        for _ in range(1, m):
+            power = [
+                [sum(lp * power[j][c] for j, lp in row) for c in range(m)]
+                for row in rows
+            ]
+            yield power
+
+    kernel = [
+        tuple(map(sub, a, b))
+        for p1, p2 in zip(powers(rule1), powers(rule2))
+        for a, b in zip(p1, p2)
+        if a != b
+    ]
+
+    def test(w: Sequence[Fraction]) -> bool:
+        den = math.lcm(*(x.denominator for x in w))
+        nums = [x.numerator * (den // x.denominator) for x in w]
+        return all(sum(map(mul, row, nums)) == 0 for row in kernel)
+
+    return test
 
 
 def values_equal_all_discounts(

@@ -363,6 +363,20 @@ class TestCommands:
         assert validate[2] == solve[2]
         assert validate[2].startswith(f"error: {path}: ")
 
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_deeply_nested_document_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "solve", str(path), "--alpha", "1/2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not valid JSON: nested too deeply\n"
+
     def test_reports_are_byte_deterministic(self, capsys, tmp_path):
         path = write_mdp(tmp_path, "ex4")
         _, out1, _ = run(capsys, "partition", path)

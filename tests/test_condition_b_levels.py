@@ -4,7 +4,8 @@ each prefix's derivative from the identity, held as integer numerators over
 one denominator per level.  These tests keep the recomputing K loop and the
 `Fraction` table as references and require the integer table to reproduce
 them exactly: every verdict, and every table entry against both
-`_finite_value_derivative` and the `Fraction` table."""
+`_finite_value_derivative` and the `Fraction` table.  The integer table is
+state-major; `entries` transposes a level back to one tuple per prefix."""
 
 import random
 from fractions import Fraction as F
@@ -193,6 +194,13 @@ def reference_derivative_levels(mdp0, rules, alpha):
         k += 1
 
 
+def entries(table):
+    """A state-major level as one m-tuple per (first, tail), in the
+    lexicographic order of (first, *tail): table[i][x] lists state x's
+    numerators for first rule i over the tails."""
+    return [entry for per_state in table for entry in zip(*per_state)]
+
+
 def assert_levels_match_reference(mdp, alpha, depth):
     """Every integer entry over its level denominator equals the `Fraction`
     table's entry, at every level up to `depth`, for the rules of
@@ -203,7 +211,7 @@ def assert_levels_match_reference(mdp, alpha, depth):
     want = islice(reference_derivative_levels(mdp0, rules, alpha), depth + 1)
     for k, ((table, den), ref) in enumerate(zip(got, want)):
         assert den > 0
-        assert [tuple(F(x, den) for x in entry) for entry in table] == ref, k
+        assert [tuple(F(x, den) for x in entry) for entry in entries(table)] == ref, k
 
 
 # Every D(alpha) below has two rules; ex5's verdict at 2/3 reads level 9,
@@ -234,8 +242,8 @@ def assert_levels_match_oracle(mdp, rules, alpha, depth):
         prefixes = [
             (first, tail) for first in rules for tail in product(rules, repeat=k)
         ]
-        assert len(table) == len(prefixes)
-        for (first, tail), deriv in zip(prefixes, table):
+        assert len(entries(table)) == len(prefixes)
+        for (first, tail), deriv in zip(prefixes, entries(table)):
             continuation = MarkovPrefix(tail if tail else (first,))
             assert tuple(F(x, den) for x in deriv) == _finite_value_derivative(
                 mdp0, first, continuation, alpha, k + 1
