@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from itertools import count, islice, product
+from typing import Iterator, Sequence
 
 from .exactarith import bareiss_solve
 from .mdp import DecisionRule, IntegerTable, MarkovPrefix, Mdp, capped_rule_count
@@ -190,17 +190,21 @@ def terminal_value(mdp: Mdp, alpha: Fraction) -> ValueVector:
 def value_iteration(mdp: Mdp, alpha: Fraction, n_max: int) -> list[VIStep]:
     """Exact trace from the terminal vector up to horizon n_max, with the
     first-step-optimal action sets at every horizon >= 1."""
-    if not (0 <= alpha < 1):
-        raise ValueError("discount factor must lie in [0, 1)")
     if n_max < 0:
         raise ValueError("horizon must be non-negative")
-    steps = [VIStep(0, terminal_value(mdp, alpha), None)]
+    return list(islice(value_iteration_steps(mdp, alpha), n_max + 1))
+
+
+def value_iteration_steps(mdp: Mdp, alpha: Fraction) -> Iterator[VIStep]:
+    """`value_iteration`'s trace without end, each horizon stepped when read."""
+    if not (0 <= alpha < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
+    yield VIStep(0, terminal_value(mdp, alpha), None)
     form = _integer_form(mdp, alpha)
     nums, den = _ints_of(mdp.terminal)
-    for n in range(1, n_max + 1):
+    for n in count(1):
         (nums, den), sets = _step(form, nums, den)
-        steps.append(VIStep(n, _vector(nums, den, alpha, n), sets))
-    return steps
+        yield VIStep(n, _vector(nums, den, alpha, n), sets)
 
 
 def _policy_value(form: _IntegerForm, rule: DecisionRule) -> tuple[list[int], int]:

@@ -41,13 +41,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from operator import add, sub
 
 from .bellman import (
     ActionSets,
     rules_from_action_sets,
     smallest_rule,
-    value_iteration,
+    value_iteration_steps,
 )
 from .equivalence import same_pushforwards
 from .exactarith import _value_solve, value_slopes, values_at
@@ -273,10 +275,11 @@ def _condition_a_verdicts(
     side.  The search builds the pushforward kernel of (phi, psi) once and
     tests w_k = V* - V_k against it from k = N - 1 up to A_HORIZON; the
     first k that passes is the certificate horizon, exactly as a call of
-    `pushforwards_equal(mdp, phi, w_k, psi, w_k)` at each k would find."""
+    `pushforwards_equal(mdp, phi, w_k, psi, w_k)` at each k would find.
+    The trace is stepped as far as the search reads it; a window reads all."""
     kind, d_minus, _, d_plus, report = point
     certificate_k = None
-    trace = value_iteration(mdp, alpha_star, A_HORIZON)
+    steps, trace = value_iteration_steps(mdp, alpha_star), []
     if count_rules(d_minus) == 1 and count_rules(d_plus) == 1:
         phi = smallest_rule(d_minus)
         psi = smallest_rule(d_plus)
@@ -284,8 +287,11 @@ def _condition_a_verdicts(
         n_val = _turnpike_at(mdp, opt).n_value
         v_inf = opt.v_alpha
         in_kernel = same_pushforwards(mdp, phi, psi)
-        for k in range(max(0, n_val - 1), A_HORIZON + 1):
-            if in_kernel([v - u for v, u in zip(v_inf.values, trace[k].value.values)]):
+        for k, step in zip(range(A_HORIZON + 1), steps):
+            trace.append(step)
+            if k >= n_val - 1 and in_kernel(
+                [v - u for v, u in zip(v_inf.values, step.value.values)]
+            ):
                 certificate_k = k
                 break
     verdicts = {}
@@ -300,6 +306,7 @@ def _condition_a_verdicts(
                 witnesses={"phi": phi, "psi": psi},
             )
             continue
+        trace += islice(steps, A_HORIZON + 1 - len(trace))
         # the products meet exactly when every state's sets do
         window = {
             step.horizon: all(a & b for a, b in zip(step.first_step, d_side))
@@ -379,6 +386,7 @@ def _condition_b_verdicts(
     split = {}  # each side's rules and the other rules of D(alpha_star)
     verdicts: dict[str, ConditionVerdict] = {}
     pending = []  # sides still to settle
+    slope = cache(lambda rule: value_slopes(vf[rule], alpha_star))  # once per rule
     for side in sides:
         sets = d_minus if side == "minus" else d_plus
         d_side = [
@@ -390,12 +398,7 @@ def _condition_b_verdicts(
             verdicts[side] = ConditionVerdict(names[side], alpha_star, True, "vacuous")
             continue
         tangent = next(
-            (
-                (phi, psi)
-                for phi in d_side
-                for psi in others
-                if value_slopes(vf[phi], alpha_star) == value_slopes(vf[psi], alpha_star)
-            ),
+            ((phi, psi) for phi in d_side for psi in others if slope(phi) == slope(psi)),
             None,
         )
         if tangent is not None:

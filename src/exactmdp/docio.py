@@ -2,11 +2,13 @@
 
 All numeric payloads are exact rational strings ("p/q" or an integer
 string); JSON float literals are rejected at parse time so no rounding can
-sneak into an analysis.  Every field must also have its JSON type: a
-boolean is not a rational, and a string is never read as a list of names or
-values.  Each violation raises ``DocumentError``.  ``mdp_from_document``
-parses each distinct rational string once per document and checks the
-format only; the model rules are ``mdp.validate``'s.
+sneak into an analysis.  Every field must also have its JSON type (a
+boolean is not a rational, a string is never a list of names or values),
+and a "state/action" key names pairs of one state only.  Each violation
+raises ``DocumentError``; the model rules are ``mdp.validate``'s.
+``mdp_from_document`` parses each distinct rational string once and builds
+every row by lookup; only a faulty document is walked again, entry by
+entry, for its first fault in document order.
 """
 
 from __future__ import annotations
@@ -85,7 +87,17 @@ def _names(value, where: str) -> list[str]:
     ]
 
 
-def mdp_from_document(doc: dict) -> Mdp:
+def _pair_key(owners: dict[str, str], s: str, a: str) -> str:
+    """The key of (s, a); an error when it also names another state's pair."""
+    key = f"{s}/{a}"
+    if owners.setdefault(key, s) != s:
+        raise DocumentError(f"key {key!r} names pairs of states {owners[key]!r} and {s!r}")
+    return key
+
+
+def _walk(doc: dict, parse=None) -> tuple:
+    """The model's fields, the format checked in document order; payloads
+    stay raw unless each is to be parsed where it stands."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     version = doc.get("format_version")
@@ -100,15 +112,7 @@ def mdp_from_document(doc: dict) -> Mdp:
     doc_actions = _typed(doc["actions"], dict, "actions")
     doc_transitions = _typed(doc["transitions"], dict, "transitions")
     doc_rewards = _typed(doc["rewards"], dict, "rewards")
-    parsed: dict[str, Fraction] = {}  # keyed by JSON string only
-
-    def parse(raw, where: str, *index) -> Fraction:
-        if type(raw) is not str:  # a JSON number or boolean
-            return parse_rational_string(raw, where.format(*index))
-        if raw not in parsed:
-            parsed[raw] = parse_rational_string(raw, where.format(*index))
-        return parsed[raw]
-
+    owners: dict[str, str] = {}
     actions, transitions, rewards = [], [], []
     for s in states:
         if s not in doc_actions:
@@ -116,7 +120,7 @@ def mdp_from_document(doc: dict) -> Mdp:
         acts = tuple(_names(doc_actions[s], f"actions[{s!r}]"))
         rows, rews = [], []
         for a in acts:
-            key = f"{s}/{a}"
+            key = _pair_key(owners, s, a)
             if key not in doc_transitions:
                 raise DocumentError(f"missing transitions[{key!r}]")
             if key not in doc_rewards:
@@ -126,21 +130,40 @@ def mdp_from_document(doc: dict) -> Mdp:
                 raise DocumentError(
                     f"transitions[{key!r}] has {len(row)} entries, expected {len(states)}"
                 )
-            rows.append(
-                tuple(parse(p, "transitions[{}][{}]", key, j) for j, p in enumerate(row))
-            )
-            rews.append(parse(doc_rewards[key], "rewards[{}]", key))
+            if parse:
+                row = tuple(parse(p, f"transitions[{key}][{j}]") for j, p in enumerate(row))
+            rows.append(row)
+            reward = doc_rewards[key]
+            rews.append(parse(reward, f"rewards[{key}]") if parse else reward)
         actions.append(acts)
-        transitions.append(tuple(rows))
-        rewards.append(tuple(rews))
+        transitions.append(rows)
+        rewards.append(rews)
     terminal = _typed(doc["terminal"], list, "terminal")
     if len(terminal) != len(states):
         raise DocumentError("terminal vector length mismatch")
-    terminal = tuple(parse(t, "terminal[{}]", i) for i, t in enumerate(terminal))
-    return Mdp(states, tuple(actions), tuple(transitions), tuple(rewards), terminal)
+    if parse:
+        terminal = [parse(t, f"terminal[{i}]") for i, t in enumerate(terminal)]
+    return states, tuple(actions), transitions, rewards, terminal
+
+
+def mdp_from_document(doc: dict) -> Mdp:
+    """The document's model: each distinct payload parsed once, rows built by
+    lookup.  A fault, or a payload that is not a string, sends the document
+    through a walk that parses each payload where it stands."""
+    try:
+        states, actions, transitions, rewards, terminal = _walk(doc)
+        payloads = set(terminal).union(*rewards, *(r for rows in transitions for r in rows))
+        get = {r: parse_rational_string(r) for r in payloads if type(r) is str}.__getitem__
+        transitions = [[tuple(map(get, row)) for row in rows] for rows in transitions]
+        rewards, terminal = [tuple(map(get, r)) for r in rewards], tuple(map(get, terminal))
+    except (DocumentError, KeyError, TypeError):  # KeyError: a payload not a string
+        states, actions, transitions, rewards, terminal = _walk(doc, parse_rational_string)
+    rows, rewards = tuple(map(tuple, transitions)), tuple(map(tuple, rewards))
+    return Mdp(states, actions, rows, rewards, tuple(terminal))
 
 
 def document_from_mdp(mdp: Mdp) -> dict:
+    """The model's document; a ValueError when two states' pairs share a key."""
     doc = {
         "format_version": FORMAT_VERSION,
         "states": list(mdp.states),
@@ -149,9 +172,10 @@ def document_from_mdp(mdp: Mdp) -> dict:
         "rewards": {},
         "terminal": [format_rational(t) for t in mdp.terminal],
     }
+    owners: dict[str, str] = {}
     for i, s in enumerate(mdp.states):
         for k, a in enumerate(mdp.actions[i]):
-            key = f"{s}/{a}"
+            key = _pair_key(owners, s, a)
             doc["transitions"][key] = [
                 format_rational(p) for p in mdp.transitions[i][k]
             ]

@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Sequence, Sized
 
 from .limits import CapExceededError, enumeration_cap
-
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -149,9 +148,9 @@ class Mdp:
     def m(self) -> int:
         return len(self.states)
 
-    # Built on first use and kept in the instance dict: once per model.
     @cached_property
     def integer_table(self) -> IntegerTable:
+        """``build_integer_table(self)``, once per model (kept in its dict)."""
         return build_integer_table(self)
 
     @cached_property
@@ -246,17 +245,17 @@ def enumerate_decision_rules(mdp: Mdp) -> list[DecisionRule]:
 
 
 def build_integer_table(mdp: Mdp) -> IntegerTable:
-    scale = math.lcm(
-        *(r.denominator for row in mdp.rewards for r in row),
-        *(x.denominator for acts in mdp.transitions for row in acts for x in row),
-    )
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    rewards = tuple(tuple(map(scaled, row)) for row in mdp.rewards)
+    """L and L·x once per distinct entry object (a loaded document shares one
+    per distinct rational string); rows by lookup, nonzero (j, L·p) by ``filter``."""
+    entries = [*chain(*mdp.rewards), *chain.from_iterable(chain(*mdp.transitions))]
+    ids = list(map(id, entries))
+    distinct = dict(zip(ids, entries))
+    scale = math.lcm(*(x.denominator for x in distinct.values()))
+    scaled = {key: x.numerator * (scale // x.denominator) for key, x in distinct.items()}
+    ws = map(scaled.__getitem__, ids)  # L·x for every entry, in the order of entries
+    rewards = tuple(tuple(islice(ws, len(row))) for row in mdp.rewards)
     rows = tuple(
-        tuple(tuple((j, scaled(x)) for j, x in enumerate(row) if x) for row in acts)
+        tuple(tuple(filter(itemgetter(1), enumerate(islice(ws, len(row))))) for row in acts)
         for acts in mdp.transitions
     )
     return IntegerTable(scale, rewards, rows)

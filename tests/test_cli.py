@@ -377,6 +377,23 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not valid JSON: nested too deeply\n"
 
+    def test_key_naming_pairs_of_two_states_is_input_error(self, capsys, tmp_path):
+        # states x and x/a with actions a/b and b would share "x/a/b"
+        doc = {
+            "format_version": 1,
+            "states": ["x", "x/a"],
+            "actions": {"x": ["a/b"], "x/a": ["b"]},
+            "transitions": {"x/a/b": ["1", "0"]},
+            "rewards": {"x/a/b": "1"},
+            "terminal": ["0", "0"],
+        }
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(doc))
+        message = f"error: {path}: key 'x/a/b' names pairs of states 'x' and 'x/a'\n"
+        for argv in (["validate"], ["solve", "--alpha", "1/2"]):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out, err) == (2, "", message)
+
     def test_reports_are_byte_deterministic(self, capsys, tmp_path):
         path = write_mdp(tmp_path, "ex4")
         _, out1, _ = run(capsys, "partition", path)

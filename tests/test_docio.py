@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import random_mdp
 from exactmdp import cli, docio
+from exactmdp.mdp import Mdp, validate
 
 VALID = {
     "format_version": 1,
@@ -171,3 +172,46 @@ def mutated_documents(draw):
 def test_fuzzed_documents_exit_0_or_2(text):
     assert run_cli(["validate"], text) in (0, 2)
     assert run_cli(["solve", "--alpha", "1/2"], text) in (0, 2)
+
+
+# states x and x/a with actions a/b and b: both pairs read "x/a/b"
+AMBIGUOUS = {
+    "format_version": 1,
+    "states": ["x", "x/a"],
+    "actions": {"x": ["a/b"], "x/a": ["b"]},
+    "transitions": {"x/a/b": ["1", "0"]},
+    "rewards": {"x/a/b": "1"},
+    "terminal": ["0", "0"],
+}
+
+
+def test_a_key_that_names_pairs_of_two_states_is_rejected():
+    with pytest.raises(docio.DocumentError) as err:
+        docio.mdp_from_document(copy.deepcopy(AMBIGUOUS))
+    assert str(err.value) == "key 'x/a/b' names pairs of states 'x' and 'x/a'"
+    # a model with such names has no document either
+    mdp = Mdp(
+        ("x", "x/a"),
+        (("a/b",), ("b",)),
+        (((F(1), F(0)),), ((F(0), F(1)),)),
+        ((F(1),), (F(2),)),
+        (F(0), F(0)),
+    )
+    with pytest.raises(ValueError, match="names pairs of states 'x' and 'x/a'"):
+        docio.document_from_mdp(mdp)
+
+
+def test_repeated_names_stay_validate_violations():
+    # a repeated state or action gives one key to pairs of one state name
+    doc = {
+        "format_version": 1,
+        "states": ["x", "x"],
+        "actions": {"x": ["a", "a"]},
+        "transitions": {"x/a": ["1/2", "1/2"]},
+        "rewards": {"x/a": "1"},
+        "terminal": ["0", "0"],
+    }
+    codes = [v.code for v in validate(docio.mdp_from_document(doc)).violations]
+    assert codes == ["duplicate-state", "duplicate-action", "duplicate-action"]
+    assert run_cli(["validate"], doc) == 0
+    assert run_cli(["solve", "--alpha", "1/2"], doc) == 2

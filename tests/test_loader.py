@@ -7,6 +7,13 @@ per vector.  Each reference below is the plain Fraction form of the same
 step: parse every payload, compare every entry with 0 and 1, sum every row
 and take |x| entry by entry.  Model, report and spreads must be equal on
 every input, invalid models included.
+
+The loader walks a document once, parses each distinct payload once and
+builds the rows by lookup; ``build_integer_table`` scales each distinct
+entry once.  ``frozen_loader`` keeps both as they were when they went entry
+by entry: the loader must raise the same ``DocumentError`` text on every
+malformed document (a key that names pairs of two states is the one new
+error), and give the same model and table on every well-formed one.
 """
 
 import copy
@@ -15,10 +22,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_mdp
+import frozen_loader
+from conftest import mdpgen, random_mdp
 from exactmdp import docio
-from exactmdp.corpus import build_example
-from exactmdp.mdp import Mdp, Spreads, ValidationReport, Violation, spreads, validate
+from exactmdp import mdp as mdp_module
+from exactmdp.corpus import EXAMPLE_IDS, build_example
+from exactmdp.mdp import (
+    Mdp,
+    Spreads,
+    ValidationReport,
+    Violation,
+    build_integer_table,
+    spreads,
+    validate,
+)
 
 
 def reference_validate(mdp: Mdp) -> ValidationReport:
@@ -200,3 +217,252 @@ def test_a_repeated_bad_string_fails_at_its_first_place():
     }
     with pytest.raises(docio.DocumentError, match=r"at rewards\[x/a\]"):
         docio.mdp_from_document(doc)
+
+
+def load_outcome(loader, doc):
+    """The model a loader makes of doc, or the text of its DocumentError."""
+    try:
+        return loader(copy.deepcopy(doc))
+    except docio.DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+def assert_loads_as_the_oracle(doc):
+    got = load_outcome(docio.mdp_from_document, doc)
+    assert got == load_outcome(frozen_loader.mdp_from_document, doc)
+    if isinstance(got, Mdp):
+        assert build_integer_table(got) == frozen_loader.build_integer_table(got)
+        assert validate(got) == reference_validate(got)
+    return got
+
+
+def small_document() -> dict:
+    return {
+        "format_version": 1,
+        "states": ["x", "y"],
+        "actions": {"x": ["a", "b"], "y": ["a"]},
+        "transitions": {"x/a": ["1/2", "1/2"], "x/b": ["0", "1"], "y/a": ["1", "0"]},
+        "rewards": {"x/a": "1", "x/b": "-1/3", "y/a": "0"},
+        "terminal": ["0", "1"],
+    }
+
+
+DELETE = object()
+
+
+def edited(*edits) -> dict:
+    """small_document with each (path, value) set, or deleted when value is
+    DELETE."""
+    doc = small_document()
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+MALFORMED = {
+    "json-int-then-bool": edited((("transitions", "x/b"), [0, 1]), (("terminal",), [1, True])),
+    "json-bool-first-in-row": edited((("transitions", "x/a"), [True, "1/2"]),),
+    "json-false-after-zero": edited((("transitions", "x/b"), [0, False]),),
+    "json-float-in-reward": edited((("rewards", "x/b"), 0.5),),
+    "none-in-terminal": edited((("terminal",), ["0", None]),),
+    "unhashable-entry": edited((("transitions", "x/b"), [["0"], "1"]),),
+    "unhashable-reward": edited((("rewards", "x/a"), {"p": "1"}),),
+    "unhashable-terminal": edited((("terminal",), [[], "1"]),),
+    "bad-string-first-in-row": edited((("transitions", "x/a"), ["1/0", "1/2"]),),
+    "bad-string-first-in-reward": edited((("rewards", "x/a"), "one"),),
+    "structural-after-bad-payload": edited(
+        (("rewards", "x/a"), "1.5"), (("transitions", "y/a"), ["1"])
+    ),
+    "structural-after-bad-row": edited(
+        (("transitions", "x/a"), ["1/2", " "]), (("actions", "y"), "a")
+    ),
+    "bad-payload-after-structural": edited(
+        (("transitions", "x/b"), ["0"]), (("transitions", "y/a"), ["1/0", "0"])
+    ),
+    "repeated-bad-string": edited((("rewards", "x/b"), "1_0"), (("terminal",), ["1_0", "0"])),
+    "short-row": edited((("transitions", "y/a"), ["1"]),),
+    "long-row": edited((("transitions", "x/b"), ["0", "1", "0"]),),
+    "missing-transitions-key": edited((("transitions", "x/b"), DELETE),),
+    "missing-rewards-key": edited((("rewards", "y/a"), DELETE),),
+    "missing-actions-state": edited((("actions", "y"), DELETE),),
+    "missing-terminal": edited((("terminal",), DELETE),),
+    "short-terminal": edited((("terminal",), ["0"]),),
+    "row-not-a-list": edited((("transitions", "x/a"), "1/2"),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_raise_the_oracles_error(name):
+    assert load_outcome(frozen_loader.mdp_from_document, MALFORMED[name]).startswith(
+        "DocumentError"
+    )
+    assert_loads_as_the_oracle(MALFORMED[name])
+
+
+def test_a_bool_after_an_equal_json_integer_still_fails_where_it_stands():
+    got = load_outcome(docio.mdp_from_document, MALFORMED["json-int-then-bool"])
+    assert got == "DocumentError: bad rational value True at terminal[1]"
+    got = load_outcome(docio.mdp_from_document, MALFORMED["json-false-after-zero"])
+    assert got == "DocumentError: bad rational value False at transitions[x/b][1]"
+
+
+def _add_fault(doc: dict, rng: random.Random, m: int, key: str, kind: int) -> None:
+    if kind == 0:
+        doc["transitions"][key][rng.randrange(m)] = rng.choice(FUZZ_PAYLOADS)
+    elif kind == 1:
+        doc["rewards"][key] = rng.choice(FUZZ_PAYLOADS)
+    elif kind == 2:
+        doc["terminal"][rng.randrange(m)] = rng.choice(FUZZ_PAYLOADS)
+    elif kind == 3:  # a short or a long row
+        row = doc["transitions"][key]
+        row.pop() if rng.random() < 0.5 else row.append("0")
+    elif kind == 4:  # a missing key
+        field = rng.choice(["transitions", "rewards", "actions"])
+        doc[field].pop(key.split("/")[0] if field == "actions" else key, None)
+    elif kind == 5:  # a value of the wrong JSON type
+        field = rng.choice(["transitions", "actions"])
+        doc[field][key.split("/")[0] if field == "actions" else key] = "1"
+    elif kind == 6:
+        doc["terminal"] = doc["terminal"][: rng.randrange(m)]
+    else:
+        field = rng.choice(["states", "format_version", "rewards"])
+        doc[field] = rng.choice(FUZZ_PAYLOADS)
+
+
+FUZZ_PAYLOADS = [
+    0, 1, 2, -1, True, False, None, 0.5, [], ["1"], {}, {"p": 1},
+    "1/0", "x", "", " ", "1.5", "0x1", "1_0", "1/2", "0", "1", " 1 ", "-2/4",
+]
+
+
+def fuzzed_document(rng: random.Random) -> dict:
+    """A random benchmark-shaped document with one to three faults: bad or
+    non-string payloads, wrong lengths, missing keys and wrong types."""
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    doc = mdpgen.random_document(m, n, 4, rng.randrange(1000))
+    keys = list(doc["transitions"])
+    for _ in range(rng.randint(1, 3)):
+        key, kind = rng.choice(keys), rng.randrange(8)
+        try:
+            _add_fault(doc, rng, m, key, kind)
+        except (AttributeError, IndexError, KeyError, TypeError):
+            pass  # an earlier fault took the target away
+    return doc
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_fuzzed_documents_load_as_the_oracle(block):
+    for seed in range(block * 60, block * 60 + 60):
+        assert_loads_as_the_oracle(fuzzed_document(random.Random(seed)))
+
+
+def test_the_fuzz_meets_every_kind_of_fault():
+    outcomes = [
+        load_outcome(docio.mdp_from_document, fuzzed_document(random.Random(seed)))
+        for seed in range(600)
+    ]
+    errors = {e for e in outcomes if isinstance(e, str)}
+    for part in [
+        "bad rational value True",
+        "bad rational value None",
+        "bad rational value []",
+        "bad rational value 0.5",
+        "bad rational '1/0'",
+        "bad rational 'x'",
+        "entries, expected",
+        "missing transitions",
+        "missing rewards",
+        "missing from actions",
+        "must be a list, not str",
+        "terminal vector length mismatch",
+        "unsupported format_version",
+    ]:
+        assert any(part in e for e in errors), part
+    # some faults are only JSON integers or other good payloads: those
+    # documents load, through the entry-by-entry walk when a payload is an int
+    assert sum(isinstance(o, Mdp) for o in outcomes) >= 10
+
+
+def differential_families():
+    for eid in EXAMPLE_IDS:
+        yield f"corpus-{eid}", docio.document_from_mdp(build_example(eid).mdp)
+    for shape in [(3, 2), (4, 2), (3, 3), (12, 4)]:
+        for seed in range(3):
+            yield f"random-{shape}-{seed}", mdpgen.random_document(*shape, 8, seed)
+
+
+@pytest.mark.parametrize("name, doc", list(differential_families()))
+def test_well_formed_families_load_as_the_oracle(name, doc):
+    assert isinstance(assert_loads_as_the_oracle(doc), Mdp)
+    text = docio.dumps_document(doc)
+    assert isinstance(assert_loads_as_the_oracle(docio.loads_document(text)), Mdp)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_tables_of_fuzzed_models_match_the_oracle(seed):
+    # built in code and loaded from its document, valid or not
+    mdp = broken_mdp(random.Random(seed))
+    assert build_integer_table(mdp) == frozen_loader.build_integer_table(mdp)
+    assert_loads_as_the_oracle(docio.document_from_mdp(mdp))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tables_of_random_models_match_the_oracle(seed):
+    rng = random.Random(seed)
+    mdp = random_mdp(rng, max_den=rng.choice([1, 2, 8]))
+    assert build_integer_table(mdp) == frozen_loader.build_integer_table(mdp)
+    assert build_integer_table(mdp.with_terminal([0] * mdp.m)) == build_integer_table(mdp)
+    assert_loads_as_the_oracle(docio.document_from_mdp(mdp))
+
+
+def test_equal_entries_that_are_distinct_objects_scale_alike():
+    # two Fractions of one value, and an int among Fractions
+    mdp = Mdp(
+        ("x", "y"),
+        (("a", "b"), ("a",)),
+        ((((F(1, 2), F(1, 2))), (F(0), 1)), ((F(2, 4), F(1, 2)),)),
+        ((F(1, 3), 2), (F(-1, 3),)),
+        (F(0), F(0)),
+    )
+    assert build_integer_table(mdp) == frozen_loader.build_integer_table(mdp)
+    assert build_integer_table(mdp).rows[0][1] == ((1, 6),)
+
+
+def test_a_well_formed_document_is_read_in_one_walk(monkeypatch):
+    doc = mdpgen.random_document(12, 4, 8, 0)
+    payloads = [
+        *(p for row in doc["transitions"].values() for p in row),
+        *doc["rewards"].values(),
+        *doc["terminal"],
+    ]
+    calls = {"walk": [], "parse": [], "table": 0}
+    walk, parse = docio._walk, docio.parse_rational_string
+    table = mdp_module.build_integer_table
+
+    def counted_walk(*args):
+        calls["walk"].append(args[1:])
+        return walk(*args)
+
+    def counted_parse(*args):
+        calls["parse"].append(args)
+        return parse(*args)
+
+    def counted_table(mdp):
+        calls["table"] += 1
+        return table(mdp)
+
+    monkeypatch.setattr(docio, "_walk", counted_walk)
+    monkeypatch.setattr(docio, "parse_rational_string", counted_parse)
+    monkeypatch.setattr(mdp_module, "build_integer_table", counted_table)
+    mdp = docio.mdp_from_document(doc)
+    assert validate(mdp).ok and validate(mdp).ok
+    assert calls["walk"] == [()]  # no second, entry-by-entry walk
+    assert sorted(args[0] for args in calls["parse"]) == sorted(set(payloads))
+    assert len(set(payloads)) == 34 and len(payloads) == 636
+    assert calls["table"] == 1

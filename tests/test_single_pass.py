@@ -84,7 +84,9 @@ def test_boundedness_verdict_computes_each_input_once(monkeypatch):
         name: count_calls(monkeypatch, module, name)
         for module, name in (
             ("partition", "canonical_partition"),
-            ("bellman", "value_iteration"),
+            # every value-iteration trace, value_iteration's included, steps
+            # through value_iteration_steps
+            ("bellman", "value_iteration_steps"),
             ("smalldiscount", "policy_filtration"),
         )
     }
@@ -92,7 +94,7 @@ def test_boundedness_verdict_computes_each_input_once(monkeypatch):
     assert report.a_left.condition == "A-" and report.a_right.condition == "A+"
     assert {name: len(c) for name, c in calls.items()} == {
         "canonical_partition": 1,
-        "value_iteration": 1,
+        "value_iteration_steps": 1,
         "policy_filtration": 1,
     }
 
