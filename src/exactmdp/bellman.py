@@ -29,7 +29,7 @@ unique, so the start changes only how many rounds run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice, product
 from typing import Iterator, Sequence
@@ -66,10 +66,13 @@ class VIStep:
 @dataclass(frozen=True)
 class OptSets:
     """Infinite-horizon optimal data: the value vector and the optimal rule
-    set as per-state action sets."""
+    set as per-state action sets.  ``q_pass`` is the integer Q pass that
+    certified both, kept by ``optimal_set`` and ``PartitionReport.optimal_at``
+    so that the turnpike gap is read off it; it is not compared or shown."""
 
     v_alpha: ValueVector
     d_alpha_sets: ActionSets
+    q_pass: _QPass | None = field(default=None, compare=False, repr=False)
 
 
 def rules_from_action_sets(sets: ActionSets) -> list[DecisionRule]:
@@ -112,6 +115,19 @@ class _IntegerForm:
     p: int
     q: int
     table: IntegerTable
+
+
+@dataclass(frozen=True)
+class _QPass:
+    """The Q pass that certifies V* = nums/den and D at the discount of form:
+    q[i][k] is Q(i, k) times L*q*den, and each row's maximum is nums[i] times
+    L*q (V* is the optimality operator's fixed point) with D's actions at
+    state i its argmax."""
+
+    form: _IntegerForm
+    nums: list[int]
+    den: int
+    q: list[list[int]]
 
 
 def _integer_form(mdp: Mdp, alpha: Fraction) -> _IntegerForm:
@@ -284,7 +300,7 @@ def _policy_iteration(
     d_sets = _sets_at_fixed_point(form, nums, den, q)
     if d_sets is None:
         raise AssertionError("policy iteration ended on a non-fixed point")
-    return OptSets(v, d_sets)
+    return OptSets(v, d_sets, _QPass(form, nums, den, q))
 
 
 def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:

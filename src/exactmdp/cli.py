@@ -16,16 +16,17 @@ import re
 import sys
 from fractions import Fraction
 
-from . import corpus, docio
+from . import docio
 from .bellman import ActionSets, optimal_set, rules_from_action_sets
-from .conditions import NotIrregularError, boundedness_verdict
 from .docio import format_rational
 from .limits import CapExceededError, CapSettingError, parse_int
 from .mdp import DecisionRule, Mdp, count_rules, validate
 from .exactarith import point_sign
-from .partition import canonical_partition
-from .smalldiscount import small_discount_checks
 from .turnpike import turnpike_integer, turnpike_intervals
+
+# A command imports the layers that only it runs (partition, smalldiscount,
+# conditions, corpus) inside itself, so validate, solve and turnpike --alpha
+# never load them; see the package docstring.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -214,6 +215,8 @@ def cmd_turnpike(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from .partition import canonical_partition
+
     mdp = load_mdp(args.file)
     part = canonical_partition(mdp)
     emit(
@@ -243,6 +246,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_small_discount(args) -> int:
+    from .smalldiscount import small_discount_checks
+
     mdp = load_mdp(args.file)
     checks = small_discount_checks(mdp)
     rep = checks.filtration
@@ -291,6 +296,8 @@ def _verdict_json(mdp: Mdp, v) -> dict:
 
 
 def cmd_conditions(args) -> int:
+    from .conditions import NotIrregularError, boundedness_verdict
+
     mdp = load_mdp(args.file)
     point = parse_discount(args.point)
     try:
@@ -320,6 +327,8 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .partition import canonical_partition
+
     mdp = load_mdp(args.file)
     lo, hi = parse_interval(args.interval, "sweep")
     steps = args.steps
@@ -349,8 +358,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import build_example
+
     try:
-        fixture = corpus.build_example(args.id, m=args.m)
+        fixture = build_example(args.id, m=args.m)
     except ValueError as exc:  # an unknown id, or a chain with under two states
         raise InputError(str(exc))
     if args.m is not None and args.id != "ex3":

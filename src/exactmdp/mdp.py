@@ -261,15 +261,23 @@ def build_integer_table(mdp: Mdp) -> IntegerTable:
     return IntegerTable(scale, rewards, rows)
 
 
+def _spread(hi: int, lo: int, den: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(R, F, R*) of values from lo/den to hi/den: R = max |x| and F the
+    midpoint, the offset that balancing subtracts, so R* = R - |F| is the
+    half-width (hi - lo) / (2 den)."""
+    return Fraction(max(hi, -lo), den), Fraction(hi + lo, 2 * den), Fraction(hi - lo, 2 * den)
+
+
 def spreads(mdp: Mdp) -> Spreads:
-    all_rewards = [r for row in mdp.rewards for r in row]
-    hi1, lo1 = max(all_rewards), min(all_rewards)
-    hi2, lo2 = max(mdp.terminal), min(mdp.terminal)
-    # max |x| = max(max x, -min x)
-    r1, r2 = max(hi1, -lo1), max(hi2, -lo2)
-    f1, f2 = (hi1 + lo1) / 2, (hi2 + lo2) / 2
-    r1_star = r1 - abs(f1)
-    r2_star = r2 - abs(f2)
+    """The spreads, from integer maxima and minima: the one-step rewards'
+    off ``integer_table`` (L*r over L), the terminal rewards' over the lcm of
+    their denominators."""
+    table = mdp.integer_table
+    scaled = list(chain.from_iterable(table.rewards))
+    r1, f1, r1_star = _spread(max(scaled), min(scaled), table.scale)
+    den = math.lcm(*(t.denominator for t in mdp.terminal))
+    terminal = [t.numerator * (den // t.denominator) for t in mdp.terminal]
+    r2, f2, r2_star = _spread(max(terminal), min(terminal), den)
     return Spreads(
         r1=r1,
         r2=r2,
@@ -286,7 +294,10 @@ def balance(mdp: Mdp) -> tuple[Mdp, Spreads]:
     """Shift one-step rewards by -F1 and terminal rewards by -F2.
 
     Optimal-policy structure at every horizon is unchanged; the returned
-    spreads are those of the balanced model (so its R equals its R*).
+    spreads are those of the balanced model (so its R equals its R*).  They
+    are derived from mdp's, with no second table: the shift leaves each
+    half-width R* as it is and centres both ranges on 0, so R = R* and
+    F = 0.  The balanced model keeps them as its ``reward_spreads``.
     """
     sp = mdp.reward_spreads
     balanced = Mdp(
@@ -296,4 +307,9 @@ def balance(mdp: Mdp) -> tuple[Mdp, Spreads]:
         tuple(tuple(r - sp.f1 for r in row) for row in mdp.rewards),
         tuple(t - sp.f2 for t in mdp.terminal),
     )
-    return balanced, balanced.reward_spreads
+    zero = Fraction(0)
+    bsp = Spreads(
+        sp.r1_star, sp.r2_star, sp.r_star, zero, zero, sp.r1_star, sp.r2_star, sp.r_star
+    )
+    vars(balanced)["reward_spreads"] = bsp  # the cached_property's slot
+    return balanced, bsp

@@ -70,6 +70,7 @@ from typing import Iterator, Sequence
 from .bellman import (
     ActionSets,
     OptSets,
+    _QPass,
     _argmax,
     _integer_form,
     _q_nums,
@@ -156,13 +157,15 @@ class PartitionReport:
         the stored value functions of D's smallest rule at alpha.  One
         integer Q pass certifies both, the fixed-point check that
         ``optimal_set`` ends with: the argmax sets must be D and the row
-        maxima V* itself, else AssertionError."""
+        maxima V* itself, else AssertionError.  The pass is kept as the
+        result's ``q_pass``."""
         d_sets = self.sets_around(alpha)[1]
         nums, den = values_at(self.value_functions[smallest_rule(d_sets)], alpha)
         form = _integer_form(mdp, alpha)
-        if _sets_at_fixed_point(form, nums, den, _q_nums(form, nums, den)) != d_sets:
+        q = _q_nums(form, nums, den)
+        if _sets_at_fixed_point(form, nums, den, q) != d_sets:
             raise AssertionError(f"partition sets fail the optimality check at {alpha}")
-        return OptSets(_vector(nums, den, alpha, None), d_sets)
+        return OptSets(_vector(nums, den, alpha, None), d_sets, _QPass(form, nums, den, q))
 
 
 def _check_discount(alpha: Fraction) -> None:

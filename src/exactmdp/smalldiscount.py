@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bellman import ActionSets
 from .exactarith import point_position
-from .mdp import Mdp, balance, count_rules
+from .mdp import Mdp, count_rules
 from .partition import canonical_partition
 from .turnpike import turnpike_integer
 
@@ -63,45 +63,46 @@ class FiltrationReport:
 def policy_filtration(mdp: Mdp) -> FiltrationReport:
     """Compute the reward-pushforward filtration and its constants.
 
-    Rewards are balanced first; the chain, the separation states and the
-    gaps are invariant under that shift, while the radii use the balanced
-    spreads directly.
+    The chain, the separation states and the gaps are those of the balanced
+    model, and they are invariant under the balancing shift: it moves every
+    level's pushforwards at a state by one constant.  So the levels run on
+    mdp's own integer table: level 0 is L*r over L, and level n is
+    sum_j L*P(i, k, j) u[j] over L^(n+1), with u the previous level's
+    per-state maxima over its surviving actions.  Each level's smallest
+    positive gap becomes one Fraction.  The radii use the balanced spreads
+    R1* and R*, which equal mdp's own.
     """
-    bal, sp = balance(mdp)
-    m = bal.m
+    table = mdp.integer_table
+    sp = mdp.reward_spreads
+    m = mdp.m
     current: list[frozenset[int]] = [
-        frozenset(range(bal.action_count(i))) for i in range(m)
+        frozenset(range(mdp.action_count(i))) for i in range(m)
     ]
     action_chain: list[ActionSets] = [tuple(current)]
     x_chain: list[frozenset[int]] = []
     c_chain: list[Fraction | None] = []
     c_value: Fraction | None = None
     jump_indices = [0]
-    u: tuple[Fraction, ...] | None = None
+    u: list[int] = []
+    den = table.scale  # the denominator of level n's numerators
     l_value = 0
     for n in range(m):
         if n == 0:
-            q = [[bal.rewards[i][k] for k in range(bal.action_count(i))] for i in range(m)]
+            q = table.rewards
         else:
-            q = [
-                [
-                    sum(
-                        (bal.transitions[i][k][j] * u[j] for j in range(m)),
-                        Fraction(0),
-                    )
-                    for k in range(bal.action_count(i))
-                ]
-                for i in range(m)
-            ]
-        separated = frozenset(
-            i for i in range(m) if len({q[i][k] for k in current[i]}) > 1
-        )
+            q = [[sum(w * u[j] for j, w in row) for row in acts] for acts in table.rows]
+            den *= table.scale
         best = [max(q[i][k] for k in current[i]) for i in range(m)]
-        for i in separated:
-            for k in current[i]:
-                gap = best[i] - q[i][k]
-                if gap > 0 and (c_value is None or gap < c_value):
-                    c_value = gap
+        separated = frozenset(
+            i for i in range(m) if any(q[i][k] != best[i] for k in current[i])
+        )
+        gap = min(
+            (best[i] - q[i][k] for i in separated for k in current[i] if q[i][k] != best[i]),
+            default=None,
+        )
+        if gap is not None:
+            level_gap = Fraction(gap, den)
+            c_value = level_gap if c_value is None else min(c_value, level_gap)
         new = [
             frozenset(k for k in current[i] if q[i][k] == best[i])
             for i in range(m)
@@ -114,7 +115,7 @@ def policy_filtration(mdp: Mdp) -> FiltrationReport:
         c_chain.append(c_value)
         current = new
         action_chain.append(tuple(current))
-        u = tuple(best)
+        u = best
     # trim the recorded chain at the stabilization index
     action_chain = action_chain[: l_value + 2]
     x_chain = x_chain[: l_value + 1]

@@ -36,16 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bellman import (
     ActionSets,
     OptSets,
-    _IntegerForm,
+    _QPass,
     _integer_form,
     _ints_of,
     _policy_iteration,
-    _q_nums,
     _step,
     optimal_set,
     product_subset,
@@ -62,13 +61,10 @@ from .exactarith import (
     points_equal,
     separate_points,
 )
-from .partition import (
-    PartitionReport,
-    PiecewiseValue,
-    canonical_partition,
-    classify,
-    symbolic_value_iteration,
-)
+
+if TYPE_CHECKING:
+    # partition is imported where it runs, so the pointwise path never loads it
+    from .partition import PartitionReport, PiecewiseValue
 
 
 # Value-iteration horizons run before policy iteration on the pointwise path:
@@ -95,23 +91,22 @@ def suboptimality_gap(mdp: Mdp, alpha: Fraction) -> Fraction:
     """
     if not (0 < alpha < 1):
         raise ValueError("gap is defined for discount factors in (0, 1)")
-    opt = optimal_set(mdp, alpha)
-    return _gap(_integer_form(mdp, alpha), *_ints_of(opt.v_alpha.values))
+    return _gap(optimal_set(mdp, alpha).q_pass)
 
 
-def _gap(form: _IntegerForm, v_star: list[int], den: int) -> Fraction:
-    """Smallest positive defect V*(i) - Q(i, k) at V* = v_star / den, read
-    off the integer Q-values (each times L*q*den)."""
-    lq = form.table.scale * form.q
+def _gap(certified: _QPass) -> Fraction:
+    """Smallest positive defect V*(i) - Q(i, k), read off the integer
+    Q-values of the pass that certified V*."""
+    lq = certified.form.table.scale * certified.form.q
     positives = [
         v * lq - x
-        for v, row in zip(v_star, _q_nums(form, v_star, den))
+        for v, row in zip(certified.nums, certified.q)
         for x in row
         if v * lq > x
     ]
     if not positives:
         raise AllRulesOptimalError("all decision rules are optimal at this discount")
-    return Fraction(min(positives), lq * den)
+    return Fraction(min(positives), lq * certified.den)
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,9 @@ def turnpike_integer(
 def _turnpike_at(
     mdp: Mdp, opt: OptSets, steps: Sequence[_Step] = ()
 ) -> TurnpikeResult:
-    """`turnpike_integer` at the discount of opt, given D and V* there.
+    """`turnpike_integer` at the discount of opt, given D and V* there with
+    the Q pass that certified them (``opt.q_pass``, which ``optimal_set``
+    and ``PartitionReport.optimal_at`` keep): the gap is read off that pass.
 
     ``steps`` holds the value-iteration steps of horizons 1, 2, ... that the
     caller has already taken from the terminal vector; the loop reads them
@@ -175,10 +172,10 @@ def _turnpike_at(
     alpha = opt.v_alpha.alpha
     if alpha == 0:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
-    form = _integer_form(mdp, alpha)
-    v_star, e = _ints_of(opt.v_alpha.values)
+    certified = opt.q_pass
+    form, v_star, e = certified.form, certified.nums, certified.den
     try:
-        gap = _gap(form, v_star, e)
+        gap = _gap(certified)
     except AllRulesOptimalError:
         return TurnpikeResult(alpha, 1, 0, None, None, opt.d_alpha_sets)
     p, q = form.p, form.q
@@ -280,6 +277,8 @@ def _candidate_points(
     """The irregular and first-step irregular points that meet
     [lo_pad, hi_pad], sorted, with every bracket's closed hull clear of both
     query ends, of the rational candidates and of the other brackets."""
+    from .partition import classify
+
     pts: list[Point] = []
 
     def _push(pt: Point):
@@ -322,6 +321,8 @@ def turnpike_intervals(
     if not (0 <= lo < hi < 1):
         raise ValueError("interval must satisfy 0 <= lo < hi < 1")
     _check_n_cap(n_cap)
+    from .partition import canonical_partition, symbolic_value_iteration
+
     part = canonical_partition(mdp)
     levels = symbolic_value_iteration(mdp, n_cap - 1)
     return _interval_map(mdp, lo, hi, n_cap, (hi - lo) / 8, part, levels)
@@ -485,6 +486,8 @@ def turnpike_cover(
         loss += eps / 6
     if not a < b:
         raise ValueError("eps too large for the interval")
+
+    from .partition import canonical_partition, symbolic_value_iteration
 
     part = canonical_partition(mdp)
     irregular = [

@@ -2,8 +2,8 @@
 
 ``docio.mdp_from_document`` parses each distinct rational string once and
 builds the model's tables directly, ``mdp.validate`` checks entries and row
-sums on the integer table, and ``mdp.spreads`` takes one max and one min
-per vector.  Each reference below is the plain Fraction form of the same
+sums on the integer table, and ``mdp.spreads`` reads one max and one min
+of integers per vector (the rewards' off the integer table).  Each reference below is the plain Fraction form of the same
 step: parse every payload, compare every entry with 0 and 1, sum every row
 and take |x| entry by entry.  Model, report and spreads must be equal on
 every input, invalid models included.
@@ -32,6 +32,7 @@ from exactmdp.mdp import (
     Spreads,
     ValidationReport,
     Violation,
+    balance,
     build_integer_table,
     spreads,
     validate,
@@ -161,6 +162,26 @@ def test_spreads_match_the_fraction_reference(seed):
     lo = rng.choice([-3, -1, 0, 1])
     mdp = random_mdp(rng, reward_lo=lo, reward_hi=lo + rng.choice([0, 1, 4]))
     assert spreads(mdp) == reference_spreads(mdp)
+
+
+def spreads_models():
+    yield from (build_example(eid).mdp for eid in EXAMPLE_IDS)
+    for states, actions, index in [(3, 2, 0), (4, 2, 1), (3, 3, 0), (12, 4, 0), (12, 4, 1)]:
+        yield docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
+    for seed in range(40):
+        rng = random.Random(seed)
+        lo = rng.choice([-3, -1, 0])
+        # equal rewards (width 0), all negative, and ranges across 0
+        yield random_mdp(rng, reward_lo=lo, reward_hi=lo + seed % 3)
+
+
+def test_balanced_spreads_are_derived_without_a_table():
+    for mdp in spreads_models():
+        assert spreads(mdp) == reference_spreads(mdp)
+        balanced, bsp = balance(mdp)
+        assert bsp == reference_spreads(balanced)
+        assert balanced.reward_spreads is bsp
+        assert "integer_table" not in vars(balanced)
 
 
 @pytest.mark.parametrize("seed", range(40))

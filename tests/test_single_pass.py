@@ -17,11 +17,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mdpgen
-from exactmdp import cli, docio, partition
+from exactmdp import cli, docio, partition, turnpike
 from exactmdp.conditions import boundedness_verdict
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.smalldiscount import small_discount_checks
-from exactmdp.turnpike import turnpike_cover
+from exactmdp.turnpike import turnpike_cover, turnpike_integer
 
 
 def rebind(monkeypatch, original, replacement):
@@ -223,3 +223,25 @@ def test_partition_solves_each_discount_once(monkeypatch, example_id):
         # 1/2 is the first midpoint and the break point
         assert report.irregular_points[-1].point == F(1, 2)
         assert sorted(alphas) == [F(0), F(1, 4), F(1, 2), F(3, 4)]
+
+
+@pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+def test_turnpike_reads_its_gap_off_the_certifying_q_pass(monkeypatch, example_id):
+    """One integer Q pass certifies D and V*, whether read off the partition
+    or found by policy iteration, and the gap comes from that same pass: the
+    only other passes are value-iteration steps (and, without a partition,
+    one per policy round)."""
+    mdp = build_example(example_id).mdp
+    part = partition.canonical_partition(mdp)
+    passes = count_calls(monkeypatch, "bellman", "_q_nums")
+    solves = count_calls(monkeypatch, "bellman", "evaluate_deterministic")
+    for alpha in (F(1, 10), F(1, 3), F(3, 4), F(9, 10)):
+        passes.clear()
+        res = turnpike_integer(mdp, alpha, part)
+        assert len(passes) == 1 + res.horizons_checked, alpha
+        passes.clear()
+        solves.clear()
+        res = turnpike_integer(mdp, alpha)
+        warm = turnpike._WARM_HORIZONS
+        steps = warm + max(0, res.horizons_checked - warm)
+        assert len(passes) == len(solves) + steps, alpha

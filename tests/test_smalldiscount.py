@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
+from exactmdp import docio
 from exactmdp.bellman import optimal_set, rules_from_action_sets, value_iteration
-from exactmdp.corpus import build_example
+from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.mdp import DecisionRule, MarkovPrefix, Mdp, balance, enumerate_decision_rules
 from exactmdp.smalldiscount import (
     policy_filtration,
@@ -10,7 +12,7 @@ from exactmdp.smalldiscount import (
 )
 from exactmdp.turnpike import turnpike_integer
 
-from conftest import random_mdp
+from conftest import mdpgen, random_mdp
 
 
 def phi(*c):
@@ -278,3 +280,65 @@ class TestChecks:
         for _ in range(4):
             mdp = random_mdp(rng, max_states=3, max_actions=2)
             assert small_discount_checks(mdp, grid=8).all_passed
+
+
+def reference_filtration(mdp: Mdp):
+    """The filtration's chains and gaps by Fraction sums on the balanced
+    model, as ``policy_filtration`` computed them before it ran on the
+    integer table: (action_chain, x_chain, c_chain, l_value, jump_indices)
+    before trimming at the stabilization index."""
+    bal, _ = balance(mdp)
+    m = bal.m
+    current = [frozenset(range(bal.action_count(i))) for i in range(m)]
+    action_chain, x_chain, c_chain, jumps = [tuple(current)], [], [], [0]
+    c_value, u, l_value = None, None, 0
+    for n in range(m):
+        if n == 0:
+            q = [list(row) for row in bal.rewards]
+        else:
+            q = [
+                [sum((p * u[j] for j, p in enumerate(row)), F(0)) for row in acts]
+                for acts in bal.transitions
+            ]
+        separated = frozenset(i for i in range(m) if len({q[i][k] for k in current[i]}) > 1)
+        best = [max(q[i][k] for k in current[i]) for i in range(m)]
+        for i in separated:
+            for k in current[i]:
+                gap = best[i] - q[i][k]
+                if gap > 0 and (c_value is None or gap < c_value):
+                    c_value = gap
+        current = [frozenset(k for k in current[i] if q[i][k] == best[i]) for i in range(m)]
+        if separated:
+            l_value = n
+            if n >= 1:
+                jumps.append(n)
+        x_chain.append(separated)
+        c_chain.append(c_value)
+        action_chain.append(tuple(current))
+        u = best
+    return action_chain, x_chain, c_chain, l_value, jumps
+
+
+def test_integer_filtration_matches_the_fraction_reference():
+    models = [build_example(eid).mdp for eid in EXAMPLE_IDS]
+    models += [
+        docio.mdp_from_document(mdpgen.random_document(s, a, 8, i))
+        for s, a in ((2, 2), (3, 2), (4, 2), (3, 3), (5, 3), (12, 4))
+        for i in range(12)
+    ]
+    rng = random.Random(7)
+    # equal, all-negative and mixed-sign rewards
+    models += [
+        random_mdp(rng, reward_lo=lo, reward_hi=lo + w)
+        for lo in (-3, 0) for w in (0, 2) for _ in range(10)
+    ]
+    for mdp in models:
+        rep = policy_filtration(mdp)
+        chains, xs, cs, l_value, jumps = reference_filtration(mdp)
+        assert rep.l_value == l_value
+        assert rep.action_chain == tuple(chains[: l_value + 2])
+        assert rep.x_chain == tuple(xs[: l_value + 1])
+        assert rep.c_chain == tuple(cs[: l_value + 1])
+        assert rep.jump_indices == tuple(j for j in jumps if j <= l_value)
+        _, bsp = balance(mdp)
+        assert (rep.r1_star, rep.r_star) == (bsp.r1_star, bsp.r_star)

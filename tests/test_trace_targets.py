@@ -67,3 +67,52 @@ def test_hooked_parameters_keep_their_names_and_positions():
         (bellman.value_iteration, ["mdp", "alpha", "n_max"]),
     ):
         assert list(inspect.signature(fn).parameters)[: len(names)] == names, fn
+
+
+# After pointwise commands only, the deferred layers are still unexecuted in
+# sys.modules; install the tracer of perfbench/spans.py (run from its source)
+# and count the calls of one interval map.
+TRACE_AFTER_POINTWISE = """
+import contextlib, io, json, sys, types
+from exactmdp import cli
+spans_path, document = sys.argv[1], sys.argv[2]
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+run("solve", document, "--alpha", "9/10")
+run("turnpike", document, "--alpha", "9/10")
+assert type(sys.modules["exactmdp.partition"]) is not types.ModuleType
+spans: dict = {}
+with open(spans_path, encoding="utf-8") as fh:
+    exec(compile(fh.read(), spans_path, "exec"), spans)
+tracer = spans["Tracer"]()
+tracer.install()
+try:
+    run("turnpike", document, "--interval", "1/100,2/5")
+finally:
+    tracer.uninstall()
+print(json.dumps({name: stat[0] for name, stat in tracer.stats.items()}))
+"""
+
+
+def test_tracer_installs_after_pointwise_commands(tmp_path):
+    from exactmdp import docio
+    from exactmdp.corpus import build_example
+
+    document = tmp_path / "ex4.json"
+    document.write_text(
+        docio.dumps_document(docio.document_from_mdp(build_example("ex4").mdp))
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", TRACE_AFTER_POINTWISE,
+         str(ROOT / "perfbench" / "spans.py"), str(document)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout)
+    assert calls["partition.canonical_partition"] == 1
+    assert calls["turnpike.turnpike_intervals"] == 1
