@@ -243,18 +243,11 @@ def _policy_value(form: _IntegerForm, rule: DecisionRule) -> tuple[list[int], in
     return _reduced(x, det)
 
 
-def evaluate_deterministic(
-    mdp: Mdp, rule: DecisionRule, alpha: Fraction, form: _IntegerForm | None = None
-) -> ValueVector:
-    """Exact infinite-horizon value of a stationary deterministic policy.
-
-    ``form`` is the MDP's integer form at alpha, when the caller has built it.
-    """
+def evaluate_deterministic(mdp: Mdp, rule: DecisionRule, alpha: Fraction) -> ValueVector:
+    """Exact infinite-horizon value of a stationary deterministic policy."""
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
-    if form is None:
-        form = _integer_form(mdp, alpha)
-    return _vector(*_policy_value(form, rule), alpha, None)
+    return _vector(*_policy_value(_integer_form(mdp, alpha), rule), alpha, None)
 
 
 def evaluate_markov(
@@ -275,17 +268,14 @@ def _reward_greedy_rule(form: _IntegerForm) -> DecisionRule:
     return DecisionRule(tuple(row.index(max(row)) for row in form.table.rewards))
 
 
-def _policy_iteration(
-    mdp: Mdp, alpha: Fraction, form: _IntegerForm, rule: DecisionRule
-) -> OptSets:
+def _policy_iteration(alpha: Fraction, form: _IntegerForm, rule: DecisionRule) -> OptSets:
     """Exact policy iteration from ``rule``: one evaluation per round, each
     non-conserving action replaced by the lowest-index maximiser, until no
     action changes; then the optimality equation is verified and the optimal
     set read off the per-state argmax.  Any start reaches the same unique
     V* and D."""
     while True:
-        v = evaluate_deterministic(mdp, rule, alpha, form)
-        nums, den = _ints_of(v.values)
+        nums, den = _policy_value(form, rule)
         q = _q_nums(form, nums, den)
         improved = list(rule.choices)
         changed = False
@@ -300,7 +290,7 @@ def _policy_iteration(
     d_sets = _sets_at_fixed_point(form, nums, den, q)
     if d_sets is None:
         raise AssertionError("policy iteration ended on a non-fixed point")
-    return OptSets(v, d_sets, _QPass(form, nums, den, q))
+    return OptSets(_vector(nums, den, alpha, None), d_sets, _QPass(form, nums, den, q))
 
 
 def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
@@ -315,7 +305,7 @@ def optimal_set(mdp: Mdp, alpha: Fraction) -> OptSets:
     if not (0 <= alpha < 1):
         raise ValueError("discount factor must lie in [0, 1)")
     form = _integer_form(mdp, alpha)
-    return _policy_iteration(mdp, alpha, form, _reward_greedy_rule(form))
+    return _policy_iteration(alpha, form, _reward_greedy_rule(form))
 
 
 def rolling_horizon_policy(mdp: Mdp, alpha: Fraction, n: int) -> MarkovPrefix:

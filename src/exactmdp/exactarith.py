@@ -50,7 +50,8 @@ at O(d²) integer cost, so ``isolate_roots`` returns at once, before any gcd.
 ``_excludes_roots`` is a cheaper, weaker certificate for the closed
 interval, O(d): the value at the midpoint beats the half-width times a
 bound on the derivative.  Only symbolic value iteration's step runs it,
-on each pair difference before isolation.
+on each pair difference before isolation, or reads the same inequality
+off per-piece tables (``partition._table_excludes``).
 A count of 1 certifies exactly one simple root, which ``isolate_roots``
 identifies on the square-free part with multiplicity 1.  Past that screen,
 ``isolate_roots`` bisects the square-free part on the same counts: a piece

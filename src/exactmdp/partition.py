@@ -47,6 +47,11 @@ state's chosen Q, which the level stores, and for a pair difference that
 goes to ``isolate_roots``.  Before that, ``exactarith._excludes_roots``
 certifies most pair differences root-free on the piece's closed hull from
 a bound on the derivative at O(d) cost, and those pairs skip isolation.
+At a state of three or more actions it reads tables built once per piece
+(``_screen_tables``): a dot product per action gives the centre values, and
+one per pair the slope bound.  Every pair root inside the open piece is a
+local cut, so each sub-piece's lowest-index argmax is read once, at the
+simplest rational between its edges, which stays short as brackets grow.
 
 The tie sets at irrational points come off the same pair isolation.  On
 each piece the step records which pairs (state, a, b) are identically zero,
@@ -60,11 +65,12 @@ that point (``_tie_set``), and no vanishing test runs.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import product
+from itertools import accumulate, product, repeat
 from typing import Iterator, Sequence
 
 from .bellman import (
@@ -102,6 +108,7 @@ from .exactarith import (
     points_equal,
     polynomial_vanishes_at,
     separate_points,
+    simplest_fraction_between,
     value_difference,
     values_at,
 )
@@ -173,12 +180,14 @@ def _check_discount(alpha: Fraction) -> None:
         raise ValueError("discount factor must lie in [0, 1)")
 
 
-def _rational_inside(lo_pt: Point, hi_pt: Point) -> Fraction:
+def _rational_inside(lo_pt: Point, hi_pt: Point, simplest: bool = False) -> Fraction:
+    """The midpoint of the gap between two points' brackets, or the simplest
+    rational in it."""
     lo = point_position(lo_pt)[1]
     hi = point_position(hi_pt)[0]
     if not lo < hi:
         raise AssertionError("empty gap between partition points")
-    return (lo + hi) / 2
+    return simplest_fraction_between(lo, hi) if simplest else (lo + hi) / 2
 
 
 def _add_point(points: list[Point], new: Point) -> bool:
@@ -554,9 +563,36 @@ def _q_numerators(
     return _q_lists(mdp.integer_table, nums, [d]), mdp.integer_table.scale * d
 
 
+def _screen_tables(width: int, lo: Fraction, hi: Fraction) -> tuple[list[int], list[int]]:
+    """``exactarith._excludes_roots`` on [lo, hi] as dot products, for lists
+    of ``width`` = k + 1 coefficients: with C_i = (l + u)^i·(2q)^(k-i) and
+    S_i = (u - l)·2^k·i·M^(i-1)·q^(k-i), a is certified when
+    2·|C·a| > S·|a|, |a| taken entrywise.  Trailing zeros scale both sides
+    by one (2q)^z, so this is the test on a with them stripped."""
+    q = math.lcm(lo.denominator, hi.denominator)
+    l = lo.numerator * (q // lo.denominator)
+    u = hi.numerator * (q // hi.denominator)
+    k = width - 1
+
+    def powers(x: int) -> list[int]:
+        return list(accumulate(repeat(x, k), operator.mul, initial=1))
+
+    q_pows, m_pows = powers(q), powers(max(abs(l), abs(u)))
+    centre = [c * q_pows[k - i] << (k - i) for i, c in enumerate(powers(l + u))]
+    return centre, [(u - l) * i * m_pows[i - 1] * q_pows[k - i] << k for i in range(width)]
+
+
+def _table_excludes(
+    centre: int, a: Sequence[int], b: Sequence[int], slope: Sequence[int]
+) -> bool:
+    """``_excludes_roots`` of a - b, nonzero and of the tables' width, from
+    its centre value C·a - C·b and the slope table of ``_screen_tables``."""
+    return 2 * abs(centre) > sum(map(operator.mul, slope, map(abs, map(operator.sub, a, b))))
+
+
 def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
     bounds: list[Point] = pw.bounds()
-    cut_records: list[tuple[str, object]] = []  # ('bound', idx) | ('local', point)
+    cut_records: list[Point | int] = []  # a local cut, or the index of a bound
     pieces: list[tuple[Polynomial, ...]] = []
     isets: list[ActionSets] = []
     psets: list[ActionSets] = []
@@ -572,17 +608,26 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
         at_left: set[tuple[int, int, int]] = set()
         raw: list[Point] = []
         raw_pairs: list[set[tuple[int, int, int]]] = []
+        tables = None
         for i, q in enumerate(qs):
+            if len(q) > 2:
+                # a pair's centre value is the difference of its actions'
+                tables = tables or _screen_tables(len(q[0]), hull_lo, hull_hi)
+                centres = [sum(map(operator.mul, tables[0], c)) for c in q]
             for a in range(len(q)):
                 for b in range(a + 1, len(q)):
+                    if q[a] == q[b]:
+                        zero.add((i, a, b))
+                        continue
+                    if len(q) > 2:
+                        excluded = _table_excludes(centres[a] - centres[b], q[a], q[b], tables[1])
+                    else:
+                        excluded = _excludes_roots(_sub_ints(q[a], q[b]), hull_lo, hull_hi)
+                    if excluded:
+                        continue  # isolation would find no root on the hull
                     # a positive integer multiple of Q(i, a) - Q(i, b); root
                     # isolation reads only its signs and primitive part
                     diff = _sub_ints(q[a], q[b])
-                    if not diff:
-                        zero.add((i, a, b))
-                        continue
-                    if _excludes_roots(diff, hull_lo, hull_hi):
-                        continue  # isolation would find no root on the hull
                     for pt, _ in isolate_roots(_poly(diff), hull_lo, hull_hi):
                         if points_equal(pt, bounds[idx]):
                             at_left.add((i, a, b))
@@ -604,53 +649,31 @@ def _step_piecewise(mdp: Mdp, pw: PiecewiseValue) -> PiecewiseValue:
                 local.append((settled, zero | pairs))
         local.sort(key=lambda item: point_position(item[0]))
 
-        # Point set at the boundary shared with the previous piece; the two
-        # sides agree in value there, so the current q's may be used.  A
-        # root of a pair difference at an irrational boundary lies inside
-        # the open hull, so isolation has found it.
-        if idx > 0:
-            boundary = bounds[idx]
-            if isinstance(boundary, Fraction):
-                pset = _argmax(_values_at(qs, boundary))[1]
-            else:
-                mid_right = _rational_inside(
-                    boundary, local[0][0] if local else bounds[idx + 1]
-                )
-                ties = zero | at_left
-                pset = tuple(
-                    _tie_set(i, len(q), k, ties)
-                    for i, (q, k) in enumerate(zip(qs, _first_best(qs, mid_right)))
-                )
-            cut_records.append(("bound", idx))
-            psets.append(pset)
-
+        # Each pair keeps its sign on a sub-piece, and so does the argmax.
+        # The point set at a sub-piece's left end comes after its argmax:
+        # across a bound of the previous level the two sides agree in value,
+        # so the current q's may be used, and a pair root at an irrational
+        # end lies inside the open hull, so isolation has recorded it.
         sub_bounds = [bounds[idx], *(pt for pt, _ in local), bounds[idx + 1]]
-        for s in range(len(sub_bounds) - 1):
-            mid = _rational_inside(sub_bounds[s], sub_bounds[s + 1])
-            best = _first_best(qs, mid)
+        for s, (lo, hi) in enumerate(zip(sub_bounds, sub_bounds[1:])):
+            best = _first_best(qs, _rational_inside(lo, hi, simplest=True))
+            if s > 0 or idx > 0:
+                if isinstance(lo, Fraction):
+                    pset = _argmax(_values_at(qs, lo))[1]
+                else:
+                    ties = local[s - 1][1] if s else zero | at_left
+                    pset = tuple(
+                        _tie_set(i, len(q), k, ties) for i, (q, k) in enumerate(zip(qs, best))
+                    )
+                cut_records.append(lo if s else idx)
+                psets.append(pset)
             pieces.append(tuple(_poly(q[k], den) for q, k in zip(qs, best)))
             isets.append(
-                tuple(
-                    frozenset(j for j, c in enumerate(q) if c == q[k])
-                    for q, k in zip(qs, best)
-                )
+                tuple(frozenset(j for j, c in enumerate(q) if c == q[k]) for q, k in zip(qs, best))
             )
-            if s > 0:
-                cut, ties = local[s - 1]
-                if isinstance(cut, Fraction):
-                    pset = _argmax(_values_at(qs, cut))[1]
-                else:
-                    pset = tuple(
-                        _tie_set(i, len(q), k, ties)
-                        for i, (q, k) in enumerate(zip(qs, best))
-                    )
-                cut_records.append(("local", cut))
-                psets.append(pset)
 
-    cuts: list[Point] = [
-        bounds[payload] if kind == "bound" else payload
-        for kind, payload in cut_records
-    ]
+    # a bound is read only now, as later pieces refine the brackets in place
+    cuts = [bounds[c] if isinstance(c, int) else c for c in cut_records]
 
     # Merge pieces across cuts that change neither the polynomials, the
     # interval sets, nor the value of the set at the point itself.

@@ -8,7 +8,10 @@ horizons bound the work of deciding it:
   2 * alpha^(k+1) * (R1 / (1 - alpha) + R2) falls below the suboptimality
   gap (the smallest optimality-equation defect of any suboptimal action),
   from the contraction bound on ||V* - V_n||.  It is known before any
-  iteration and is what ``certificate_horizon`` reports.
+  iteration and is what ``certificate_horizon`` reports.  It is read off
+  log(a/b) / log1p((q - p)/p) for the integers a, b of the inequality at
+  alpha = p/q, under an explicit floating-point error bound; exact integer
+  products run only where that bound leaves two candidates.
 - Value iteration itself stops at the first n <= K at which the exact span
   test alpha * sp(V_n - V*) < gap holds, sp(w) = max w - min w.  For a
   suboptimal action k and an optimal k* at state i,
@@ -34,6 +37,7 @@ are unique, so the start changes no result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -154,7 +158,7 @@ def turnpike_integer(
     for _ in range(_WARM_HORIZONS):
         (nums, den), sets = _step(form, nums, den)
         steps.append(((nums, den), sets))
-    opt = _policy_iteration(mdp, alpha, form, smallest_rule(steps[-1][1]))
+    opt = _policy_iteration(alpha, form, smallest_rule(steps[-1][1]))
     return _turnpike_at(mdp, opt, steps)
 
 
@@ -183,12 +187,7 @@ def _turnpike_at(
     sp = mdp.reward_spreads
     c = sp.r1_star / (1 - alpha) + sp.r2_star
     # K is the first k with 2 * alpha^(k+1) * c < gap
-    lhs, rhs = 2 * p * c.numerator * g_den, g_num * c.denominator * q
-    k_cert = 0
-    while lhs >= rhs:
-        k_cert += 1
-        lhs *= p
-        rhs *= q
+    k_cert = _first_power_below(2 * p * c.numerator * g_den, g_num * c.denominator * q, p, q)
     nums, den = _ints_of(mdp.terminal)
     n_value, failed_sets = 1, None
     horizon = 0
@@ -215,6 +214,31 @@ def _turnpike_at(
     return TurnpikeResult(
         alpha, n_value, k_cert, gap, witness, opt.d_alpha_sets, horizon
     )
+
+
+def _first_power_below(a: int, b: int, p: int, q: int) -> int:
+    """The first k >= 0 with a * p^k < b * q^k, for a >= 0, b > 0 and
+    0 < p < q: floor(t) + 1 with t = log(a/b) / log(q/p) once a >= b.  For
+    1/2 < p/q < 1 - 2^-1000, t is bracketed in floating point: each logarithm
+    (of an int, or ``log1p`` of the rounded, normal (q - p)/p) is within
+    2^-50 * (1 + |value|) of the exact one, so the slack 2^-40 on the
+    numerator's logs and on the quotient covers them and the bracket's own
+    roundings.  Exact products decide from the bracket's low end where its
+    two ends give different k, and from 0 at p/q <= 1/2 (k <= log2(a/b) + 1).
+    """
+    k = 0
+    if a >= b and 2 * p > q and (q - p) << 1000 > p:
+        la, lb = math.log(a), math.log(b)
+        slack, den = 2.0**-40 * (2 + abs(la) + abs(lb)), math.log1p((q - p) / p)
+        k = max(1, math.floor((la - lb - slack) / den * (1 - 2.0**-40)) + 1)
+        if k == math.floor((la - lb + slack) / den * (1 + 2.0**-40)) + 1:
+            return k
+    lhs, rhs = a * p**k, b * q**k
+    while lhs >= rhs:
+        k += 1
+        lhs *= p
+        rhs *= q
+    return k
 
 
 def certificate_audit(mdp: Mdp, result: TurnpikeResult, extra: int = 5) -> bool:

@@ -268,14 +268,14 @@ class TestSeededRandom:
 
 
 def recorded_evaluations(monkeypatch) -> list:
-    original = bellman.evaluate_deterministic
+    original = bellman._policy_value
     seen = []
 
-    def recording(mdp, rule, alpha, form=None):
+    def recording(form, rule):
         seen.append(rule)
-        return original(mdp, rule, alpha, form)
+        return original(form, rule)
 
-    monkeypatch.setattr(bellman, "evaluate_deterministic", recording)
+    monkeypatch.setattr(bellman, "_policy_value", recording)
     return seen
 
 

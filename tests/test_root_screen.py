@@ -9,7 +9,9 @@ unreduced value difference (``value_difference``) is zero or root-free on
 the gap's hull, and a
 whole gap when no advantage numerator of its optimal rule has a root on the
 hull; symbolic value iteration's step skips a pair whose difference
-``_excludes_roots`` certifies root-free on the piece's hull.  A screened
+``_excludes_roots`` certifies root-free on the piece's hull, or, at a state
+of three or more actions, ``_table_excludes``, the same test read off
+per-piece tables.  A screened
 call must return exactly what the unscreened call returns.  The references below run the same functions with every screen
 switched off: root isolation and counting are the Sturm-only
 ``reference_isolate_roots`` and ``reference_count_roots_open`` of
@@ -53,6 +55,7 @@ def screens_off():
             mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
             mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(partition, "_excludes_roots", lambda a, lo, hi: False), \
+            mock.patch.object(partition, "_table_excludes", lambda c, a, b, slope: False), \
             mock.patch.object(partition, "descartes_bound", lambda a, lo, hi: 1), \
             mock.patch.object(partition, "_break_free", lambda advantages, lo, hi: False):
         yield

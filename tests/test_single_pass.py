@@ -234,7 +234,7 @@ def test_turnpike_reads_its_gap_off_the_certifying_q_pass(monkeypatch, example_i
     mdp = build_example(example_id).mdp
     part = partition.canonical_partition(mdp)
     passes = count_calls(monkeypatch, "bellman", "_q_nums")
-    solves = count_calls(monkeypatch, "bellman", "evaluate_deterministic")
+    solves = count_calls(monkeypatch, "bellman", "_policy_value")
     for alpha in (F(1, 10), F(1, 3), F(3, 4), F(9, 10)):
         passes.clear()
         res = turnpike_integer(mdp, alpha, part)

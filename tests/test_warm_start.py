@@ -65,7 +65,7 @@ def zero_rule(mdp) -> DecisionRule:
 
 def cold_optimal_set(mdp, alpha: F):
     """Policy iteration from the rule of all zeros."""
-    return _policy_iteration(mdp, alpha, _integer_form(mdp, alpha), zero_rule(mdp))
+    return _policy_iteration(alpha, _integer_form(mdp, alpha), zero_rule(mdp))
 
 
 def cold_turnpike(mdp, alpha: F):
@@ -98,7 +98,7 @@ def test_every_start_reaches_the_same_optimal_sets(model_id):
         form = _integer_form(mdp, alpha)
         expected = optimal_set(mdp, alpha)
         for rule in starts(mdp, alpha):
-            assert _policy_iteration(mdp, alpha, form, rule) == expected, (alpha, rule)
+            assert _policy_iteration(alpha, form, rule) == expected, (alpha, rule)
 
 
 @pytest.mark.parametrize("model_id", family_ids())
@@ -118,7 +118,7 @@ def test_reward_greedy_rule_is_the_horizon_1_rule_of_zero_terminal():
 
 
 def count_solves(monkeypatch, run) -> int:
-    original = bellman.evaluate_deterministic
+    original = bellman._policy_value
     calls = [0]
 
     def counting(*args, **kwargs):
@@ -126,7 +126,7 @@ def count_solves(monkeypatch, run) -> int:
         return original(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(bellman, "evaluate_deterministic", counting)
+        patch.setattr(bellman, "_policy_value", counting)
         run()
     return calls[0]
 
