@@ -9,16 +9,19 @@ near break points.
 
 Each layer is loaded on first use.  ``import exactmdp`` runs no analysis
 module: every public name below is served from its defining module when it
-is first read (PEP 562), and the five layers that pointwise work never runs,
-``conditions``, ``corpus``, ``equivalence``, ``partition`` and
-``smalldiscount``, are put in ``sys.modules`` by ``importlib.util.LazyLoader``
-and execute on their first attribute read.  So the command line's
-``validate``, ``solve`` and ``turnpike --alpha`` load only ``docio``, ``mdp``,
-``limits``, ``exactarith``, ``bellman`` and ``turnpike``; ``turnpike
---interval``, ``partition`` and ``sweep`` add ``partition``;
-``small-discount`` adds ``smalldiscount``; ``conditions`` adds
-``conditions``, ``equivalence``, ``partition`` and ``smalldiscount``;
-``corpus`` adds ``corpus``.  On Python 3.10 and 3.11
+is first read (PEP 562), and the six layers that pointwise work never runs,
+``conditions``, ``corpus``, ``equivalence``, ``partition``, ``polyarith``
+and ``smalldiscount``, are put in ``sys.modules`` by
+``importlib.util.LazyLoader`` and execute on their first attribute read.
+So the command line's ``validate``, ``solve`` and ``turnpike --alpha`` load
+only ``docio``, ``mdp``, ``limits``, ``exactarith`` (the exact linear
+solve), ``bellman`` and ``turnpike``; ``turnpike --interval``,
+``partition`` and ``sweep`` add ``partition`` and ``polyarith`` (the
+polynomial, root and point kernel); ``small-discount`` adds
+``smalldiscount`` and those two; ``conditions`` adds ``conditions``,
+``equivalence``, ``partition``, ``polyarith`` and ``smalldiscount``;
+``corpus`` adds ``corpus``.  ``exactarith`` still serves every name of
+``polyarith``, loading it on that first read.  On Python 3.10 and 3.11
 ``LazyLoader`` is not thread-safe: import the package, and first read each
 deferred layer, from one thread.
 """
@@ -54,15 +57,7 @@ _EXPORTS = {
     ),
     "corpus": ("EXAMPLE_IDS", "ExampleFixture", "build_example"),
     "equivalence": ("GValue", "compute_G", "pushforwards_equal", "values_equal_all_discounts"),
-    "exactarith": (
-        "IsolatedRoot",
-        "Polynomial",
-        "RationalFunction",
-        "isolate_roots",
-        "sign_on_interval",
-        "solve_linear",
-        "value_rational_function",
-    ),
+    "exactarith": ("solve_linear",),
     "limits": ("CapExceededError",),
     "mdp": (
         "DecisionRule",
@@ -84,6 +79,14 @@ _EXPORTS = {
         "canonical_partition",
         "first_step_classify",
         "symbolic_value_iteration",
+    ),
+    "polyarith": (
+        "IsolatedRoot",
+        "Polynomial",
+        "RationalFunction",
+        "isolate_roots",
+        "sign_on_interval",
+        "value_rational_function",
     ),
     "smalldiscount": (
         "FiltrationReport",
@@ -109,7 +112,7 @@ __all__ = list(_HOME)
 # Registered, not run: an ``import`` of one of these reads its ``__spec__``,
 # which runs it, so modules that load first import them inside functions.
 # ``cli`` is not registered: ``python -m exactmdp.cli`` would run it twice.
-_DEFERRED = ("conditions", "corpus", "equivalence", "partition", "smalldiscount")
+_DEFERRED = ("conditions", "corpus", "equivalence", "partition", "polyarith", "smalldiscount")
 _SUBMODULES = frozenset((*_EXPORTS, "cli", "docio"))
 
 

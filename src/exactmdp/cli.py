@@ -21,12 +21,11 @@ from .bellman import ActionSets, optimal_set, rules_from_action_sets
 from .docio import format_rational
 from .limits import CapExceededError, CapSettingError, parse_int
 from .mdp import DecisionRule, Mdp, count_rules, validate
-from .exactarith import point_sign
 from .turnpike import turnpike_integer, turnpike_intervals
 
-# A command imports the layers that only it runs (partition, smalldiscount,
-# conditions, corpus) inside itself, so validate, solve and turnpike --alpha
-# never load them; see the package docstring.
+# A command imports the layers that only it runs (partition, polyarith,
+# smalldiscount, conditions, corpus) inside itself, so validate, solve and
+# turnpike --alpha never load them; see the package docstring.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -328,6 +327,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .partition import canonical_partition
+    from .polyarith import point_sign
 
     mdp = load_mdp(args.file)
     lo, hi = parse_interval(args.interval, "sweep")

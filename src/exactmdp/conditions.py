@@ -14,7 +14,7 @@ Two families of conditions are checked at an irregular discount factor:
   continuations drawn from the optimal set.  Verified with terminal
   rewards zeroed by comparing exact finite-horizon derivatives against an
   explicit tail bound; a tangency of value-function derivatives refutes
-  them outright (``exactarith.value_slopes`` differentiates each rule's
+  them outright (``polyarith.value_slopes`` differentiates each rule's
   solve (N, Delta)).  The derivatives of all continuation prefixes are kept
   in one table that grows a level per horizon.  It is built from tail
   vectors: a prefix (first, tail) has derivative P_first·U(tail), with
@@ -52,10 +52,10 @@ from .bellman import (
     value_iteration_steps,
 )
 from .equivalence import same_pushforwards
-from .exactarith import _value_solve, value_slopes, values_at
 from .limits import CapExceededError, prefix_cap
 from .mdp import DecisionRule, MarkovPrefix, Mdp, count_rules, mat_vec
 from .partition import PartitionReport, canonical_partition, classify
+from .polyarith import _value_solve, value_slopes, values_at
 from .smalldiscount import policy_filtration
 from .turnpike import _turnpike_at, turnpike_integer
 

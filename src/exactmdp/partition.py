@@ -32,7 +32,7 @@ V*(alpha) without policy iteration: D is the set of alpha's cell or
 irregular point, V* the value functions of D's smallest rule at alpha, and
 one integer Q pass certifies both.  Irrational separation points
 are carried as isolating brackets, never as floats, and every set of them
-is kept apart by ``exactarith.separate_points``; ``_settle_inside`` also
+is kept apart by ``polyarith.separate_points``; ``_settle_inside`` also
 refines a step's points against the previous horizon's cuts.
 
 Symbolic value iteration's inner loop runs on integers.  On each piece the
@@ -44,7 +44,7 @@ square-free forms.  The argmax at a rational point compares the lists'
 homogenized values, which share one positive factor (``_values_at``), and
 an interval set compares lists.  A ``Polynomial`` is built only for each
 state's chosen Q, which the level stores, and for a pair difference that
-goes to ``isolate_roots``.  Before that, ``exactarith._excludes_roots``
+goes to ``isolate_roots``.  Before that, ``polyarith._excludes_roots``
 certifies most pair differences root-free on the piece's closed hull from
 a bound on the derivative at O(d) cost, and those pairs skip isolation.
 At a state of three or more actions it reads tables built once per piece
@@ -86,7 +86,9 @@ from .bellman import (
     product_subset,
     smallest_rule,
 )
-from .exactarith import (
+from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
+from .mdp import DecisionRule, Mdp, capped_rule_count, count_rules
+from .polyarith import (
     IsolatedRoot,
     Point,
     Polynomial,
@@ -112,8 +114,6 @@ from .exactarith import (
     value_difference,
     values_at,
 )
-from .limits import CapExceededError, piece_cap, symbolic_horizon_cap
-from .mdp import DecisionRule, Mdp, capped_rule_count, count_rules
 
 @dataclass(frozen=True)
 class IrregularPoint:
@@ -564,7 +564,7 @@ def _q_numerators(
 
 
 def _screen_tables(width: int, lo: Fraction, hi: Fraction) -> tuple[list[int], list[int]]:
-    """``exactarith._excludes_roots`` on [lo, hi] as dot products, for lists
+    """``polyarith._excludes_roots`` on [lo, hi] as dot products, for lists
     of ``width`` = k + 1 coefficients: with C_i = (l + u)^i·(2q)^(k-i) and
     S_i = (u - l)·2^k·i·M^(i-1)·q^(k-i), a is certified when
     2·|C·a| > S·|a|, |a| taken entrywise.  Trailing zeros scale both sides

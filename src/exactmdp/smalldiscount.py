@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bellman import ActionSets
-from .exactarith import point_position
 from .mdp import Mdp, count_rules
 from .partition import canonical_partition
+from .polyarith import point_position
 from .turnpike import turnpike_integer
 
 INFINITE = None  # C_n before any separation has occurred

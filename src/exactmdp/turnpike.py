@@ -57,18 +57,12 @@ from .bellman import (
 )
 from .limits import CapExceededError
 from .mdp import DecisionRule, Mdp, balance
-from .exactarith import (
-    IsolatedRoot,
-    Point,
-    clear_of,
-    point_position,
-    points_equal,
-    separate_points,
-)
 
 if TYPE_CHECKING:
-    # partition is imported where it runs, so the pointwise path never loads it
+    # partition and polyarith are imported where they run, so the pointwise
+    # path never loads them
     from .partition import PartitionReport, PiecewiseValue
+    from .polyarith import IsolatedRoot, Point
 
 
 # Value-iteration horizons run before policy iteration on the pointwise path:
@@ -280,11 +274,16 @@ class TurnpikeIntervalMap:
     horizon_used: int
 
     def value_at(self, alpha: Fraction) -> int | None:
+        """N at the rational alpha, from the span that holds it; None when
+        no span does.  Which side of an irrational span end alpha lies on is
+        decided exactly, also inside the end's bracket."""
+        from .polyarith import point_sign
+
         for span in self.spans:
-            lo_edge = point_position(span.lo)[1]
-            hi_edge = point_position(span.hi)[0]
-            if (lo_edge < alpha or (span.lo_closed and alpha == lo_edge)) and (
-                alpha < hi_edge or (span.hi_closed and alpha == hi_edge)
+            lo_side = point_sign(span.lo, alpha)
+            hi_side = point_sign(span.hi, alpha)
+            if (lo_side < 0 or (span.lo_closed and lo_side == 0)) and (
+                hi_side > 0 or (span.hi_closed and hi_side == 0)
             ):
                 return span.n_value
         return None
@@ -302,6 +301,7 @@ def _candidate_points(
     [lo_pad, hi_pad], sorted, with every bracket's closed hull clear of both
     query ends, of the rational candidates and of the other brackets."""
     from .partition import classify
+    from .polyarith import clear_of, point_position, points_equal, separate_points
 
     pts: list[Point] = []
 
@@ -371,6 +371,8 @@ def _interval_map(
     The map is partial when N >= n_cap at one of those gap samples or at any
     rational candidate of the window, inside [lo, hi] or not.
     """
+    from .polyarith import point_position
+
     lo_pad = max(Fraction(0), lo - pad)
     hi_pad = min(hi + pad, (hi + 1) / 2)
     pts = _candidate_points(part, levels, lo_pad, hi_pad, lo, hi)
@@ -451,6 +453,8 @@ def _excise(
     """Remove an open neighborhood of radius <= width around each bad point
     from the closed intervals; returns the remainder and the exact measure
     removed."""
+    from .polyarith import IsolatedRoot
+
     cuts: list[tuple[Fraction, Fraction]] = []
     for p in bad:
         if isinstance(p, IsolatedRoot):
@@ -512,6 +516,7 @@ def turnpike_cover(
         raise ValueError("eps too large for the interval")
 
     from .partition import canonical_partition, symbolic_value_iteration
+    from .polyarith import point_position
 
     part = canonical_partition(mdp)
     irregular = [

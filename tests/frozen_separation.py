@@ -1,6 +1,6 @@
 """The earlier point-separation helpers, frozen as references.
 
-Before ``exactarith.separate_points``, the invariant that no two
+Before ``polyarith.separate_points``, the invariant that no two
 neighbouring points touch was kept in four places: ``_sorted_disjoint`` in
 ``partition`` (brackets out of each rational's open interval, then pairwise
 disjoint), followed by a ``_clear_of`` pass in the partition's point
@@ -15,7 +15,7 @@ visited only the bracket pairs whose hulls meet: its pair pass checks every
 pair.
 
 The last section holds the root tests as they were before Descartes
-bisection replaced the Sturm path in ``exactarith``: ``count_roots_open``
+bisection replaced the Sturm path in ``polyarith``: ``count_roots_open``
 with a Sturm chain past a Descartes count of 2, ``polynomial_vanishes_at``
 on that count, and ``same_root`` with its refinement loop.
 """
@@ -23,9 +23,9 @@ on that count, and ``same_root`` with its refinement loop.
 from fractions import Fraction
 from typing import Sequence
 
-from exactmdp import exactarith, partition, turnpike
-from exactmdp.exactarith import IsolatedRoot, Point, point_position, points_equal
+from exactmdp import partition, polyarith, turnpike
 from exactmdp.partition import classify
+from exactmdp.polyarith import IsolatedRoot, Point, point_position, points_equal
 
 
 def _sorted_disjoint(points: list[Point], records: Sequence | None = None) -> list:
@@ -96,7 +96,7 @@ def all_pairs_separate_points(points: Sequence[Point], records: Sequence | None 
                 a = a.refined((a.hi - a.lo) / 4)
                 b = b.refined((b.hi - b.lo) / 4)
             brackets[i], brackets[j] = (a, ra), (b, rb)
-    merged = rationals + [(exactarith.clear_of(br, cuts), r) for br, r in brackets]
+    merged = rationals + [(polyarith.clear_of(br, cuts), r) for br, r in brackets]
     merged.sort(key=lambda item: point_position(item[0]))
     return merged if records is not None else [p for p, _ in merged]
 
@@ -147,7 +147,7 @@ def candidate_points(part, levels, lo_pad, hi_pad, query_lo, query_hi) -> list[P
 def use_frozen_separation(patch) -> None:
     """Route every caller of ``separate_points`` to its earlier form: the
     step separates its local points with ``_sorted_disjoint`` alone."""
-    patch.setattr(exactarith, "separate_points", disjoined_roots)
+    patch.setattr(polyarith, "separate_points", disjoined_roots)
     patch.setattr(partition, "separate_points", _sorted_disjoint)
     patch.setattr(partition, "_add_point", add_point)
     patch.setattr(turnpike, "_candidate_points", candidate_points)
@@ -158,25 +158,25 @@ def use_frozen_separation(patch) -> None:
 
 def count_roots_open(p, lo: Fraction, hi: Fraction) -> int:
     if p.is_zero:
-        raise exactarith.ZeroPolynomialError("root counting on the zero polynomial")
+        raise polyarith.ZeroPolynomialError("root counting on the zero polynomial")
     if lo >= hi:
         return 0
-    bound = exactarith.descartes_bound(p.ints, lo, hi)
+    bound = polyarith.descartes_bound(p.ints, lo, hi)
     if bound <= 1:
         return bound
-    s = exactarith._squarefree_off_ends(p, lo, hi)
+    s = polyarith._squarefree_off_ends(p, lo, hi)
     if len(s) <= 1:
         return 0
-    chain = exactarith.sturm_chain(s)
-    return exactarith._variations(chain, lo) - exactarith._variations(chain, hi)
+    chain = polyarith.sturm_chain(s)
+    return polyarith._variations(chain, lo) - polyarith._variations(chain, hi)
 
 
 def polynomial_vanishes_at(p, root: IsolatedRoot) -> bool:
     if p.is_zero:
         return True
-    if exactarith.descartes_bound(p.ints, root.lo, root.hi) == 0:
+    if polyarith.descartes_bound(p.ints, root.lo, root.hi) == 0:
         return False
-    g = exactarith.poly_gcd(p, root.defining)
+    g = polyarith.poly_gcd(p, root.defining)
     if g.degree <= 0:
         return False
     return count_roots_open(g, root.lo, root.hi) > 0
@@ -185,7 +185,7 @@ def polynomial_vanishes_at(p, root: IsolatedRoot) -> bool:
 def same_root(a: IsolatedRoot, b: IsolatedRoot) -> bool:
     if max(a.lo, b.lo) >= min(a.hi, b.hi):
         return False
-    g = exactarith.poly_gcd(a.defining, b.defining)
+    g = polyarith.poly_gcd(a.defining, b.defining)
     if g.degree <= 0:
         return False
     while True:

@@ -24,10 +24,13 @@ import pytest
 from conftest import mdpgen, random_mdp
 from test_decided_roots import product, reference_count_roots_open
 import frozen_values
-from exactmdp import cli, docio, exactarith, partition
+from exactmdp import cli, docio, partition, polyarith
 from exactmdp.bellman import evaluate_deterministic, optimal_set, smallest_rule
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.limits import CapExceededError
+from exactmdp.mdp import DecisionRule, enumerate_decision_rules
+from exactmdp.partition import _advantage_numerators, canonical_partition
+from exactmdp.polyarith import (
     Polynomial,
     _homogeneous_value,
     _value_solve,
@@ -35,9 +38,6 @@ from exactmdp.exactarith import (
     isolate_roots,
     value_rational_function,
 )
-from exactmdp.limits import CapExceededError
-from exactmdp.mdp import DecisionRule, enumerate_decision_rules
-from exactmdp.partition import _advantage_numerators, canonical_partition
 
 
 @contextmanager
@@ -261,7 +261,7 @@ def test_counts_equal_isolation_and_sturm_on_seeded_polynomials():
         p, lo, hi = seeded_counts(rng)
         got = count_roots_open(p, lo, hi)
         assert got == len(isolate_roots(p, lo, hi)) == reference_count_roots_open(p, lo, hi)
-        bisected += exactarith.descartes_bound(p.ints, lo, hi) > 1
+        bisected += polyarith.descartes_bound(p.ints, lo, hi) > 1
     assert bisected > 100
 
 
@@ -269,8 +269,8 @@ def test_counting_identifies_no_root(monkeypatch):
     def no_identification(*args):
         raise AssertionError("a count identified a root")
 
-    monkeypatch.setattr(exactarith, "_identify_rational", no_identification)
-    monkeypatch.setattr(exactarith, "separate_points", no_identification)
+    monkeypatch.setattr(polyarith, "_identify_rational", no_identification)
+    monkeypatch.setattr(polyarith, "separate_points", no_identification)
     # two rational roots, one at the midpoint 1/2, and sqrt(1/2)
     p = product(F(1, 2), F(1, 3)) * Polynomial([-1, 0, 2])
     assert count_roots_open(p, F(0), F(1)) == 3

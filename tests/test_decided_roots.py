@@ -30,21 +30,21 @@ import frozen_separation
 import frozen_step as FS
 from frozen_separation import _disjoin, _sorted_disjoint
 from test_irrational_points import irrational_break_mdp
-from exactmdp import docio, exactarith, partition
+from exactmdp import docio, partition, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
+from exactmdp.partition import (
+    PiecewiseValue,
+    canonical_partition,
+    symbolic_value_iteration,
+)
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     RationalFunction,
     ZeroPolynomialError,
     isolate_roots,
     value_rational_function,
-)
-from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
-from exactmdp.partition import (
-    PiecewiseValue,
-    canonical_partition,
-    symbolic_value_iteration,
 )
 
 HORIZON = 9
@@ -61,11 +61,11 @@ def reference_count_roots_open(p, lo, hi):
         raise ZeroPolynomialError("root counting on the zero polynomial")
     if lo >= hi:
         return 0
-    s = exactarith._squarefree_off_ends(p, lo, hi)
+    s = polyarith._squarefree_off_ends(p, lo, hi)
     if len(s) <= 1:
         return 0
-    chain = exactarith.sturm_chain(s)
-    return exactarith._variations(chain, lo) - exactarith._variations(chain, hi)
+    chain = polyarith.sturm_chain(s)
+    return polyarith._variations(chain, lo) - polyarith._variations(chain, hi)
 
 
 def reference_isolate_roots(p, lo=F(0), hi=F(1)):
@@ -75,35 +75,35 @@ def reference_isolate_roots(p, lo=F(0), hi=F(1)):
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if p.degree == 0 or lo >= hi:
         return []
-    s_ints = exactarith._squarefree_off_ends(p, lo, hi)
+    s_ints = polyarith._squarefree_off_ends(p, lo, hi)
     if len(s_ints) <= 1:
         return []
     found = []
-    stack = [(lo, hi, exactarith._poly(s_ints))]
+    stack = [(lo, hi, polyarith._poly(s_ints))]
     while stack:
         a, b, q = stack.pop()
         count = reference_count_roots_open(q, a, b)
         if count == 0:
             continue
         if count == 1:
-            found.append(exactarith._identify_rational(q, a, b))
+            found.append(polyarith._identify_rational(q, a, b))
             continue
         mid = (a + b) / 2
-        if exactarith._sign_at(q.ints, mid) == 0:
+        if polyarith._sign_at(q.ints, mid) == 0:
             found.append(mid)
             q = q.divmod(Polynomial([-mid, 1]))[0]
             if q.degree <= 0:
                 continue
         stack.append((a, mid, q))
         stack.append((mid, b, q))
-    p_gcd = exactarith.poly_gcd(p, p.derivative())
+    p_gcd = polyarith.poly_gcd(p, p.derivative())
     mults = [
-        exactarith.root_multiplicity(p, root)
+        polyarith.root_multiplicity(p, root)
         if isinstance(root, F)
-        else exactarith._irrational_multiplicity(p_gcd, root)
+        else polyarith._irrational_multiplicity(p_gcd, root)
         for root in found
     ]
-    pairs = sorted(zip(found, mults), key=lambda rm: exactarith.point_position(rm[0]))
+    pairs = sorted(zip(found, mults), key=lambda rm: polyarith.point_position(rm[0]))
     return list(zip(_disjoin([r for r, _ in pairs]), (m for _, m in pairs)))
 
 
@@ -112,7 +112,7 @@ def reference_argmax_at_bracket(qs, qmax, pt):
         k
         for k, q in enumerate(qs)
         if (d := FS._diff(q, qmax)).is_zero
-        or exactarith.polynomial_vanishes_at(d, pt)
+        or polyarith.polynomial_vanishes_at(d, pt)
     )
 
 
@@ -213,7 +213,7 @@ def reference_optimal_at_root(mdp):
                 )
             )
             return all(
-                d.is_zero or exactarith.polynomial_vanishes_at(d.num, pt) for d in diffs
+                d.is_zero or polyarith.polynomial_vanishes_at(d.num, pt) for d in diffs
             )
 
         return tuple(
@@ -225,11 +225,11 @@ def reference_optimal_at_root(mdp):
 
 
 def use_references(patch, mdp):
-    patch.setattr(exactarith, "count_roots_open", reference_count_roots_open)
-    patch.setattr(exactarith, "isolate_roots", reference_isolate_roots)
+    patch.setattr(polyarith, "count_roots_open", reference_count_roots_open)
+    patch.setattr(polyarith, "isolate_roots", reference_isolate_roots)
     patch.setattr(partition, "isolate_roots", reference_isolate_roots)
-    patch.setattr(exactarith, "same_root", frozen_separation.same_root)
-    for owner in (exactarith, partition):
+    patch.setattr(polyarith, "same_root", frozen_separation.same_root)
+    for owner in (polyarith, partition):
         patch.setattr(owner, "polynomial_vanishes_at", frozen_separation.polynomial_vanishes_at)
     patch.setattr(partition, "_step_piecewise", reference_step)
     patch.setattr(partition, "_optimal_at_root", reference_optimal_at_root(mdp))
@@ -293,7 +293,7 @@ MODEL_IDS = (
 
 
 def recorder(patch, owners, name, calls):
-    original = getattr(exactarith, name)
+    original = getattr(polyarith, name)
 
     def recording(*args):
         calls[args] = None
@@ -308,18 +308,18 @@ def test_equal_to_references(monkeypatch, model_id):
     mdp = model(model_id)
     isolations, counts, vanishing, pairs = {}, {}, {}, {}
     with monkeypatch.context() as patch:
-        recorder(patch, (exactarith, partition), "isolate_roots", isolations)
-        recorder(patch, (exactarith,), "count_roots_open", counts)
-        recorder(patch, (exactarith, partition), "polynomial_vanishes_at", vanishing)
-        recorder(patch, (exactarith,), "same_root", pairs)
+        recorder(patch, (polyarith, partition), "isolate_roots", isolations)
+        recorder(patch, (polyarith,), "count_roots_open", counts)
+        recorder(patch, (polyarith, partition), "polynomial_vanishes_at", vanishing)
+        recorder(patch, (polyarith,), "same_root", pairs)
         part = canonical_partition(mdp)
         levels = symbolic_value_iteration(mdp, HORIZON)
     got = [isolate_roots(*args) for args in isolations]
-    got_counts = [exactarith.count_roots_open(*args) for args in counts]
-    assert [exactarith.polynomial_vanishes_at(*args) for args in vanishing] == [
+    got_counts = [polyarith.count_roots_open(*args) for args in counts]
+    assert [polyarith.polynomial_vanishes_at(*args) for args in vanishing] == [
         frozen_separation.polynomial_vanishes_at(*args) for args in vanishing
     ]
-    assert [exactarith.same_root(*args) for args in pairs] == [
+    assert [polyarith.same_root(*args) for args in pairs] == [
         frozen_separation.same_root(*args) for args in pairs
     ]
     with monkeypatch.context() as patch:
@@ -391,7 +391,7 @@ def product(*roots):
 )
 def test_isolation_and_counts_equal_sturm(p, lo, hi):
     assert isolate_roots(p, lo, hi) == reference_isolate_roots(p, lo, hi)
-    assert exactarith.count_roots_open(p, lo, hi) == reference_count_roots_open(p, lo, hi)
+    assert polyarith.count_roots_open(p, lo, hi) == reference_count_roots_open(p, lo, hi)
 
 
 def test_random_polynomials_equal_sturm():
@@ -406,9 +406,9 @@ def test_random_polynomials_equal_sturm():
         if lo == hi:
             continue
         assert isolate_roots(p, lo, hi) == reference_isolate_roots(p, lo, hi)
-        got = exactarith.count_roots_open(p, lo, hi)
+        got = polyarith.count_roots_open(p, lo, hi)
         assert got == reference_count_roots_open(p, lo, hi)
-        decided += exactarith.descartes_bound(p.ints, lo, hi) == 1
+        decided += polyarith.descartes_bound(p.ints, lo, hi) == 1
     assert decided > 50
 
 
@@ -428,16 +428,16 @@ def counter(monkeypatch, owner, name):
 
 
 def test_one_variation_builds_no_sturm_chain(monkeypatch):
-    chains = counter(monkeypatch, exactarith, "sturm_chain")
+    chains = counter(monkeypatch, polyarith, "sturm_chain")
     assert isolate_roots(Polynomial([-1, 0, 2]))[0][1] == 1
-    assert exactarith.count_roots_open(product(F(1, 3)), F(0), F(1)) == 1
+    assert polyarith.count_roots_open(product(F(1, 3)), F(0), F(1)) == 1
     # two variations go to Descartes bisection, not to a Sturm chain
     assert len(isolate_roots(product(F(1, 3), F(2, 3)))) == 2
     assert chains == []
 
 
 def test_benchmark_family_builds_no_sturm_chain(monkeypatch):
-    chains = counter(monkeypatch, exactarith, "sturm_chain")
+    chains = counter(monkeypatch, polyarith, "sturm_chain")
     for states, actions, index in PARTITION_FAMILY:
         mdp = family_mdp(states, actions, index)
         canonical_partition(mdp)
@@ -461,7 +461,7 @@ def test_negation_takes_no_gcd(monkeypatch):
     mdp = build_example("ex2").mdp
     fs = [f for rule in enumerate_decision_rules(mdp)[:4] for f in value_rational_function(mdp, rule)]
     want = [RationalFunction(-f.num, f.den) for f in fs]
-    gcds = counter(monkeypatch, exactarith, "poly_gcd")
+    gcds = counter(monkeypatch, polyarith, "poly_gcd")
     got = [-f for f in fs]
     assert gcds == []
     assert got == want

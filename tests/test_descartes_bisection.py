@@ -1,4 +1,4 @@
-"""Descartes bisection decides every root question in ``exactarith``.
+"""Descartes bisection decides every root question in ``polyarith``.
 
 ``isolate_roots`` bisects the square-free part on Descartes counts: a piece
 with count 0 is dropped, one with count 1 holds one root, any other is
@@ -29,9 +29,10 @@ from test_decided_roots import (
     reference_count_roots_open,
     reference_isolate_roots,
 )
-from exactmdp import exactarith
+from exactmdp import polyarith
 from exactmdp.conditions import boundedness_verdict
-from exactmdp.exactarith import (
+from exactmdp.partition import canonical_partition, symbolic_value_iteration
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     count_roots_open,
@@ -40,7 +41,6 @@ from exactmdp.exactarith import (
     polynomial_vanishes_at,
     same_root,
 )
-from exactmdp.partition import canonical_partition, symbolic_value_iteration
 from exactmdp.turnpike import turnpike_intervals
 
 BENCHMARK_MODELS = [m for m in MODEL_IDS if m.split("-")[0] in ("corpus", "family")]
@@ -56,7 +56,7 @@ def no_sturm_chain(p):
 
 @pytest.mark.parametrize("model_id", BENCHMARK_MODELS)
 def test_no_solve_path_builds_a_sturm_chain(monkeypatch, model_id):
-    monkeypatch.setattr(exactarith, "sturm_chain", no_sturm_chain)
+    monkeypatch.setattr(polyarith, "sturm_chain", no_sturm_chain)
     mdp = model(model_id)
     part = canonical_partition(mdp)
     symbolic_value_iteration(mdp, HORIZON)
@@ -196,7 +196,7 @@ DYADIC = product(F(1, 2), F(1, 4), F(3, 8))
 @pytest.mark.parametrize("mult", [1, 2, 3])
 def test_roots_at_dyadic_midpoints(monkeypatch, mid, mult):
     identified = []
-    original = exactarith._identify_rational
+    original = polyarith._identify_rational
 
     def recording(*args):
         identified.append(args)
@@ -206,7 +206,7 @@ def test_roots_at_dyadic_midpoints(monkeypatch, mid, mult):
         p = product(*[mid] * mult) * partner
         identified.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(exactarith, "_identify_rational", recording)
+            patch.setattr(polyarith, "_identify_rational", recording)
             roots = isolate_roots(p)
         # mid was hit by a halving, not identified in a bracket
         assert mid in [r for r, _ in roots]

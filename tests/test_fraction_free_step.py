@@ -18,9 +18,10 @@ import pytest
 
 import frozen_step
 from conftest import mdpgen, random_mdp
-from exactmdp import docio, exactarith, partition
+from exactmdp import docio, partition, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import canonical_partition, symbolic_value_iteration
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     _mul_ints,
@@ -32,7 +33,6 @@ from exactmdp.exactarith import (
     same_root,
     simplest_fraction_between,
 )
-from exactmdp.partition import canonical_partition, symbolic_value_iteration
 
 HORIZON = 9
 # the benchmark's random-partition family
@@ -98,10 +98,10 @@ def use_references(patch, points_too):
     patch.setattr(frozen_step, "_scaled_values", reference_scaled_values)
     if points_too:
         patch.setattr(partition, "polynomial_vanishes_at", reference_polynomial_vanishes_at)
-        patch.setattr(exactarith, "polynomial_vanishes_at", reference_polynomial_vanishes_at)
-        patch.setattr(exactarith, "same_root", reference_same_root)
+        patch.setattr(polyarith, "polynomial_vanishes_at", reference_polynomial_vanishes_at)
+        patch.setattr(polyarith, "same_root", reference_same_root)
         patch.setattr(
-            exactarith, "simplest_fraction_between", reference_simplest_fraction_between
+            polyarith, "simplest_fraction_between", reference_simplest_fraction_between
         )
 
 
@@ -359,7 +359,7 @@ def test_same_root_on_disjoint_brackets_makes_no_gcd(monkeypatch):
     (b,) = irrational_roots(_poly([-1, 0, 3]))  # sqrt(1/3)
     a, b = a.refined(F(1, 100)), b.refined(F(1, 100))
     assert a.lo > b.hi
-    gcds = counter(monkeypatch, exactarith, "poly_gcd")
+    gcds = counter(monkeypatch, polyarith, "poly_gcd")
     assert not same_root(a, b) and not same_root(b, a)
     assert gcds == []
 
@@ -367,6 +367,6 @@ def test_same_root_on_disjoint_brackets_makes_no_gcd(monkeypatch):
 def test_vanishes_at_screened_root_makes_no_gcd(monkeypatch):
     (root,) = irrational_roots(_poly([-1, 0, 2]))
     root = root.refined(F(1, 100))
-    gcds = counter(monkeypatch, exactarith, "poly_gcd")
+    gcds = counter(monkeypatch, polyarith, "poly_gcd")
     assert not polynomial_vanishes_at(_poly([-1, 0, 3]), root)
     assert gcds == []

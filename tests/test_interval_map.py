@@ -293,3 +293,61 @@ def test_bracket_end_queries_stay_in_the_query(actions, seeds):
             assert_map_inside_query(mdp, tmap, lo, hi)
             checked += 1
     assert checked > 0
+
+
+# -- value_at inside the bracket of an irrational span end ---------------------
+
+
+def bracket_checks(mdp, n_cap):
+    """(alpha, value_at, turnpike_integer) at both ends and the midpoint of
+    the bracket of every irrational span end of the map on [1/100, 9/10],
+    or nothing when the map is partial (N is then not certified on its
+    spans).  No bracket's closed hull holds a query end or a rational
+    candidate, so each of those rationals lies inside a span."""
+    tmap = turnpike_intervals(mdp, F(1, 100), F(9, 10), n_cap=n_cap)
+    if tmap.partial:
+        return []
+    ends = {p for s in tmap.spans for p in (s.lo, s.hi) if isinstance(p, IsolatedRoot)}
+    alphas = sorted(a for p in ends for a in (p.lo, (p.lo + p.hi) / 2, p.hi))
+    return [(a, tmap.value_at(a), turnpike_integer(mdp, a).n_value) for a in alphas]
+
+
+def test_value_at_decides_the_side_inside_an_end_bracket():
+    # the first irrational end of remark-variant's map has a bracket around
+    # 0.287249; its midpoint lies in the span of N = 3, not in no span
+    checks = bracket_checks(build_example("remark-variant").mdp, 16)
+    mid, got, want = checks[1]
+    assert round(float(mid), 6) == 0.287249
+    assert got == want == 3
+    assert [got for _, got, _ in checks] == [want for _, _, want in checks]
+
+
+# the corpus at the default cap and the random-partition family at the
+# benchmark's --ncap 10
+CAPS = {
+    **{e: 16 for e in EXAMPLE_IDS},
+    **{f"r{s}x{a}-{i}": 10 for s, a, i in PARTITION_FAMILY},
+}
+
+
+def capped_model(model_id):
+    if model_id in EXAMPLE_IDS:
+        return build_example(model_id).mdp
+    states, actions, index = (int(x) for x in model_id[1:].replace("-", "x").split("x"))
+    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
+
+
+@pytest.mark.parametrize("model_id", CAPS)
+def test_value_at_equals_turnpike_integer_in_end_brackets(model_id):
+    for alpha, got, want in bracket_checks(capped_model(model_id), CAPS[model_id]):
+        assert got == want, alpha
+
+
+def test_value_at_equals_turnpike_integer_in_end_brackets_of_random_models():
+    checked = 0
+    for seed in range(300):
+        mdp = random_mdp(random.Random(seed), max_states=3, max_actions=2)
+        for alpha, got, want in bracket_checks(mdp, 12):
+            assert got == want, (seed, alpha)
+            checked += 1
+    assert checked > 0

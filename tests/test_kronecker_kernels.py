@@ -19,12 +19,13 @@ from fractions import Fraction as F
 import pytest
 
 from exactmdp import docio
-from exactmdp import exactarith
+from exactmdp import polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.exactarith import SingularMatrixError
+from exactmdp.mdp import Mdp, enumerate_decision_rules
+from exactmdp.polyarith import (
     Polynomial,
     RationalFunction,
-    SingularMatrixError,
     _bisect,
     _exact_div_ints,
     _gcd_ints,
@@ -35,7 +36,6 @@ from exactmdp.exactarith import (
     _sub_ints,
     value_rational_function,
 )
-from exactmdp.mdp import Mdp, enumerate_decision_rules
 
 from conftest import mdpgen, random_rational
 
@@ -179,13 +179,13 @@ def test_value_functions_with_zero_rewards_and_absorbing_rows():
 
 def test_value_functions_make_no_polynomial_products(monkeypatch):
     calls = []
-    original = exactarith._mul_ints
+    original = polyarith._mul_ints
 
     def counting(a, b):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(exactarith, "_mul_ints", counting)
+    monkeypatch.setattr(polyarith, "_mul_ints", counting)
     for example_id in EXAMPLE_IDS:
         mdp = build_example(example_id).mdp
         for rule in enumerate_decision_rules(mdp):
@@ -332,13 +332,13 @@ def test_shared_value_family_defeats_the_certificate():
 
 def test_coprime_rational_function_runs_no_remainder_sequence(monkeypatch):
     calls = []
-    original = exactarith._pseudo_rem
+    original = polyarith._pseudo_rem
 
     def counting(a, b):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(exactarith, "_pseudo_rem", counting)
+    monkeypatch.setattr(polyarith, "_pseudo_rem", counting)
     rf = RationalFunction(Polynomial([3, F(-1, 2), 7]), Polynomial([5, -4, 0, 2]))
     assert rf.den == Polynomial([5, -4, 0, 2])
     assert calls == []

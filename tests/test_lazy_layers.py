@@ -1,11 +1,13 @@
 """Each layer is loaded on first use.
 
 ``import exactmdp`` runs no analysis module.  ``conditions``, ``corpus``,
-``equivalence``, ``partition`` and ``smalldiscount`` sit in ``sys.modules``
-unexecuted (``importlib.util.LazyLoader``) until something reads them, and
-the public names are served through the package's ``__getattr__``.  Which
-module has run is per interpreter, so every check here starts a fresh one
-that imports the package from this checkout's ``src/``.
+``equivalence``, ``partition``, ``polyarith`` and ``smalldiscount`` sit in
+``sys.modules`` unexecuted (``importlib.util.LazyLoader``) until something
+reads them, and the public names are served through the package's
+``__getattr__``.  ``exactarith`` keeps the exact linear solve and serves
+every other name it used to define from ``polyarith``.  Which module has
+run is per interpreter, so every check here starts a fresh one that
+imports the package from this checkout's ``src/``.
 """
 
 import json
@@ -20,10 +22,11 @@ from exactmdp import docio
 from exactmdp.corpus import build_example
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFERRED = ("conditions", "corpus", "equivalence", "partition", "smalldiscount")
+DEFERRED = ("conditions", "corpus", "equivalence", "partition", "polyarith", "smalldiscount")
 SUBMODULES = (
     "bellman", "cli", "conditions", "corpus", "docio", "equivalence",
-    "exactarith", "limits", "mdp", "partition", "smalldiscount", "turnpike",
+    "exactarith", "limits", "mdp", "partition", "polyarith", "smalldiscount",
+    "turnpike",
 )
 
 # the names the package exported when it imported every module, by module
@@ -65,6 +68,27 @@ EXPORTED = {
     ],
 }
 
+# every name exactarith defined before polyarith was split off: the exact
+# linear solve, which stays, and the rest, which moved to polyarith
+EXACTARITH_KEPT = ["SingularMatrixError", "_bareiss_forward", "bareiss_solve", "solve_linear"]
+EXACTARITH_MOVED = [
+    "ZeroPolynomialError", "PoleInIntervalError", "Polynomial", "_store",
+    "_poly", "_signed_content", "_primitive_ints", "_derivative_ints",
+    "_mul_ints", "_sub_ints", "_pseudo_rem", "_exact_div_ints", "_gcd_ints",
+    "_homogeneous_value", "_value_at_power_of_two", "_balanced_digits",
+    "_sign_at", "_taylor_shift", "descartes_bound", "_excludes_roots",
+    "poly_gcd", "squarefree_part", "root_multiplicity", "_positive_part",
+    "SturmChain", "sturm_chain", "_variations", "_squarefree_off_ends",
+    "count_roots_open", "_sign_above_root", "_bisect",
+    "simplest_fraction_between", "IsolatedRoot", "Point", "point_position",
+    "point_sign", "points_equal", "clear_of", "separate_points", "_hi_of",
+    "_lo_of", "insert_point", "_identify_rational", "isolate_roots",
+    "_descartes_bisection", "_irrational_multiplicity",
+    "polynomial_vanishes_at", "same_root", "RationalFunction", "SignResult",
+    "sign_on_interval", "poly_det", "RuleValues", "_value_solve",
+    "value_rational_function", "values_at", "value_difference", "value_slopes",
+]
+
 # Run CLI commands in order (their output discarded) and print, for each
 # deferred layer, whether it has executed.
 RUN_COMMANDS = """
@@ -93,6 +117,45 @@ for module, ns in exported.items():
     for name in ns:
         assert getattr(exactmdp, name) is getattr(home, name), name
         assert name in listed, name
+"""
+
+RESOLVE_EXACTARITH = """
+import json, sys, types
+from exactmdp import exactarith
+kept, moved = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+polyarith = sys.modules["exactmdp.polyarith"]
+for name in kept:
+    assert getattr(exactarith, name) is vars(exactarith)[name], name
+# importing exactarith and reading its own names runs no polyarith
+assert type(polyarith) is not types.ModuleType
+for name in moved:
+    assert name not in vars(exactarith), name
+    value = vars(polyarith)[name]
+    assert getattr(exactarith, name) is value, name
+    if isinstance(value, (type, types.FunctionType)):  # not a type alias
+        assert value.__module__ == polyarith.__name__, name
+"""
+
+# assigning a moved name on exactarith would patch nothing, so it raises
+ASSIGN_MOVED = """
+import json, sys
+from exactmdp import exactarith, polyarith
+for name in json.loads(sys.argv[1]):
+    try:
+        setattr(exactarith, name, None)
+    except AttributeError as exc:
+        assert "exactmdp.polyarith" in str(exc), exc
+    else:
+        raise AssertionError(name + " was set on exactarith")
+    assert getattr(exactarith, name) is getattr(polyarith, name) is not None, name
+exactarith.bareiss_solve = exactarith.bareiss_solve  # its own names stay settable
+exactarith.not_defined_anywhere = 1
+try:
+    exactarith.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
 """
 
 RESOLVE_SUBMODULES = """
@@ -139,11 +202,14 @@ COMMANDS = [
     (["validate"], set()),
     (["solve", "--alpha", "1/2"], set()),
     (["turnpike", "--alpha", "3/4"], set()),
-    (["turnpike", "--interval", "1/100,2/5"], {"partition"}),
-    (["partition"], {"partition"}),
-    (["sweep", "--interval", "1/100,9/10", "--steps", "3"], {"partition"}),
-    (["small-discount"], {"partition", "smalldiscount"}),
-    (["conditions", "--point", "1/2"], {"conditions", "equivalence", "partition", "smalldiscount"}),
+    (["turnpike", "--interval", "1/100,2/5"], {"partition", "polyarith"}),
+    (["partition"], {"partition", "polyarith"}),
+    (["sweep", "--interval", "1/100,9/10", "--steps", "3"], {"partition", "polyarith"}),
+    (["small-discount"], {"partition", "polyarith", "smalldiscount"}),
+    (
+        ["conditions", "--point", "1/2"],
+        {"conditions", "equivalence", "partition", "polyarith", "smalldiscount"},
+    ),
 ]
 
 
@@ -177,13 +243,36 @@ def test_every_exported_name_resolves_to_its_defining_object():
     assert done.returncode == 0, done.stderr
 
 
+def test_pointwise_commands_in_turn_leave_polyarith_unexecuted(document):
+    words = [["validate"], ["solve", "--alpha", "1/2"], ["turnpike", "--alpha", "3/4"]]
+    assert executed_after([[w[0], document, *w[1:]] for w in words]) == set()
+
+
+def test_every_name_exactarith_defined_resolves_through_it():
+    assert len(EXACTARITH_KEPT) + len(EXACTARITH_MOVED) == 62
+    done = python(
+        "-c", RESOLVE_EXACTARITH, json.dumps(EXACTARITH_KEPT), json.dumps(EXACTARITH_MOVED)
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_assigning_a_moved_name_on_exactarith_raises():
+    done = python("-c", ASSIGN_MOVED, json.dumps(EXACTARITH_MOVED))
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_submodule_resolves_as_a_package_attribute():
     done = python("-c", RESOLVE_SUBMODULES, json.dumps(SUBMODULES))
     assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(
-    "words", [["solve", "--alpha", "1/2"], ["turnpike", "--interval", "1/100,2/5"]]
+    "words",
+    [
+        ["solve", "--alpha", "1/2"],
+        ["turnpike", "--interval", "1/100,2/5"],
+        ["partition"],
+    ],
 )
 def test_module_entry_point_runs_with_warnings_as_errors(document, words):
     done = python("-W", "error", "-m", "exactmdp.cli", words[0], document, *words[1:])

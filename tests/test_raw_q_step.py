@@ -5,7 +5,7 @@ root-exclusion test in front of each pair's isolation.
 one common length over one denominator, so a pair difference is a list
 subtraction, the argmax at a rational compares homogenized values, and an
 interval set compares lists.  Before a pair difference goes to
-``isolate_roots``, ``exactarith._excludes_roots`` tries to certify it
+``isolate_roots``, ``polyarith._excludes_roots`` tries to certify it
 root-free on the piece's closed hull: |a(c)| at the midpoint c above the
 half-width times Σ i·|a_i|·M^(i-1), M the larger end in magnitude.  A
 certified pair has no root there, so isolation would have returned [].
@@ -25,9 +25,10 @@ import pytest
 
 import frozen_step
 from conftest import mdpgen, random_mdp
-from exactmdp import docio, exactarith
+from exactmdp import docio, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import symbolic_value_iteration
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     _excludes_roots,
@@ -38,7 +39,6 @@ from exactmdp.exactarith import (
     isolate_roots,
     point_sign,
 )
-from exactmdp.partition import symbolic_value_iteration
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 LARGER = [(4, 3, 0), (4, 3, 1), (5, 2, 0), (3, 4, 0), (4, 4, 0), (5, 3, 0)]
@@ -226,14 +226,14 @@ def test_planted_irrational_roots_are_never_certified(seed):
 
 def descartes_transforms(monkeypatch, frozen: bool) -> int:
     calls = []
-    original = exactarith.descartes_bound
+    original = polyarith.descartes_bound
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(exactarith, "descartes_bound", counting)
+        patch.setattr(polyarith, "descartes_bound", counting)
         if frozen:
             frozen_step.use_frozen_step(patch)
         for shape in PARTITION_FAMILY:

@@ -32,15 +32,15 @@ from hypothesis import strategies as st
 
 from conftest import random_mdp
 from test_decided_roots import reference_count_roots_open, reference_isolate_roots
-from exactmdp import exactarith, partition
+from exactmdp import partition, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import canonical_partition, symbolic_value_iteration
+from exactmdp.polyarith import (
     Polynomial,
     count_roots_open,
     descartes_bound,
     isolate_roots,
 )
-from exactmdp.partition import canonical_partition, symbolic_value_iteration
 
 
 @contextmanager
@@ -51,8 +51,8 @@ def screens_off():
     # certified root-free (partition reads Descartes counts only in those two
     # screens); no pair of symbolic value iteration's step is certified
     # root-free, so every pair goes to isolation
-    with mock.patch.object(exactarith, "isolate_roots", reference_isolate_roots), \
-            mock.patch.object(exactarith, "count_roots_open", reference_count_roots_open), \
+    with mock.patch.object(polyarith, "isolate_roots", reference_isolate_roots), \
+            mock.patch.object(polyarith, "count_roots_open", reference_count_roots_open), \
             mock.patch.object(partition, "isolate_roots", reference_isolate_roots), \
             mock.patch.object(partition, "_excludes_roots", lambda a, lo, hi: False), \
             mock.patch.object(partition, "_table_excludes", lambda c, a, b, slope: False), \

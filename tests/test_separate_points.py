@@ -1,6 +1,6 @@
 """One routine keeps every sorted set of discount points apart.
 
-``exactarith.separate_points`` sorts a set of points and refines its
+``polyarith.separate_points`` sorts a set of points and refines its
 brackets until no two neighbours touch: no bracket's closed hull holds a
 rational point of the set or meets another bracket's.  It serves
 ``isolate_roots``, the partition's point insertion, symbolic value
@@ -25,21 +25,21 @@ import pytest
 
 import frozen_separation
 from conftest import mdpgen, random_mdp
-from exactmdp import cli, docio, exactarith, partition
+from exactmdp import cli, docio, partition, polyarith
 from exactmdp.bellman import value_iteration
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import (
+    canonical_partition,
+    first_step_classify,
+    symbolic_value_iteration,
+)
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     clear_of,
     isolate_roots,
     point_position,
     separate_points,
-)
-from exactmdp.partition import (
-    canonical_partition,
-    first_step_classify,
-    symbolic_value_iteration,
 )
 from exactmdp.turnpike import turnpike_cover, turnpike_intervals
 
@@ -186,7 +186,7 @@ def analyses(mdp, monkeypatch):
     isolate_roots argument they used; None in place of one that raises the
     empty-gap AssertionError."""
     calls = {}
-    original = exactarith.isolate_roots
+    original = polyarith.isolate_roots
 
     def recording(*args):
         calls[args] = None
@@ -194,7 +194,7 @@ def analyses(mdp, monkeypatch):
 
     out = []
     with monkeypatch.context() as patch:
-        patch.setattr(exactarith, "isolate_roots", recording)
+        patch.setattr(polyarith, "isolate_roots", recording)
         patch.setattr(partition, "isolate_roots", recording)
         for run in (
             lambda: canonical_partition(mdp),
@@ -277,7 +277,7 @@ def isolated_point_records(rng: random.Random) -> tuple[list, list]:
         if not any(coeffs[1:]):
             continue
         for pt, mult in isolate_roots(Polynomial(coeffs)):
-            if not any(exactarith.points_equal(pt, q) for q in points):
+            if not any(polyarith.points_equal(pt, q) for q in points):
                 points.append(pt)
                 records.append((index, mult))
     return points, records

@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from exactmdp import bellman, partition
+from conftest import mdpgen
+from exactmdp import bellman, docio, partition
+from exactmdp.corpus import build_example
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,7 +27,7 @@ for module, attr in json.loads(sys.argv[1]):
         owner = importlib.import_module("exactmdp." + module)
         if "." in attr:
             cls_name, attr = attr.split(".")
-            owner.__dict__[cls_name].__dict__[attr]
+            getattr(owner, cls_name).__dict__[attr]
         else:
             getattr(owner, attr)
     except (ImportError, AttributeError, KeyError) as exc:
@@ -71,48 +73,62 @@ def test_hooked_parameters_keep_their_names_and_positions():
 
 # After pointwise commands only, the deferred layers are still unexecuted in
 # sys.modules; install the tracer of perfbench/spans.py (run from its source)
-# and count the calls of one interval map.
+# and count the calls of one traced command.
 TRACE_AFTER_POINTWISE = """
 import contextlib, io, json, sys, types
 from exactmdp import cli
-spans_path, document = sys.argv[1], sys.argv[2]
+spans_path, document, traced = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
 run("solve", document, "--alpha", "9/10")
 run("turnpike", document, "--alpha", "9/10")
-assert type(sys.modules["exactmdp.partition"]) is not types.ModuleType
+for name in ("partition", "polyarith"):
+    assert type(sys.modules["exactmdp." + name]) is not types.ModuleType, name
 spans: dict = {}
 with open(spans_path, encoding="utf-8") as fh:
     exec(compile(fh.read(), spans_path, "exec"), spans)
 tracer = spans["Tracer"]()
 tracer.install()
 try:
-    run("turnpike", document, "--interval", "1/100,2/5")
+    run(traced[0], document, *traced[1:])
 finally:
     tracer.uninstall()
 print(json.dumps({name: stat[0] for name, stat in tracer.stats.items()}))
 """
 
 
-def test_tracer_installs_after_pointwise_commands(tmp_path):
-    from exactmdp import docio
-    from exactmdp.corpus import build_example
-
-    document = tmp_path / "ex4.json"
-    document.write_text(
-        docio.dumps_document(docio.document_from_mdp(build_example("ex4").mdp))
-    )
+def traced_calls(tmp_path, doc: dict, traced: list[str]) -> dict:
+    """Calls per span name of the command ``traced`` on the document, traced
+    after only pointwise commands have run."""
+    document = tmp_path / "doc.json"
+    document.write_text(docio.dumps_document(doc))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-B", "-c", TRACE_AFTER_POINTWISE,
-         str(ROOT / "perfbench" / "spans.py"), str(document)],
+         str(ROOT / "perfbench" / "spans.py"), str(document), json.dumps(traced)],
         capture_output=True,
         text=True,
         env=env,
         cwd=ROOT,
     )
     assert done.returncode == 0, done.stderr
-    calls = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_tracer_installs_after_pointwise_commands(tmp_path):
+    doc = docio.document_from_mdp(build_example("ex4").mdp)
+    calls = traced_calls(tmp_path, doc, ["turnpike", "--interval", "1/100,2/5"])
     assert calls["partition.canonical_partition"] == 1
     assert calls["turnpike.turnpike_intervals"] == 1
+
+
+def test_polynomial_kernels_are_traced_where_they_are_called(tmp_path):
+    # the tracer reads these targets through exactarith, which serves them
+    # from polyarith; the wrappers must land in polyarith's globals, where
+    # the root isolation inside it looks them up.  The partition of the
+    # benchmark's r3x3-0 takes gcds.
+    doc = mdpgen.random_document(3, 3, 8, 0)
+    calls = traced_calls(tmp_path, doc, ["partition"])
+    assert calls["exactarith.isolate_roots"] > 0
+    assert calls["exactarith.poly_gcd"] > 0
