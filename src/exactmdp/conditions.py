@@ -23,7 +23,10 @@ Two families of conditions are checked at an irregular discount factor:
   product is formed.  A level holds integer numerators over one
   denominator, built from the MDP's integer table, so no step reduces a
   fraction.  Both sides draw their prefixes from the same optimal set, so a
-  boundedness verdict reads B- and B+ from one table.
+  boundedness verdict reads B- and B+ from one table.  The public
+  ``derivative_difference`` runs the same recursion on a single
+  continuation, and ``equivalence.pushforwards_equal`` compares
+  pushforwards for t < m, the bound condition A's kernel rests on.
 
 A verdict reads D(alpha-), D(alpha), D(alpha+) off one canonical partition,
 and both sides of A share one value-iteration trace and certificate search.
@@ -85,17 +88,6 @@ class ConditionVerdict:
     witnesses: dict | None = None
 
 
-def _mat_mul(a, b, m):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-        for i in range(m)
-    )
-
-
-def _identity(m):
-    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-
-
 def derivative_difference(
     mdp: Mdp,
     phi: DecisionRule,
@@ -108,75 +100,38 @@ def derivative_difference(
     between playing phi versus psi first and the given prefix afterwards.
 
     With n None the infinite-horizon difference is differentiated; this
-    requires the prefix to end in a stationary tail.
+    requires the prefix to end in a stationary tail.  The derivative is
+    (P_phi - P_psi)·U for the continuation's value W and U = W + alpha·W',
+    carried back from the continuation's end by `_derivative_levels`'
+    recursion: from the terminal vector for finite n, from the tail's value
+    and slopes for n None.
     """
-    m = mdp.m
-    if n is not None:
-        if n < 0:
-            raise ValueError("horizon must be non-negative")
-        d1 = _finite_value_derivative(mdp, phi, prefix, alpha_star, n)
-        d2 = _finite_value_derivative(mdp, psi, prefix, alpha_star, n)
-        return tuple(a - b for a, b in zip(d1, d2))
-    if prefix.tail is None:
+    if n is not None and n < 0:
+        raise ValueError("horizon must be non-negative")
+    if not (0 <= alpha_star < 1):
+        raise ValueError("discount factor must lie in [0, 1)")
+    if n == 0:
+        return (Fraction(0),) * mdp.m
+    if n is None and prefix.tail is None:
         raise ValueError("infinite-horizon derivative needs a stationary tail")
-
-    def _symbolic(first: DecisionRule):
-        # polynomial head of the reward stream and the transition product
-        head_rules = [first, *prefix.rules]
-        coeffs: list[Vector] = []
-        p = _identity(m)
-        for rule in head_rules:
-            coeffs.append(mat_vec(p, mdp.reward_vector(rule)))
-            p = _mat_mul(p, mdp.transition_matrix(rule), m)
-        return coeffs, p
-
-    c1, p1 = _symbolic(phi)
-    c2, p2 = _symbolic(psi)
-    tail = _value_solve(mdp, prefix.tail)
-    horizon = len(c1)
-    out = []
     a = alpha_star
-    nums, den = values_at(tail, a)
-    tail_vals = tuple(Fraction(v, den) for v in nums)
-    tail_derivs = value_slopes(tail, a)
-    for x in range(m):
-        val = Fraction(0)
-        for t in range(1, horizon):
-            val += t * a ** (t - 1) * (c1[t][x] - c2[t][x])
-        head = horizon * a ** (horizon - 1)
-        p_diff_v = sum(
-            (p1[x][j] - p2[x][j]) * tail_vals[j] for j in range(m)
+    rules = prefix.rules if n is None else map(prefix.rule_at, range(n - 1))
+    steps = [(mdp.reward_vector(r), mdp.transition_matrix(r)) for r in rules]
+    if n is None:
+        tail = _value_solve(mdp, prefix.tail)
+        nums, den = values_at(tail, a)
+        w = [Fraction(v, den) for v in nums]
+        u = [v + a * s for v, s in zip(w, value_slopes(tail, a))]
+    else:
+        w = u = mdp.terminal
+    for reward, p in reversed(steps):
+        s = list(map(add, w, u))
+        w, u = (
+            [c + a * v for c, v in zip(reward, mat_vec(p, w))],
+            [c + a * v for c, v in zip(reward, mat_vec(p, s))],
         )
-        p_diff_dv = sum(
-            (p1[x][j] - p2[x][j]) * tail_derivs[j] for j in range(m)
-        )
-        val += head * p_diff_v + a**horizon * p_diff_dv
-        out.append(val)
-    return tuple(out)
-
-
-def _finite_value_derivative(
-    mdp: Mdp, first: DecisionRule, prefix: MarkovPrefix, alpha: Fraction, n: int
-) -> Vector:
-    """Derivative of the n-horizon value of (first, prefix...) at alpha,
-    terminal rewards included."""
-    m = mdp.m
-    deriv = [Fraction(0)] * m
-    p = _identity(m)
-    for t in range(n):
-        rule = first if t == 0 else prefix.rule_at(t - 1)
-        if t >= 1:
-            c_t = mat_vec(p, mdp.reward_vector(rule))
-            w = t * alpha ** (t - 1)
-            for x in range(m):
-                deriv[x] += w * c_t[x]
-        p = _mat_mul(p, mdp.transition_matrix(rule), m)
-    if n >= 1:
-        term = mat_vec(p, tuple(mdp.terminal))
-        w = n * alpha ** (n - 1)
-        for x in range(m):
-            deriv[x] += w * term[x]
-    return tuple(deriv)
+    p_phi, p_psi = mdp.transition_matrix(phi), mdp.transition_matrix(psi)
+    return tuple(map(sub, mat_vec(p_phi, u), mat_vec(p_psi, u)))
 
 
 def _derivative_levels(
@@ -353,8 +308,8 @@ def check_condition_B(
     from tail vectors: level K + 1 puts each rule in front of each tail of
     level K, at the cost of sparse matrix-vector steps and no matrix
     product, and a level is built only after the prefix cap has admitted
-    its size.  A side that no
-    K settles, as with an empty `k_range`, is inconclusive.
+    its size.  A side that no K settles, as with an empty `k_range`, is
+    inconclusive; a negative K is rejected before any work.
     """
     if side not in ("minus", "plus"):
         raise ValueError("side must be 'minus' or 'plus'")
@@ -377,8 +332,10 @@ def _condition_b_verdicts(
     The point's sets and value functions are those of `mdp` itself: they
     depend only on the infinite-horizon value functions, which terminal
     rewards do not affect, so they equal those of the zeroed model."""
-    mdp0 = mdp.with_terminal([Fraction(0)] * mdp.m)
     k_range = tuple(k_range)  # read once: max() below needs it again
+    if any(k < 0 for k in k_range):
+        raise ValueError("horizons in k_range must be non-negative")
+    mdp0 = mdp.with_terminal([Fraction(0)] * mdp.m)
     _, d_minus, d_at, d_plus, report = point
     vf = report.value_functions
     names = {"minus": "B-", "plus": "B+"}
@@ -416,8 +373,6 @@ def _condition_b_verdicts(
     for k in k_range:
         if not pending:
             break
-        if k < 0:
-            raise ValueError("horizons in k_range must be non-negative")
         count = len(rules_sorted) ** (k + 1)
         if count > prefix_cap():
             raise CapExceededError("prefix", count, prefix_cap())

@@ -4,6 +4,7 @@ functions across all discount factors.
 The horizon bound G(rule, v) is the largest t such that the family
 {1, v, Pv, ..., P^(t-2) v} is linearly independent; agreement of two
 pushforward sequences up to min(G1, G2) - 1 certifies agreement for every t.
+Since G <= m, `pushforwards_equal` compares t < m without computing G.
 """
 
 from __future__ import annotations
@@ -81,15 +82,16 @@ def pushforwards_equal(
 ) -> bool:
     """True iff P^t(rule1) v1 = P^t(rule2) v2 for every t >= 0.
 
-    Only t up to min(G(rule1, v1), G(rule2, v2)) - 1 is checked; that bound
-    certifies all larger t.
+    Only t < m is checked: agreement up to min(G(rule1, v1), G(rule2, v2)) - 1
+    certifies all larger t, and G <= m.
     """
-    g = min(compute_G(mdp, rule1, v1).value, compute_G(mdp, rule2, v2).value)
+    if len(v1) != mdp.m or len(v2) != mdp.m:
+        raise ValueError("vector length must equal the state count")
     p1 = mdp.transition_matrix(rule1)
     p2 = mdp.transition_matrix(rule2)
     a = tuple(Fraction(x) for x in v1)
     b = tuple(Fraction(x) for x in v2)
-    for _ in range(g):
+    for _ in range(mdp.m):
         if a != b:
             return False
         a = mat_vec(p1, a)
@@ -104,9 +106,9 @@ def same_pushforwards(
     for the pair.
 
     The set S = {w : P1^t w = P2^t w for every t} is the common kernel of
-    the rows of P1^t - P2^t for t = 1 .. m-1, since G <= m.  Indeed
-    pushforwards_equal(w, w) compares t < g with g = min(G1, G2) <= m, so
-    agreement for t < m makes it true.  Conversely, say g = G1 <= G2.  If
+    the rows of P1^t - P2^t for t = 1 .. m-1, which is what
+    pushforwards_equal(w, w) compares.  Agreement for t < m suffices because
+    it covers t < g with g = min(G1, G2) <= m: say g = G1 <= G2.  If
     g < m, P1^(g-1) w is dependent on {1, w, ..., P1^(g-2) w}; if g = m,
     those m vectors are a basis.  Either way
     P1^(g-1) w = c·1 + sum_(i < g-1) c_i P1^i w.  Agreement for t < g carries

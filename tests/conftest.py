@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from exactmdp import docio
 from exactmdp.mdp import Mdp
 
 # perfbench/mdpgen.py, read (never edited) as the benchmark's random families
@@ -56,6 +57,12 @@ def random_mdp(
     )
     terminal = tuple(random_rational(rng, max_den, reward_lo, reward_hi) for _ in states)
     return Mdp(states, actions, transitions, rewards, terminal)
+
+
+def family_mdp(states: int, actions: int, index: int) -> Mdp:
+    """The benchmark generator's random document of that shape and index,
+    with denominators up to 8, as an Mdp."""
+    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 @pytest.fixture

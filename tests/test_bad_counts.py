@@ -1,17 +1,27 @@
-"""Negative horizons and empty grids are rejected, not answered vacuously.
+"""Negative horizons, empty grids and discount factors outside [0, 1) are
+rejected, not answered vacuously.
 
 Each call below once returned an answer that checked nothing: value
 iteration to a negative horizon gave horizon 0 alone, a negative-horizon
 Markov value the terminal vector, a negative-horizon derivative difference
 zeros, an audit with negative extra horizons True, and small-discount
-checks on an empty grid a pass over "0 points"."""
+checks on an empty grid a pass over "0 points".  Condition B with a
+negative K in its range gave a tangency verdict wherever a tangency
+settled both sides before the K loop, and a derivative difference at a
+discount factor of 1 or more, or below 0, raised ZeroDivisionError or
+summed a divergent series."""
 
 from fractions import Fraction as F
 
 import pytest
 
+from exactmdp import conditions
 from exactmdp.bellman import evaluate_markov, value_iteration
-from exactmdp.conditions import derivative_difference
+from exactmdp.conditions import (
+    boundedness_verdict,
+    check_condition_B,
+    derivative_difference,
+)
 from exactmdp.corpus import build_example
 from exactmdp.mdp import DecisionRule, MarkovPrefix
 from exactmdp.smalldiscount import small_discount_checks
@@ -41,6 +51,34 @@ def test_derivative_difference_rejects_a_negative_horizon():
     assert derivative_difference(mdp, phi, psi, prefix, F(2, 3), 0) == (F(0), F(0))
     with pytest.raises(ValueError):
         derivative_difference(mdp, phi, psi, prefix, F(2, 3), -1)
+
+
+@pytest.mark.parametrize("alpha", [F(1), F(3, 2), F(-1, 2)])
+@pytest.mark.parametrize("n", [None, 3])
+def test_derivative_difference_rejects_a_discount_outside_the_unit_interval(alpha, n):
+    mdp = build_example("ex5").mdp
+    phi, psi = DecisionRule((0, 0)), DecisionRule((1, 0))
+    prefix = MarkovPrefix((psi,), tail=psi)
+    assert derivative_difference(mdp, phi, psi, prefix, F(2, 3), n)
+    with pytest.raises(ValueError, match=r"^discount factor must lie in \[0, 1\)$"):
+        derivative_difference(mdp, phi, psi, prefix, alpha, n)
+
+
+@pytest.mark.parametrize("example_id, point", [("ex4", F(1, 2)), ("ex5", F(2, 3))])
+def test_condition_b_rejects_a_negative_horizon_before_any_work(
+    monkeypatch, example_id, point
+):
+    # ex4's tangency settles both sides before the K loop; ex5 reaches it
+    mdp = build_example(example_id).mdp
+    assert check_condition_B(mdp, point, "minus", range(0, 13)).holds is not None
+    slopes = []
+    monkeypatch.setattr(conditions, "value_slopes", lambda *args: slopes.append(args))
+    for side in ("minus", "plus"):
+        with pytest.raises(ValueError, match="k_range must be non-negative"):
+            check_condition_B(mdp, point, side, range(-3, 2))
+    with pytest.raises(ValueError, match="k_range must be non-negative"):
+        boundedness_verdict(mdp, point, k_range_b=range(-3, 2))
+    assert slopes == []
 
 
 def test_certificate_audit_rejects_negative_extra_horizons():

@@ -21,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import mdpgen, random_mdp
+from conftest import family_mdp, random_mdp
 from test_decided_roots import product, reference_count_roots_open
 import frozen_values
 from exactmdp import cli, docio, partition, polyarith
@@ -54,10 +54,6 @@ def family_40(seed):
     return mdp
 
 
-def document_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
-
-
 def differential_models():
     """(id, mdp) for the corpus, the 40-seed family of ``test_root_screen``,
     200 seeded 4×3 models and two benchmark-generator models."""
@@ -68,7 +64,7 @@ def differential_models():
     for seed in range(200):
         yield f"random-{seed}", random_mdp(random.Random(seed), 4, 3)
     for states, actions, index in ((4, 4, 2), (5, 4, 0)):
-        yield f"doc-{states}x{actions}-{index}", document_mdp(states, actions, index)
+        yield f"doc-{states}x{actions}-{index}", family_mdp(states, actions, index)
 
 
 def uncertified(mdp):
@@ -115,7 +111,7 @@ def test_benchmark_documents_are_mostly_break_free():
     cleared = 0
     for states, actions in ((3, 2), (4, 2), (3, 3)):
         for index in range(2):
-            mdp = document_mdp(states, actions, index)
+            mdp = family_mdp(states, actions, index)
             best = smallest_rule(optimal_set(mdp, F(1, 2)).d_alpha_sets)
             vfun = partition._ValueFunctions(mdp)
             cleared += partition._break_free(vfun.advantages(best), F(0), F(1))
@@ -202,7 +198,7 @@ def test_break_free_partition_solves_only_what_it_reads(monkeypatch):
         return original(mdp, rule)
 
     monkeypatch.setattr(partition, "_value_solve", counting)
-    mdp = document_mdp(5, 4, 0)  # 1,024 rules and no break
+    mdp = family_mdp(5, 4, 0)  # 1,024 rules and no break
     part = canonical_partition(mdp)
     assert part.irregular_points == ()
     assert len(part.intervals) == 1
@@ -218,7 +214,7 @@ def test_break_free_partition_solves_only_what_it_reads(monkeypatch):
 
 
 def test_partition_keeps_the_enumeration_cap(monkeypatch, capsys, tmp_path):
-    mdp = document_mdp(5, 4, 0)
+    mdp = family_mdp(5, 4, 0)
     monkeypatch.setenv("EXACTMDP_ENUMERATION_CAP", "1000")
     with pytest.raises(CapExceededError) as info:
         canonical_partition(mdp)

@@ -17,17 +17,13 @@ from fractions import Fraction as F
 import pytest
 
 import frozen_turnpike
-from conftest import mdpgen
+from conftest import family_mdp, mdpgen
 from exactmdp import cli, docio, partition, turnpike
 from exactmdp.bellman import optimal_set
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.turnpike import _first_power_below, turnpike_integer
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 # -- the K routine ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Condition A's certificate search tests each residual w_k = V* - V_k
 against one pushforward kernel per rule pair (`equivalence.same_pushforwards`)
 instead of calling `pushforwards_equal` at every horizon.  These tests keep
-`pushforwards_equal` as the reference: the kernel test must agree with it on
-every horizon of every certificate search, on vectors that pass the t = 1
-rows of the kernel alone, on a one-state model and on pairs with equal
-transition matrices, and whole verdicts must equal those of a search that
-calls the reference."""
+the G-bounded `pushforwards_equal`, frozen in `frozen_conditions` so that the
+reference does not share the kernel's m-step bound, as the reference: the
+kernel test must agree with it on every horizon of every certificate search,
+on vectors that pass the t = 1 rows of the kernel alone, on a one-state model
+and on pairs with equal transition matrices, and whole verdicts must equal
+those of a search that calls the reference."""
 
 import random
 from fractions import Fraction as F
@@ -14,11 +15,12 @@ from itertools import product
 import pytest
 
 from conftest import random_mdp
+from frozen_conditions import pushforwards_equal
 from exactmdp import conditions
 from exactmdp.bellman import smallest_rule, value_iteration
 from exactmdp.conditions import A_HORIZON, _require_irregular, boundedness_verdict
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.equivalence import pushforwards_equal, same_pushforwards
+from exactmdp.equivalence import same_pushforwards
 from exactmdp.mdp import DecisionRule, Mdp, count_rules, enumerate_decision_rules
 from exactmdp.partition import canonical_partition
 

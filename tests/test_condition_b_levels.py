@@ -4,7 +4,8 @@ each prefix's derivative from the identity, held as integer numerators over
 one denominator per level.  These tests keep the recomputing K loop and the
 `Fraction` table as references and require the integer table to reproduce
 them exactly: every verdict, and every table entry against both
-`_finite_value_derivative` and the `Fraction` table.  The integer table is
+`_finite_value_derivative` (frozen in `frozen_conditions`) and the
+`Fraction` table.  The integer table is
 state-major; `entries` transposes a level back to one tuple per prefix."""
 
 import random
@@ -14,13 +15,11 @@ from itertools import islice, product
 import pytest
 
 from conftest import random_mdp
+from frozen_conditions import _finite_value_derivative, _identity, _mat_mul
 from exactmdp import cli, conditions, docio
 from exactmdp.conditions import (
     ConditionVerdict,
     _derivative_levels,
-    _finite_value_derivative,
-    _identity,
-    _mat_mul,
     _require_irregular,
     check_condition_B,
     condition_b_threshold,

@@ -1,10 +1,13 @@
 """Work pins for one `boundedness_verdict` at each rational irregular point
 of the corpus.  Condition A builds at most one pushforward kernel and calls
-no `compute_G`; condition B forms no transition product (`_mat_mul`), since
-its derivative table extends tail vectors instead.  Condition A steps its
-value-iteration trace only as far as the certificate search reads it, and
-out to A_HORIZON only for a definition window; condition B's tangency
-search differentiates each rule of D(alpha*) at most once."""
+no `compute_G`; no check reads a `Fraction` transition matrix or reward
+vector (`Mdp.transition_matrix`, `Mdp.reward_vector`), since condition B's
+derivative table extends tail vectors over the integer table and condition
+A's kernel is built from it too, so no transition product is formed.
+Condition A steps its value-iteration trace only as far as the certificate
+search reads it, and out to A_HORIZON only for a definition window;
+condition B's tangency search differentiates each rule of D(alpha*) at most
+once."""
 
 from fractions import Fraction as F
 
@@ -40,11 +43,13 @@ def test_verdict_work(monkeypatch, example_id, point):
     want = conditions.boundedness_verdict(mdp, point)
     calls = {}
     counting(monkeypatch, equivalence, "compute_G", calls)
-    counting(monkeypatch, conditions, "_mat_mul", calls)
+    counting(monkeypatch, Mdp, "transition_matrix", calls)
+    counting(monkeypatch, Mdp, "reward_vector", calls)
     counting(monkeypatch, conditions, "same_pushforwards", calls)
     assert conditions.boundedness_verdict(mdp, point) == want
     assert calls.get("compute_G", 0) == 0
-    assert calls.get("_mat_mul", 0) == 0
+    assert calls.get("transition_matrix", 0) == 0
+    assert calls.get("reward_vector", 0) == 0
     assert calls.get("same_pushforwards", 0) <= 1
 
 

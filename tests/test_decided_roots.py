@@ -25,12 +25,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mdpgen, random_mdp
+from conftest import family_mdp, random_mdp
 import frozen_separation
 import frozen_step as FS
 from frozen_separation import _disjoin, _sorted_disjoint
 from test_irrational_points import irrational_break_mdp
-from exactmdp import docio, partition, polyarith
+from exactmdp import partition, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
 from exactmdp.partition import (
@@ -238,10 +238,6 @@ def use_references(patch, mdp):
 
 
 # -- the models ---------------------------------------------------------------------
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 def watched(mdp, x):

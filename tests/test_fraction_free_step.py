@@ -17,8 +17,8 @@ from fractions import Fraction as F
 import pytest
 
 import frozen_step
-from conftest import mdpgen, random_mdp
-from exactmdp import docio, partition, polyarith
+from conftest import family_mdp, random_mdp
+from exactmdp import partition, polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.partition import canonical_partition, symbolic_value_iteration
 from exactmdp.polyarith import (
@@ -106,10 +106,6 @@ def use_references(patch, points_too):
 
 
 # -- symbolic value iteration and the partition, against the references -------
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 def assert_same_levels(monkeypatch, mdp, points_too):

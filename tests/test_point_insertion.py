@@ -20,8 +20,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mdpgen, random_mdp
-from exactmdp import docio, partition
+from conftest import family_mdp, random_mdp
+from exactmdp import partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
     IsolatedRoot,
@@ -59,10 +59,6 @@ def partition_inserts(monkeypatch, mdps) -> dict:
         for mdp in mdps:
             canonical_partition(mdp)
     return tally
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 def test_every_insertion_on_the_corpus_and_the_benchmark_family(monkeypatch):

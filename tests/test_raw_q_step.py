@@ -24,8 +24,8 @@ from fractions import Fraction as F
 import pytest
 
 import frozen_step
-from conftest import mdpgen, random_mdp
-from exactmdp import docio, polyarith
+from conftest import family_mdp, random_mdp
+from exactmdp import polyarith
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.partition import symbolic_value_iteration
 from exactmdp.polyarith import (
@@ -42,10 +42,6 @@ from exactmdp.polyarith import (
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 LARGER = [(4, 3, 0), (4, 3, 1), (5, 2, 0), (3, 4, 0), (4, 4, 0), (5, 3, 0)]
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 def outcome(mdp, horizon):

@@ -22,8 +22,8 @@ from fractions import Fraction as F
 import pytest
 
 import frozen_step
-from conftest import mdpgen
-from exactmdp import docio, partition
+from conftest import family_mdp
+from exactmdp import partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.exactarith import (
     IsolatedRoot,
@@ -35,10 +35,6 @@ from exactmdp.exactarith import (
 from exactmdp.partition import _screen_tables, _table_excludes, symbolic_value_iteration
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
-
-
-def family_mdp(states, actions, index):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, index))
 
 
 def cases():

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mdpgen
-from exactmdp import bellman, docio, turnpike
+from conftest import family_mdp
+from exactmdp import bellman, turnpike
 from exactmdp.bellman import (
     _integer_form,
     _policy_iteration,
@@ -38,10 +38,6 @@ BENCHMARK_DOCUMENTS = [
 SIZE_SHAPES = [(4, 3), (6, 3), (8, 4), (24, 4), (48, 4)]
 
 
-def document_mdp(states: int, actions: int, seed: int):
-    return docio.mdp_from_document(mdpgen.random_document(states, actions, 8, seed))
-
-
 def family_ids() -> list[str]:
     return (
         [f"corpus-{e}" for e in EXAMPLE_IDS]
@@ -50,13 +46,13 @@ def family_ids() -> list[str]:
     )
 
 
-def family_mdp(model_id: str):
+def model_by_id(model_id: str):
     kind, _, key = model_id.partition("-")
     if kind == "corpus":
         return build_example(key).mdp
     shape, _, index = key.partition("-")
     states, actions = map(int, shape.split("x"))
-    return document_mdp(states, actions, int(index))
+    return family_mdp(states, actions, int(index))
 
 
 def zero_rule(mdp) -> DecisionRule:
@@ -93,7 +89,7 @@ def starts(mdp, alpha: F) -> list[DecisionRule]:
 
 @pytest.mark.parametrize("model_id", family_ids())
 def test_every_start_reaches_the_same_optimal_sets(model_id):
-    mdp = family_mdp(model_id)
+    mdp = model_by_id(model_id)
     for alpha in ALPHAS:
         form = _integer_form(mdp, alpha)
         expected = optimal_set(mdp, alpha)
@@ -103,7 +99,7 @@ def test_every_start_reaches_the_same_optimal_sets(model_id):
 
 @pytest.mark.parametrize("model_id", family_ids())
 def test_turnpike_equals_the_cold_start_reference(model_id):
-    mdp = family_mdp(model_id)
+    mdp = model_by_id(model_id)
     for alpha in (F(0), *ALPHAS):
         assert_turnpike_equals_cold(mdp, alpha)
 
@@ -135,7 +131,7 @@ def test_solve_counts_on_the_pointwise_documents(monkeypatch):
     """Exact solves over the two random-pointwise documents at the three
     discounts; policy iteration from the rule of all zeros made 18 for
     each."""
-    mdps = [document_mdp(12, 4, i) for i in range(2)]
+    mdps = [family_mdp(12, 4, i) for i in range(2)]
     cases = [(mdp, alpha) for mdp in mdps for alpha in POINTWISE_ALPHAS]
     cold = sum(count_solves(monkeypatch, lambda: cold_optimal_set(*c)) for c in cases)
     solve = sum(count_solves(monkeypatch, lambda: optimal_set(*c)) for c in cases)
@@ -147,7 +143,7 @@ def test_skipping_the_check_on_stored_horizons_is_caught(monkeypatch):
     """A mutant turnpike loop that takes the stored steps without checking
     their first-step sets against D fails the cold-start equality: on
     r12x4-1, N = 3, so horizons 1 and 2 both fail the check."""
-    mdp = document_mdp(12, 4, 1)
+    mdp = family_mdp(12, 4, 1)
     for alpha in POINTWISE_ALPHAS:
         assert_turnpike_equals_cold(mdp, alpha)
         assert cold_turnpike(mdp, alpha).n_value == 3
