@@ -9,16 +9,18 @@ near break points.
 
 Each layer is loaded on first use.  ``import exactmdp`` runs no analysis
 module: every public name below is served from its defining module when it
-is first read (PEP 562), and the six layers that pointwise work never runs,
-``conditions``, ``corpus``, ``equivalence``, ``partition``, ``polyarith``
-and ``smalldiscount``, are put in ``sys.modules`` by
-``importlib.util.LazyLoader`` and execute on their first attribute read.
-So the command line's ``validate``, ``solve`` and ``turnpike --alpha`` load
-only ``docio``, ``mdp``, ``limits``, ``exactarith`` (the exact linear
-solve), ``bellman`` and ``turnpike``; ``turnpike --interval``,
-``partition`` and ``sweep`` add ``partition`` and ``polyarith`` (the
-polynomial, root and point kernel); ``small-discount`` adds
-``smalldiscount`` and those two; ``conditions`` adds ``conditions``,
+is first read (PEP 562), and the seven layers that pointwise work never
+runs, ``conditions``, ``corpus``, ``equivalence``, ``partition``,
+``polyarith``, ``smalldiscount`` and ``turnpikemap``, are put in
+``sys.modules`` by ``importlib.util.LazyLoader`` and execute on their first
+attribute read.  So the command line's ``validate``, ``solve`` and
+``turnpike --alpha`` load only ``docio``, ``mdp``, ``limits``,
+``exactarith`` (the exact linear solve), ``bellman`` and ``turnpike`` (N,
+K and the certificate audit); ``partition`` and ``sweep`` add
+``partition`` and ``polyarith`` (the polynomial, root and point kernel);
+``turnpike --interval`` adds those two and ``turnpikemap`` (the interval
+map and the cover); ``small-discount`` adds ``smalldiscount``,
+``partition`` and ``polyarith``; ``conditions`` adds ``conditions``,
 ``equivalence``, ``partition``, ``polyarith`` and ``smalldiscount``;
 ``corpus`` adds ``corpus``.  ``exactarith`` still serves every name of
 ``polyarith``, loading it on that first read.  On Python 3.10 and 3.11
@@ -56,7 +58,7 @@ _EXPORTS = {
         "derivative_difference",
     ),
     "corpus": ("EXAMPLE_IDS", "ExampleFixture", "build_example"),
-    "equivalence": ("GValue", "compute_G", "pushforwards_equal", "values_equal_all_discounts"),
+    "equivalence": ("pushforwards_equal", "values_equal_all_discounts"),
     "exactarith": ("solve_linear",),
     "limits": ("CapExceededError",),
     "mdp": (
@@ -96,15 +98,13 @@ _EXPORTS = {
         "small_discount_constants",
     ),
     "turnpike": (
-        "CoverResult",
-        "TurnpikeIntervalMap",
         "TurnpikeResult",
         "certificate_audit",
         "suboptimality_gap",
-        "turnpike_cover",
         "turnpike_integer",
         "turnpike_intervals",
     ),
+    "turnpikemap": ("CoverResult", "TurnpikeIntervalMap", "turnpike_cover"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
@@ -112,7 +112,9 @@ __all__ = list(_HOME)
 # Registered, not run: an ``import`` of one of these reads its ``__spec__``,
 # which runs it, so modules that load first import them inside functions.
 # ``cli`` is not registered: ``python -m exactmdp.cli`` would run it twice.
-_DEFERRED = ("conditions", "corpus", "equivalence", "partition", "polyarith", "smalldiscount")
+_DEFERRED = (
+    "conditions", "corpus", "equivalence", "partition", "polyarith", "smalldiscount", "turnpikemap",
+)
 _SUBMODULES = frozenset((*_EXPORTS, "cli", "docio"))
 
 

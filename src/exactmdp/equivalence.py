@@ -11,66 +11,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
 from .mdp import DecisionRule, Mdp, mat_vec
-
-Vector = tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class GValue:
-    value: int
-    witness_basis: tuple[Vector, ...]
-
-
-class _ExactBasis:
-    """Incremental row basis over the rationals (Gaussian elimination)."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def try_add(self, v: Vector) -> bool:
-        """Add v if independent of the current span; report whether it was."""
-        w = [Fraction(x) for x in v]
-        for row, piv in zip(self.rows, self.pivots):
-            if w[piv] != 0:
-                factor = w[piv] / row[piv]
-                for j in range(self.dim):
-                    w[j] -= factor * row[j]
-        pivot = next((j for j in range(self.dim) if w[j] != 0), None)
-        if pivot is None:
-            return False
-        self.rows.append(w)
-        self.pivots.append(pivot)
-        return True
-
-
-def compute_G(mdp: Mdp, rule: DecisionRule, v: Sequence[Fraction]) -> GValue:
-    """Largest t with {1, v, Pv, ..., P^(t-2) v} linearly independent."""
-    m = mdp.m
-    if len(v) != m:
-        raise ValueError("vector length must equal the state count")
-    if m == 1:
-        return GValue(1, (tuple(Fraction(1) for _ in range(m)),))
-    ones = tuple(Fraction(1) for _ in range(m))
-    basis = _ExactBasis(m)
-    basis.try_add(ones)
-    family: list[Vector] = [ones]
-    p = mdp.transition_matrix(rule)
-    w = tuple(Fraction(x) for x in v)
-    g = 1
-    while g < m:
-        if not basis.try_add(w):
-            break
-        family.append(w)
-        g += 1
-        w = mat_vec(p, w)
-    return GValue(g, tuple(family))
 
 
 def pushforwards_equal(

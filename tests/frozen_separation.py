@@ -23,7 +23,7 @@ on that count, and ``same_root`` with its refinement loop.
 from fractions import Fraction
 from typing import Sequence
 
-from exactmdp import partition, polyarith, turnpike
+from exactmdp import partition, polyarith, turnpikemap
 from exactmdp.partition import classify
 from exactmdp.polyarith import IsolatedRoot, Point, point_position, points_equal
 
@@ -150,7 +150,7 @@ def use_frozen_separation(patch) -> None:
     patch.setattr(polyarith, "separate_points", disjoined_roots)
     patch.setattr(partition, "separate_points", _sorted_disjoint)
     patch.setattr(partition, "_add_point", add_point)
-    patch.setattr(turnpike, "_candidate_points", candidate_points)
+    patch.setattr(turnpikemap, "_candidate_points", candidate_points)
 
 
 # -- the root tests before Descartes bisection --------------------------------------

@@ -23,9 +23,9 @@ from typing import Sequence
 
 from exactmdp import partition as P
 from exactmdp.bellman import ActionSets, _argmax
-from exactmdp.exactarith import Point, Polynomial, _homogeneous_value, _poly, _sub_ints
 from exactmdp.limits import CapExceededError, piece_cap
 from exactmdp.mdp import Mdp
+from exactmdp.polyarith import Point, Polynomial, _homogeneous_value, _poly, _sub_ints
 
 
 def _diff(a: Polynomial, b: Polynomial) -> Polynomial:

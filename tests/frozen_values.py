@@ -31,7 +31,8 @@ from exactmdp.bellman import (
     product_subset,
     smallest_rule,
 )
-from exactmdp.exactarith import (
+from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
+from exactmdp.polyarith import (
     Point,
     RationalFunction,
     _homogeneous_value,
@@ -45,7 +46,6 @@ from exactmdp.exactarith import (
     poly_gcd,
     polynomial_vanishes_at,
 )
-from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
 
 
 def reduced_values(m: int, nums, det) -> tuple[RationalFunction, ...]:

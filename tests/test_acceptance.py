@@ -22,9 +22,9 @@ from exactmdp.bellman import (
 from exactmdp.conditions import boundedness_verdict, check_condition_A, check_condition_B
 from exactmdp.corpus import build_example
 from exactmdp.equivalence import values_equal_all_discounts
-from exactmdp.exactarith import value_rational_function
 from exactmdp.mdp import DecisionRule, MarkovPrefix, balance, enumerate_decision_rules, spreads
 from exactmdp.partition import canonical_partition, first_step_classify
+from exactmdp.polyarith import value_rational_function
 from exactmdp.smalldiscount import policy_filtration
 from exactmdp.turnpike import certificate_audit, turnpike_integer, turnpike_intervals
 

@@ -14,8 +14,8 @@ from exactmdp.bellman import (
     value_iteration,
 )
 from exactmdp.corpus import build_example
-from exactmdp.exactarith import value_rational_function
 from exactmdp.mdp import DecisionRule, MarkovPrefix, enumerate_decision_rules, spreads
+from exactmdp.polyarith import value_rational_function
 
 from conftest import random_mdp, random_rational
 

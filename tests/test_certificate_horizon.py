@@ -18,7 +18,7 @@ import pytest
 
 import frozen_turnpike
 from conftest import family_mdp, mdpgen
-from exactmdp import cli, docio, partition, turnpike
+from exactmdp import cli, docio, partition, turnpike, turnpikemap
 from exactmdp.bellman import optimal_set
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.turnpike import _first_power_below, turnpike_integer
@@ -147,14 +147,14 @@ def gap_samples(monkeypatch, mdp, lo=F(1, 100), hi=F(9, 10), n_cap=10):
     """The discounts ``turnpike_intervals`` evaluates N at: one per gap
     between candidate points, and the rational candidates."""
     seen = []
-    original = turnpike.turnpike_integer
+    original = turnpikemap.turnpike_integer
 
     def recording(m, alpha, part=None):
         seen.append(alpha)
         return original(m, alpha, part)
 
     with monkeypatch.context() as patch:
-        patch.setattr(turnpike, "turnpike_integer", recording)
+        patch.setattr(turnpikemap, "turnpike_integer", recording)
         turnpike.turnpike_intervals(mdp, lo, hi, n_cap)
     return seen
 

@@ -26,10 +26,10 @@ from exactmdp.conditions import (
 )
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import value_rational_function
 from exactmdp.limits import CapExceededError, prefix_cap
 from exactmdp.mdp import MarkovPrefix, enumerate_decision_rules, mat_vec, spreads
 from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import value_rational_function
 
 # 2- and 3-state MDPs from conftest.random_mdp(max_states=3, max_actions=2,
 # max_den=2) whose partition has a rational irregular point in (0, 1).

@@ -5,8 +5,8 @@ import pytest
 
 from exactmdp import docio
 from exactmdp.corpus import EXAMPLE_IDS, UnknownExampleError, build_example
-from exactmdp.exactarith import value_rational_function
 from exactmdp.mdp import DecisionRule, enumerate_decision_rules, validate
+from exactmdp.polyarith import value_rational_function
 from exactmdp.turnpike import turnpike_integer
 
 

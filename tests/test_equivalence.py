@@ -1,15 +1,12 @@
 from fractions import Fraction as F
 
 from exactmdp.corpus import build_example
-from exactmdp.equivalence import (
-    compute_G,
-    pushforwards_equal,
-    values_equal_all_discounts,
-)
-from exactmdp.exactarith import value_rational_function
+from exactmdp.equivalence import pushforwards_equal, values_equal_all_discounts
 from exactmdp.mdp import DecisionRule, enumerate_decision_rules
+from exactmdp.polyarith import value_rational_function
 
 from conftest import random_mdp, random_rational
+from frozen_conditions import compute_G
 
 
 def _mat_vec(p, v):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactmdp.exactarith import (
+from exactmdp.corpus import build_example
+from exactmdp.exactarith import SingularMatrixError, solve_linear
+from exactmdp.mdp import DecisionRule
+from exactmdp.polyarith import (
     IsolatedRoot,
     PoleInIntervalError,
     Polynomial,
     RationalFunction,
-    SingularMatrixError,
     ZeroPolynomialError,
     count_roots_open,
     isolate_roots,
@@ -19,12 +21,9 @@ from exactmdp.exactarith import (
     poly_gcd,
     sign_on_interval,
     simplest_fraction_between,
-    solve_linear,
     squarefree_part,
     value_rational_function,
 )
-from exactmdp.corpus import build_example
-from exactmdp.mdp import DecisionRule
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import strategies as st
 
-from exactmdp.exactarith import (
+from exactmdp.mdp import DecisionRule, Mdp
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     count_roots_open,
@@ -29,7 +30,6 @@ from exactmdp.exactarith import (
     squarefree_part,
     value_rational_function,
 )
-from exactmdp.mdp import DecisionRule, Mdp
 
 from conftest import random_rational, random_stochastic_row
 

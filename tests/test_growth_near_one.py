@@ -6,9 +6,9 @@ rational discontinuities with indeterminate brackets."""
 from fractions import Fraction as F
 
 from exactmdp.bellman import optimal_set, rules_from_action_sets
-from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.mdp import DecisionRule, Mdp, enumerate_decision_rules
 from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.turnpike import turnpike_integer, turnpike_intervals
 
 

@@ -18,14 +18,6 @@ from conftest import mdpgen, random_mdp
 from frozen_separation import _sorted_disjoint
 from exactmdp import docio
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
-    IsolatedRoot,
-    Point,
-    point_position,
-    point_sign,
-    points_equal,
-    simplest_fraction_between,
-)
 from exactmdp.partition import (
     PartitionReport,
     PiecewiseValue,
@@ -33,13 +25,16 @@ from exactmdp.partition import (
     classify,
     symbolic_value_iteration,
 )
-from exactmdp.turnpike import (
-    TurnpikeIntervalMap,
-    TurnpikeSpan,
-    _interval_map,
-    turnpike_integer,
-    turnpike_intervals,
+from exactmdp.polyarith import (
+    IsolatedRoot,
+    Point,
+    point_position,
+    point_sign,
+    points_equal,
+    simplest_fraction_between,
 )
+from exactmdp.turnpike import turnpike_integer, turnpike_intervals
+from exactmdp.turnpikemap import TurnpikeIntervalMap, TurnpikeSpan, _interval_map
 
 # the benchmark's random-partition family
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]

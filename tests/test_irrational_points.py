@@ -12,9 +12,9 @@ import pytest
 from exactmdp import cli, docio
 from exactmdp.bellman import rules_from_action_sets
 from exactmdp.corpus import build_example
-from exactmdp.exactarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.mdp import DecisionRule, Mdp
 from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import IsolatedRoot, Polynomial, polynomial_vanishes_at
 from exactmdp.turnpike import turnpike_integer, turnpike_intervals
 
 
@@ -106,7 +106,7 @@ class TestIrrationalBreakPoint:
             assert len(other.irregular_points) == 1
             a = part.irregular_points[0].point
             b = other.irregular_points[0].point
-            from exactmdp.exactarith import same_root
+            from exactmdp.polyarith import same_root
 
             assert same_root(a, b)
             assert other.irregular_points[0].d_at == part.irregular_points[0].d_at

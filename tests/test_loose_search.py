@@ -28,8 +28,8 @@ import frozen_values
 from conftest import mdpgen, random_mdp
 from exactmdp import docio, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import IsolatedRoot
 from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import IsolatedRoot
 
 PARTITION_DOCUMENTS = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 SIZES = [(4, 4, 0), (4, 4, 1), (4, 4, 2), (5, 5, 0), (6, 3, 0)]

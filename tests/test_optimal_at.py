@@ -19,12 +19,8 @@ from conftest import mdpgen, random_mdp
 from exactmdp import docio
 from exactmdp.bellman import optimal_set, smallest_rule
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
-    Polynomial,
-    point_position,
-    simplest_fraction_between,
-)
 from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import Polynomial, point_position, simplest_fraction_between
 
 # the benchmark's random-partition family
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]

@@ -100,7 +100,7 @@ class TestCanonicalPartition:
             )
 
     def test_every_irregular_point_is_a_difference_root(self):
-        from exactmdp.exactarith import polynomial_vanishes_at, value_rational_function
+        from exactmdp.polyarith import polynomial_vanishes_at, value_rational_function
 
         for ex in ("ex4", "ex5", "ex6"):
             mdp = build_example(ex).mdp
@@ -337,7 +337,7 @@ class TestFirstStepClassification:
         # with its double root at 1/2 (not elsewhere)
         mdp = build_example("ex2").mdp
         pw = symbolic_value_iteration(mdp, 2)[2]
-        from exactmdp.exactarith import Polynomial, isolate_roots
+        from exactmdp.polyarith import Polynomial, isolate_roots
 
         bounds = pw.bounds()
         for i, piece in enumerate(pw.pieces):

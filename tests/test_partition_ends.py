@@ -17,7 +17,6 @@ import pytest
 
 from conftest import random_mdp
 from exactmdp.bellman import optimal_set, rules_from_action_sets
-from exactmdp.exactarith import IsolatedRoot, Polynomial
 from exactmdp.mdp import Mdp, count_rules
 from exactmdp.partition import (
     _rational_inside,
@@ -25,6 +24,7 @@ from exactmdp.partition import (
     point_position,
     symbolic_value_iteration,
 )
+from exactmdp.polyarith import IsolatedRoot, Polynomial
 from exactmdp.turnpike import turnpike_intervals
 
 

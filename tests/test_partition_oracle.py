@@ -11,13 +11,9 @@ import pytest
 
 from exactmdp.bellman import evaluate_deterministic, rules_from_action_sets
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
-    IsolatedRoot,
-    polynomial_vanishes_at,
-    value_rational_function,
-)
 from exactmdp.mdp import enumerate_decision_rules
 from exactmdp.partition import canonical_partition, point_position
+from exactmdp.polyarith import IsolatedRoot, polynomial_vanishes_at, value_rational_function
 
 from conftest import random_mdp
 

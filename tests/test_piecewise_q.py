@@ -15,8 +15,8 @@ import frozen_step
 from conftest import mdpgen, random_mdp
 from exactmdp import docio, partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import Polynomial, _poly
 from exactmdp.partition import symbolic_value_iteration
+from exactmdp.polyarith import Polynomial, _poly
 
 HORIZON = 9
 # the benchmark's random-partition family

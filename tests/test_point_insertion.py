@@ -1,6 +1,6 @@
 """The partition inserts each new candidate point next to its neighbours.
 
-``exactarith.insert_point(points, new)`` takes a list that
+``polyarith.insert_point(points, new)`` takes a list that
 ``separate_points`` returned and leaves what ``separate_points(points +
 [new])`` would leave, refining only the points whose closed hulls meet
 new's, in the same order, with no sort; it returns False and changes
@@ -23,14 +23,14 @@ import pytest
 from conftest import family_mdp, random_mdp
 from exactmdp import partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import canonical_partition
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     insert_point,
     points_equal,
     separate_points,
 )
-from exactmdp.partition import canonical_partition
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 

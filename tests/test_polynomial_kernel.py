@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.mdp import enumerate_decision_rules
+from exactmdp.polyarith import (
     Polynomial,
     RationalFunction,
     _poly,
@@ -26,7 +27,6 @@ from exactmdp.exactarith import (
     value_difference,
     value_rational_function,
 )
-from exactmdp.mdp import enumerate_decision_rules
 
 from conftest import random_mdp
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactmdp.exactarith import (
+from exactmdp.polyarith import (
     IsolatedRoot,
     Polynomial,
     _bisect,

@@ -41,7 +41,8 @@ from exactmdp.polyarith import (
     point_position,
     separate_points,
 )
-from exactmdp.turnpike import turnpike_cover, turnpike_intervals
+from exactmdp.turnpike import turnpike_intervals
+from exactmdp.turnpikemap import turnpike_cover
 
 # seeded as random_mdp(Random(key), 4, 3, 2, -2, 2)
 CRASHING = ["2/120", "2/155", "g2/280", "g2/387"]

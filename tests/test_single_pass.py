@@ -21,7 +21,8 @@ from exactmdp import cli, docio, partition, turnpike
 from exactmdp.conditions import boundedness_verdict
 from exactmdp.corpus import EXAMPLE_IDS, build_example
 from exactmdp.smalldiscount import small_discount_checks
-from exactmdp.turnpike import turnpike_cover, turnpike_integer
+from exactmdp.turnpike import turnpike_integer
+from exactmdp.turnpikemap import turnpike_cover
 
 
 def rebind(monkeypatch, original, replacement):

@@ -25,14 +25,8 @@ import frozen_step
 from conftest import family_mdp
 from exactmdp import partition
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
-    IsolatedRoot,
-    _excludes_roots,
-    _mul_ints,
-    _sub_ints,
-    point_position,
-)
 from exactmdp.partition import _screen_tables, _table_excludes, symbolic_value_iteration
+from exactmdp.polyarith import IsolatedRoot, _excludes_roots, _mul_ints, _sub_ints, point_position
 
 PARTITION_FAMILY = [(s, a, i) for s, a in ((3, 2), (4, 2), (3, 3)) for i in range(2)]
 

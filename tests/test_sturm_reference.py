@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactmdp.exactarith import Polynomial, sturm_chain
+from exactmdp.polyarith import Polynomial, sturm_chain
 
 
 def content_and_primitive(q: Polynomial) -> tuple[F, Polynomial]:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from conftest import mdpgen
-from exactmdp import bellman, docio, partition
+from exactmdp import bellman, cli, docio, partition, turnpikemap
 from exactmdp.corpus import build_example
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +83,7 @@ def run(*argv):
         assert cli.main(list(argv)) == 0, argv
 run("solve", document, "--alpha", "9/10")
 run("turnpike", document, "--alpha", "9/10")
-for name in ("partition", "polyarith"):
+for name in ("partition", "polyarith", "turnpikemap"):
     assert type(sys.modules["exactmdp." + name]) is not types.ModuleType, name
 spans: dict = {}
 with open(spans_path, encoding="utf-8") as fh:
@@ -132,3 +132,23 @@ def test_polynomial_kernels_are_traced_where_they_are_called(tmp_path):
     calls = traced_calls(tmp_path, doc, ["partition"])
     assert calls["exactarith.isolate_roots"] > 0
     assert calls["exactarith.poly_gcd"] > 0
+
+
+def test_interval_map_samples_are_traced_in_the_deferred_module(tmp_path, monkeypatch, capsys):
+    # the interval map lives in turnpikemap, which the pointwise commands
+    # leave unexecuted; its turnpike_integer binding must still be wrapped,
+    # so the traced count equals the samples an untraced run makes
+    doc = docio.document_from_mdp(build_example("ex4").mdp)
+    words = ["turnpike", "--interval", "1/100,2/5"]
+    calls = traced_calls(tmp_path, doc, words)
+    original, samples = turnpikemap.turnpike_integer, []
+
+    def recording(mdp, alpha, part=None):
+        samples.append(alpha)
+        return original(mdp, alpha, part)
+
+    monkeypatch.setattr(turnpikemap, "turnpike_integer", recording)
+    assert cli.main([words[0], str(tmp_path / "doc.json"), *words[1:]]) == 0
+    capsys.readouterr()
+    assert len(samples) > 1
+    assert calls["turnpike.turnpike_integer"] == len(samples)

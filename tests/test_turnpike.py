@@ -10,10 +10,10 @@ from exactmdp.turnpike import (
     AllRulesOptimalError,
     certificate_audit,
     suboptimality_gap,
-    turnpike_cover,
     turnpike_integer,
     turnpike_intervals,
 )
+from exactmdp.turnpikemap import turnpike_cover
 
 from conftest import random_mdp
 

@@ -28,7 +28,8 @@ from conftest import mdpgen
 from exactmdp import docio, partition
 from exactmdp.bellman import smallest_rule
 from exactmdp.corpus import EXAMPLE_IDS, build_example
-from exactmdp.exactarith import (
+from exactmdp.partition import _class_key, _crossing_numerators, canonical_partition
+from exactmdp.polyarith import (
     IsolatedRoot,
     _poly,
     _primitive_ints,
@@ -39,7 +40,6 @@ from exactmdp.exactarith import (
     value_slopes,
     values_at,
 )
-from exactmdp.partition import _class_key, _crossing_numerators, canonical_partition
 
 FAMILY_SEEDS = range(100, 140)
 SIZES = (
